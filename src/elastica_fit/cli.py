@@ -140,7 +140,7 @@ def run(config: RunConfig) -> int:
                 layers.append((_elastica_polyline(rep.params), "guess"))
                 layers.append((_elastica_polyline(res.params), "fit"))
         elif config.mode == "fit":
-            rep, res, target = _fit_piece(curve, config.samples,
+            rep, res, target = _fit_piece(sample(curve, config.samples),
                                           config.constraints, config.max_iter)
             report = _segment_record(rep, res,
                                      residual_r4(res.params, target))

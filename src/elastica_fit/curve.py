@@ -57,6 +57,13 @@ class CurveSamples:
         )
 
 
+def _locate(t, m):
+    """Piece index and local parameter of global t on m equal pieces."""
+    x = min(max(t, 0.0), 1.0) * m
+    i = min(int(x), m - 1)
+    return i, x - i
+
+
 class BezierChain:
     """A chain of cubic Bezier pieces on a shared [0, 1] parameter domain."""
 
@@ -70,20 +77,15 @@ class BezierChain:
         self.pieces = pieces
         self.m = len(pieces)
 
-    def _locate(self, t):
-        x = min(max(t, 0.0), 1.0) * self.m
-        i = min(int(x), self.m - 1)
-        return i, x - i
-
     def point(self, t):
-        i, u = self._locate(t)
+        i, u = _locate(t, self.m)
         b = self.pieces[i]
         v = 1 - u
         return (v ** 3 * b[0] + 3 * v ** 2 * u * b[1]
                 + 3 * v * u ** 2 * b[2] + u ** 3 * b[3])
 
     def derivative(self, t):
-        i, u = self._locate(t)
+        i, u = _locate(t, self.m)
         b = self.pieces[i]
         v = 1 - u
         d = 3 * (v ** 2 * (b[1] - b[0]) + 2 * v * u * (b[2] - b[1])
@@ -91,7 +93,7 @@ class BezierChain:
         return d * self.m
 
     def second_derivative(self, t):
-        i, u = self._locate(t)
+        i, u = _locate(t, self.m)
         b = self.pieces[i]
         d = 6 * ((1 - u) * (b[2] - 2 * b[1] + b[0]) + u * (b[3] - 2 * b[2] + b[1]))
         return d * self.m ** 2
@@ -100,8 +102,8 @@ class BezierChain:
         """Exact sub-curve on [t0, t1] via de Casteljau subdivision."""
         if not 0.0 <= t0 < t1 <= 1.0:
             raise DomainError(f"invalid trim interval [{t0}, {t1}]")
-        i0, u0 = self._locate(t0)
-        i1, u1 = self._locate(t1)
+        i0, u0 = _locate(t0, self.m)
+        i1, u1 = _locate(t1, self.m)
         if i1 > i0 and u1 == 0.0:
             i1, u1 = i1 - 1, 1.0
         out = []
@@ -113,33 +115,25 @@ class BezierChain:
         return BezierChain(np.array(out))
 
 
+def _split(b, u):
+    """de Casteljau split of a cubic at u: control points of [0, u] and
+    of [u, 1]."""
+    p01 = (1 - u) * b[0] + u * b[1]
+    p12 = (1 - u) * b[1] + u * b[2]
+    p23 = (1 - u) * b[2] + u * b[3]
+    p012 = (1 - u) * p01 + u * p12
+    p123 = (1 - u) * p12 + u * p23
+    p = (1 - u) * p012 + u * p123
+    return np.array([b[0], p01, p012, p]), np.array([p, p123, p23, b[3]])
+
+
 def _decasteljau_sub(b, lo, hi):
     """Control points of a cubic restricted to [lo, hi] (reparameterized)."""
-    def split_right(b, u):
-        # keep [u, 1]
-        p01 = (1 - u) * b[0] + u * b[1]
-        p12 = (1 - u) * b[1] + u * b[2]
-        p23 = (1 - u) * b[2] + u * b[3]
-        p012 = (1 - u) * p01 + u * p12
-        p123 = (1 - u) * p12 + u * p23
-        p = (1 - u) * p012 + u * p123
-        return np.array([p, p123, p23, b[3]])
-
-    def split_left(b, u):
-        # keep [0, u]
-        p01 = (1 - u) * b[0] + u * b[1]
-        p12 = (1 - u) * b[1] + u * b[2]
-        p23 = (1 - u) * b[2] + u * b[3]
-        p012 = (1 - u) * p01 + u * p12
-        p123 = (1 - u) * p12 + u * p23
-        p = (1 - u) * p012 + u * p123
-        return np.array([b[0], p01, p012, p])
-
     if lo > 0.0:
-        b = split_right(b, lo)
+        b = _split(b, lo)[1]
         hi = (hi - lo) / (1 - lo)
     if hi < 1.0:
-        b = split_left(b, hi)
+        b = _split(b, hi)[0]
     return b
 
 
@@ -156,17 +150,12 @@ class Polyline:
         self.points = points
         self.m = len(points) - 1
 
-    def _locate(self, t):
-        x = min(max(t, 0.0), 1.0) * self.m
-        i = min(int(x), self.m - 1)
-        return i, x - i
-
     def point(self, t):
-        i, u = self._locate(t)
+        i, u = _locate(t, self.m)
         return (1 - u) * self.points[i] + u * self.points[i + 1]
 
     def derivative(self, t):
-        i, _ = self._locate(t)
+        i, _ = _locate(t, self.m)
         return (self.points[i + 1] - self.points[i]) * self.m
 
     def second_derivative(self, t):
@@ -175,8 +164,8 @@ class Polyline:
     def trimmed(self, t0, t1):
         if not 0.0 <= t0 < t1 <= 1.0:
             raise DomainError(f"invalid trim interval [{t0}, {t1}]")
-        i0, _ = self._locate(t0)
-        i1, _ = self._locate(t1)
+        i0, _ = _locate(t0, self.m)
+        i1, _ = _locate(t1, self.m)
         pts = [self.point(t0)]
         for i in range(i0 + 1, i1 + 1):
             pts.append(self.points[i])

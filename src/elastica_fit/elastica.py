@@ -20,9 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._accel import maybe_njit
-from .elliptic import K_GUARD_BAND, _E_jacobi, _jacobi
-from .errors import DomainError, SingularModulusError
+from .elliptic import _check_modulus, _jacobi, _jacobi_E, _jacobi_E_arr
+from .errors import DomainError
 
 #: parameter order used for gradient / Hessian indexing
 PARAM_NAMES = ("k", "s0", "ell", "w", "phi", "x0", "y0")
@@ -47,10 +46,7 @@ class ElasticaParams:
         vals = (self.k, self.s0, self.ell, self.w, self.phi, self.x0, self.y0)
         if not all(math.isfinite(v) for v in vals):
             raise DomainError(f"non-finite parameter in {vals}")
-        if self.k < 0:
-            raise DomainError(f"modulus must be nonnegative, got {self.k}")
-        if abs(self.k - 1.0) <= K_GUARD_BAND:
-            raise SingularModulusError(f"modulus {self.k} inside the k=1 guard band")
+        _check_modulus(self.k)
         if self.w <= 0:
             raise DomainError(f"scale w must be positive, got {self.w}")
         if self.ell == 0:
@@ -82,32 +78,24 @@ class BasicDerivatives(NamedTuple):
 # ---------------------------------------------------------------------------
 # kernels
 
-@maybe_njit
-def _zeta(s, k):
-    sn, cn, dn = _jacobi(s, k)
-    e = _E_jacobi(s, k)
-    return 2.0 * e - s, 2.0 * k * (1.0 - cn)
-
-
-@maybe_njit
 def _zeta_blocks(s, k, with_kk):
-    """zeta and its five derivative blocks, packed as a (6, 2) array:
-    rows = value, d/ds, d2/ds2, d/dk, d2/dsdk, d2/dk2."""
-    S, C, D = _jacobi(s, k)
-    E = _E_jacobi(s, k)
+    """zeta and its five derivative blocks at an array of arclengths s,
+    packed as (n, 6, 2): value, d/ds, d2/ds2, d/dk, d2/dsdk, d2/dk2 (the
+    last left zero unless with_kk)."""
+    S, C, D, E = _jacobi_E_arr(s, k)
     kp2 = 1.0 - k * k
-    out = np.empty((6, 2))
-    out[0, 0] = 2.0 * E - s
-    out[0, 1] = 2.0 * k * (1.0 - C)
-    out[1, 0] = 2.0 * D * D - 1.0
-    out[1, 1] = 2.0 * k * S * D
-    out[2, 0] = 2.0 * k * C * (-2.0 * k * S * D)
-    out[2, 1] = 2.0 * k * C * (2.0 * D * D - 1.0)
-    out[3, 0] = (2.0 / kp2) * k * (S * C * D - E * C * C - s * kp2 * S * S)
-    out[3, 1] = (2.0 / kp2) * (kp2 + C * (k * k - D * D) - S * D * (E - s * kp2))
+    out = np.zeros((len(s), 6, 2))
+    out[:, 0, 0] = 2.0 * E - s
+    out[:, 0, 1] = 2.0 * k * (1.0 - C)
+    out[:, 1, 0] = 2.0 * D * D - 1.0
+    out[:, 1, 1] = 2.0 * k * S * D
+    out[:, 2, 0] = 2.0 * k * C * (-2.0 * k * S * D)
+    out[:, 2, 1] = 2.0 * k * C * (2.0 * D * D - 1.0)
+    out[:, 3, 0] = (2.0 / kp2) * k * (S * C * D - E * C * C - s * kp2 * S * S)
+    out[:, 3, 1] = (2.0 / kp2) * (kp2 + C * (k * k - D * D) - S * D * (E - s * kp2))
     f = (2.0 / kp2) * (S * D - C * (E - s * kp2))
-    out[4, 0] = f * (-2.0 * k * S * D)
-    out[4, 1] = f * (2.0 * D * D - 1.0)
+    out[:, 4, 0] = f * (-2.0 * k * S * D)
+    out[:, 4, 1] = f * (2.0 * D * D - 1.0)
     if with_kk:
         a0 = 2.0 * S * D * C * (D * D - k * k * E * E
                                 + kp2 * (s * s * k * k - (E - s) ** 2 - 0.5))
@@ -119,123 +107,103 @@ def _zeta_blocks(s, k, with_kk):
         b1 = (-s * k * kp2 * D * S + s * s * k ** 3 * C
               + k * C * S * S * (2.0 - 2.0 * s * s * k ** 4
                                  - 2.0 * k * k * S * S + k * k))
-        out[5, 0] = (2.0 / (kp2 * kp2)) * (a0 + b0)
-        out[5, 1] = (2.0 / (kp2 * kp2)) * (a1 + b1)
-    else:
-        out[5, 0] = 0.0
-        out[5, 1] = 0.0
+        out[:, 5, 0] = (2.0 / (kp2 * kp2)) * (a0 + b0)
+        out[:, 5, 1] = (2.0 / (kp2 * kp2)) * (a1 + b1)
     return out
 
 
-@maybe_njit
+def _rotate(phi, v):
+    """R_phi applied to the last axis of v (vectors as (..., 2))."""
+    c = math.cos(phi)
+    s = math.sin(phi)
+    out = np.empty_like(v)
+    out[..., 0] = c * v[..., 0] - s * v[..., 1]
+    out[..., 1] = s * v[..., 0] + c * v[..., 1]
+    return out
+
+
 def _segment_eval_arr(p, t):
     """Points of the parameterized segment at an array of t values.
 
     p is the 7-vector (k, s0, ell, w, phi, x0, y0); returns an (n, 2) array.
     """
-    k, s0, ell, w, phi, x0, y0 = p[0], p[1], p[2], p[3], p[4], p[5], p[6]
-    cphi = math.cos(phi)
-    sphi = math.sin(phi)
-    n = t.shape[0]
-    out = np.empty((n, 2))
-    for i in range(n):
-        zx, zy = _zeta(s0 + ell * t[i], k)
-        out[i, 0] = w * (cphi * zx - sphi * zy) + x0
-        out[i, 1] = w * (sphi * zx + cphi * zy) + y0
-    return out
+    k, s0, ell, w, phi, x0, y0 = p
+    z = _zeta_blocks(s0 + ell * t, k, False)[:, 0]
+    return w * _rotate(phi, z) + (x0, y0)
 
 
-@maybe_njit
 def _segment_partials_arr(p, t, with_second):
     """Segment points with first (and optionally second) parameter partials.
 
-    Returns (y, dy, d2y) with shapes (n, 2), (n, 7, 2), (n, 7, 7, 2).
+    Returns (y, dy, d2y) with shapes (n, 2), (n, 7, 2), (n, 7, 7, 2); d2y
+    is all zero unless with_second; its k-k entry, which divides by k, is
+    left zero for k < K_MIN.
     """
-    k, s0, ell, w, phi, x0, y0 = p[0], p[1], p[2], p[3], p[4], p[5], p[6]
-    cphi = math.cos(phi)
-    sphi = math.sin(phi)
-    n = t.shape[0]
-    y = np.empty((n, 2))
+    k, s0, ell, w, phi, x0, y0 = p
+    n = len(t)
+    # rotated blocks: rb = R_phi @ block, qb = R_{phi+pi/2} @ block
+    blocks = _zeta_blocks(s0 + ell * t, k, with_second and k >= K_MIN)
+    rb = _rotate(phi, blocks)
+    qb = np.stack([-rb[..., 1], rb[..., 0]], axis=-1)
+    tc = t[:, None]
+    y = w * rb[:, 0] + (x0, y0)
     dy = np.zeros((n, 7, 2))
+    dy[:, 0] = w * rb[:, 3]                 # k
+    dy[:, 1] = w * rb[:, 1]                 # s0
+    dy[:, 2] = tc * w * rb[:, 1]            # ell
+    dy[:, 3] = rb[:, 0]                     # w
+    dy[:, 4] = w * qb[:, 0]                 # phi
+    dy[:, 5, 0] = 1.0                       # x0
+    dy[:, 6, 1] = 1.0                       # y0
     d2y = np.zeros((n, 7, 7, 2))
-    for i in range(n):
-        ti = t[i]
-        blocks = _zeta_blocks(s0 + ell * ti, k, with_second)
-        # rotate all blocks once: rb = R_phi @ block, qb = R_{phi+pi/2} @ block
-        rb = np.empty((6, 2))
-        qb = np.empty((6, 2))
-        for j in range(6):
-            bx, by = blocks[j, 0], blocks[j, 1]
-            rb[j, 0] = cphi * bx - sphi * by
-            rb[j, 1] = sphi * bx + cphi * by
-            qb[j, 0] = -rb[j, 1]
-            qb[j, 1] = rb[j, 0]
-        y[i, 0] = w * rb[0, 0] + x0
-        y[i, 1] = w * rb[0, 1] + y0
-        for c in range(2):
-            dy[i, 0, c] = w * rb[3, c]              # k
-            dy[i, 1, c] = w * rb[1, c]              # s0
-            dy[i, 2, c] = ti * w * rb[1, c]         # ell
-            dy[i, 3, c] = rb[0, c]                  # w
-            dy[i, 4, c] = w * qb[0, c]              # phi
-        dy[i, 5, 0] = 1.0                           # x0
-        dy[i, 6, 1] = 1.0                           # y0
-        if with_second:
-            for c in range(2):
-                d2y[i, 0, 0, c] = w * rb[5, c]          # k k
-                d2y[i, 0, 1, c] = w * rb[4, c]          # k s0
-                d2y[i, 0, 2, c] = ti * w * rb[4, c]     # k ell
-                d2y[i, 0, 3, c] = rb[3, c]              # k w
-                d2y[i, 0, 4, c] = w * qb[3, c]          # k phi
-                d2y[i, 1, 1, c] = w * rb[2, c]          # s0 s0
-                d2y[i, 1, 2, c] = ti * w * rb[2, c]     # s0 ell
-                d2y[i, 1, 3, c] = rb[1, c]              # s0 w
-                d2y[i, 1, 4, c] = w * qb[1, c]          # s0 phi
-                d2y[i, 2, 2, c] = ti * ti * w * rb[2, c]  # ell ell
-                d2y[i, 2, 3, c] = ti * rb[1, c]         # ell w
-                d2y[i, 2, 4, c] = ti * w * qb[1, c]     # ell phi
-                d2y[i, 3, 4, c] = qb[0, c]              # w phi
-                d2y[i, 4, 4, c] = -w * rb[0, c]         # phi phi
-            # symmetrize
-            for a in range(7):
-                for b in range(a):
-                    for c in range(2):
-                        d2y[i, a, b, c] = d2y[i, b, a, c]
+    if with_second:
+        d2y[:, 0, 0] = w * rb[:, 5]             # k k
+        d2y[:, 0, 1] = w * rb[:, 4]             # k s0
+        d2y[:, 0, 2] = tc * w * rb[:, 4]        # k ell
+        d2y[:, 0, 3] = rb[:, 3]                 # k w
+        d2y[:, 0, 4] = w * qb[:, 3]             # k phi
+        d2y[:, 1, 1] = w * rb[:, 2]             # s0 s0
+        d2y[:, 1, 2] = tc * w * rb[:, 2]        # s0 ell
+        d2y[:, 1, 3] = rb[:, 1]                 # s0 w
+        d2y[:, 1, 4] = w * qb[:, 1]             # s0 phi
+        d2y[:, 2, 2] = tc * tc * w * rb[:, 2]   # ell ell
+        d2y[:, 2, 3] = tc * rb[:, 1]            # ell w
+        d2y[:, 2, 4] = tc * w * qb[:, 1]        # ell phi
+        d2y[:, 3, 4] = qb[:, 0]                 # w phi
+        d2y[:, 4, 4] = -w * rb[:, 0]            # phi phi
+        upper = np.triu_indices(7, 1)
+        d2y[:, upper[1], upper[0]] = d2y[:, upper[0], upper[1]]
     return y, dy, d2y
 
 
 # ---------------------------------------------------------------------------
 # public surface
 
-def _check_basic_modulus(k):
-    if not math.isfinite(k) or k < 0:
-        raise DomainError(f"invalid modulus {k}")
-    if abs(k - 1.0) <= K_GUARD_BAND:
-        raise SingularModulusError(f"modulus {k} inside the k=1 guard band")
-
-
 def basic_point(s: float, k: float) -> np.ndarray:
     """Point of the basic elastica zeta_k at arclength s."""
-    _check_basic_modulus(k)
+    _check_modulus(k)
     if not math.isfinite(s):
         raise DomainError(f"non-finite arclength {s}")
-    return np.array(_zeta(s, k))
+    _, cn, _, e = _jacobi_E(s, k)
+    return np.array([2.0 * e - s, 2.0 * k * (1.0 - cn)])
 
 
 def basic_derivatives(s: float, k: float) -> BasicDerivatives:
     """All derivative blocks of zeta_k at (s, k); requires k >= K_MIN."""
-    _check_basic_modulus(k)
+    _check_modulus(k)
     if k < K_MIN:
         raise DomainError(
             f"second k-derivative undefined for k < {K_MIN} (got {k})")
-    b = _zeta_blocks(s, k, True)
-    return BasicDerivatives(ds=b[1].copy(), dss=b[2].copy(), dk=b[3].copy(),
-                            dsk=b[4].copy(), dkk=b[5].copy())
+    b = _zeta_blocks(np.array([float(s)]), k, True)[0]
+    return BasicDerivatives(ds=b[1], dss=b[2], dk=b[3], dsk=b[4], dkk=b[5])
 
 
 def segment_eval(p: ElasticaParams, t: float) -> np.ndarray:
     """Point of the transformed segment at parameter t (constant speed |ell|*w)."""
-    return _segment_eval_arr(p.as_array(), np.array([float(t)]))[0]
+    s = p.s0 + p.ell * float(t)
+    _, cn, _, e = _jacobi_E(s, p.k)
+    z = np.array([2.0 * e - s, 2.0 * p.k * (1.0 - cn)])
+    return p.w * _rotate(p.phi, z) + (p.x0, p.y0)
 
 
 def segment_eval_many(p: ElasticaParams, t: np.ndarray) -> np.ndarray:
@@ -263,17 +231,15 @@ class ElasticaCurve:
 
     def derivative(self, t):
         p = self.params
-        b = _zeta_blocks(p.s0 + p.ell * t, p.k, False)
-        c, s = math.cos(p.phi), math.sin(p.phi)
-        return p.ell * p.w * np.array([c * b[1, 0] - s * b[1, 1],
-                                       s * b[1, 0] + c * b[1, 1]])
+        S, _, D = _jacobi(p.s0 + p.ell * t, p.k)
+        zs = np.array([2.0 * D * D - 1.0, 2.0 * p.k * S * D])
+        return p.ell * p.w * _rotate(p.phi, zs)
 
     def second_derivative(self, t):
         p = self.params
-        b = _zeta_blocks(p.s0 + p.ell * t, p.k, False)
-        c, s = math.cos(p.phi), math.sin(p.phi)
-        return p.ell ** 2 * p.w * np.array([c * b[2, 0] - s * b[2, 1],
-                                            s * b[2, 0] + c * b[2, 1]])
+        S, C, D = _jacobi(p.s0 + p.ell * t, p.k)
+        zss = 2.0 * p.k * C * np.array([-2.0 * p.k * S * D, 2.0 * D * D - 1.0])
+        return p.ell ** 2 * p.w * _rotate(p.phi, zss)
 
     def trimmed(self, t0, t1):
         p = self.params

@@ -10,9 +10,11 @@ Conventions:
   ``dn(u,k) = cn(k*u, 1/k)``, ``E(u,k) = k*E(k*u, 1/k) + u*(1-k^2)``, and
   ``K(k) = K(1/k)/(2k)`` so that cn always has period 4K.
 
-Evaluation is by the arithmetic-geometric mean: descending Landen for K and
-F, the AGM angle recursion for am.  All functions are pure; the scalar
-kernels are numba-compiled unless disabled (see ``_accel``).
+Evaluation is by the arithmetic-geometric mean: descending Landen for K,
+the AGM angle recursion for am, ascending Landen for F and E.  sn, cn, dn
+and E at one argument all come from a single amplitude.  All functions are
+pure scalar Python; ``_jacobi_E_arr`` is the one loop over an array of
+arguments.
 """
 
 import math
@@ -20,7 +22,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._accel import maybe_njit
 from .errors import DomainError, SingularModulusError
 
 #: half-width of the excluded band around k = 1, where K diverges
@@ -39,7 +40,6 @@ class EllipticTriple(NamedTuple):
 # ---------------------------------------------------------------------------
 # scalar kernels (k strictly below 1 unless noted); no validation inside
 
-@maybe_njit
 def _agm_K(k):
     a = 1.0
     b = math.sqrt((1.0 - k) * (1.0 + k))
@@ -48,34 +48,23 @@ def _agm_K(k):
     return math.pi / (2.0 * a)
 
 
-@maybe_njit
 def _am(u, k):
     # AGM angle recursion (backward), valid for all real u
     if k < 1e-14:
         return u
     a = 1.0
     b = math.sqrt((1.0 - k) * (1.0 + k))
-    ca = np.empty(_MAX_AGM)
-    aa = np.empty(_MAX_AGM)
-    n = 0
     c = k
-    while abs(c) > _TOL and n < _MAX_AGM - 1:
+    ratios = []
+    while abs(c) > _TOL and len(ratios) < _MAX_AGM - 1:
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        n += 1
-        ca[n] = c
-        aa[n] = a
-    phi = (2.0 ** n) * a * u
-    for i in range(n, 0, -1):
-        x = ca[i] / aa[i] * math.sin(phi)
-        if x > 1.0:
-            x = 1.0
-        elif x < -1.0:
-            x = -1.0
-        phi = 0.5 * (phi + math.asin(x))
+        ratios.append(c / a)
+    phi = (2.0 ** len(ratios)) * a * u
+    for r in reversed(ratios):
+        phi = 0.5 * (phi + math.asin(min(max(r * math.sin(phi), -1.0), 1.0)))
     return phi
 
 
-@maybe_njit
 def _F_E_legendre(phi, k):
     # ascending Landen; returns (F(phi,k), E(phi,k)), amplitude convention
     if k < 1e-14:
@@ -104,56 +93,44 @@ def _F_E_legendre(phi, k):
     return f_red + 2.0 * m * quarter, e_red + 2.0 * m * e_complete
 
 
-@maybe_njit
-def _jacobi_lo(u, k):
-    # k in [0, 1)
-    phi = _am(u, k)
+def _sn_cn_dn(phi, k):
+    # k in [0, 1); phi = am(u, k)
     sn = math.sin(phi)
     cn = math.cos(phi)
-    dn = math.sqrt(1.0 - (k * sn) * (k * sn))
-    return sn, cn, dn
+    return sn, cn, math.sqrt(1.0 - (k * sn) * (k * sn))
 
 
-@maybe_njit
 def _jacobi(u, k):
+    # sn, cn, dn for any k outside the guard band
     if k > 1.0:
-        sni, cni, dni = _jacobi_lo(k * u, 1.0 / k)
+        sni, cni, dni = _sn_cn_dn(_am(k * u, 1.0 / k), 1.0 / k)
         return sni / k, dni, cni
-    return _jacobi_lo(u, k)
+    return _sn_cn_dn(_am(u, k), k)
 
 
-@maybe_njit
-def _E_jacobi(u, k):
-    # integral of dn^2 from 0 to u, any k outside the guard band
+def _jacobi_E(u, k):
+    # sn, cn, dn and E(u) = integral of dn^2 over [0, u] from one amplitude,
+    # any k outside the guard band
     if k > 1.0:
         ki = 1.0 / k
-        e = _F_E_legendre(_am(k * u, ki), ki)[1]
-        return k * e + u * (1.0 - k * k)
-    return _F_E_legendre(_am(u, k), k)[1]
+        phi = _am(k * u, ki)
+        sni, cni, dni = _sn_cn_dn(phi, ki)
+        e = _F_E_legendre(phi, ki)[1]
+        return sni / k, dni, cni, k * e + u * (1.0 - k * k)
+    phi = _am(u, k)
+    return (*_sn_cn_dn(phi, k), _F_E_legendre(phi, k)[1])
 
 
-@maybe_njit
 def _quarter_period(k):
     if k > 1.0:
         return _agm_K(1.0 / k) / (2.0 * k)
     return _agm_K(k)
 
 
-@maybe_njit
 def _jacobi_E_arr(u, k):
-    # vectorized (sn, cn, dn, E) over an array of arguments, shared modulus
-    n = u.shape[0]
-    sn = np.empty(n)
-    cn = np.empty(n)
-    dn = np.empty(n)
-    ee = np.empty(n)
-    for i in range(n):
-        s, c, d = _jacobi(u[i], k)
-        sn[i] = s
-        cn[i] = c
-        dn[i] = d
-        ee[i] = _E_jacobi(u[i], k)
-    return sn, cn, dn, ee
+    # (sn, cn, dn, E) over a 1-d array of arguments, shared modulus
+    k = float(k)
+    return np.array([_jacobi_E(x, k) for x in u.tolist()]).reshape(-1, 4).T
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +180,7 @@ def incomplete_E(u: float, k: float) -> float:
     """Integral of dn(t,k)^2 over [0, u]; valid for all k outside the guard band."""
     _check_finite(u)
     _check_modulus(k)
-    return _E_jacobi(u, k)
+    return _jacobi_E(u, k)[3]
 
 
 def quarter_period(k: float) -> float:

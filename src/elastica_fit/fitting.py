@@ -22,7 +22,7 @@ from .elastica import (
     _segment_eval_arr,
     _segment_partials_arr,
 )
-from .elliptic import K_GUARD_BAND, _jacobi
+from .elliptic import K_GUARD_BAND
 from .errors import DomainError
 
 #: upper clamp for the modulus during optimization
@@ -107,52 +107,24 @@ def _wrap_angle(a):
     return (a + math.pi) % (2 * math.pi) - math.pi
 
 
-def _endpoint_tangent_angles(target: CurveSamples):
-    return target.theta[0], target.theta[-1]
-
-
 def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str):
     """Equality constraints c(p) = 0 and their Jacobian.
 
     Position rows: y_p(t) - x(t) at t = 0, 1.  Tangent rows: wrapped
-    difference of tangent angles at the ends (ell > 0 assumed).
+    difference of tangent angles at the ends (ell > 0 assumed); the angle
+    is that of y_s = dy/ds0, whose gradient is cross(y_s, d(y_s)/dp) / |y_s|^2.
     """
-    t_ends = np.array([0.0, 1.0])
-    y, dy, _ = _segment_partials_arr(pvec, t_ends, False)
-    rows = []
-    jac = []
-    for j, node in enumerate((0, -1)):
-        rows.extend(y[j] - target.points[node])
-        jac.append(dy[j, :, 0])
-        jac.append(dy[j, :, 1])
-    if mode == "endpoints+tangents":
-        k, s0, ell, w, phi = pvec[0], pvec[1], pvec[2], pvec[3], pvec[4]
-        th0, th1 = _endpoint_tangent_angles(target)
-        for j, (t_end, th_t) in enumerate(((0.0, th0), (1.0, th1))):
-            s = s0 + ell * t_end
-            sn, cn, dn = _jacobi(s, k)
-            # basic tangent angle and its parameter derivatives
-            ang = math.atan2(2 * k * sn * dn, 2 * dn * dn - 1) + phi
-            rows.append(_wrap_angle(ang - th_t))
-            dth_ds = 2 * k * cn
-            # d(angle)/dk = cross(zeta_s, d(zeta_s)/dk); |zeta_s| = 1
-            kp2 = 1 - k * k
-            f = (2.0 / kp2) * (sn * dn - cn * (_E_at(s, k) - s * kp2))
-            zs = np.array([2 * dn * dn - 1, 2 * k * sn * dn])
-            zsk = f * np.array([-2 * k * sn * dn, 2 * dn * dn - 1])
-            dth_dk = zs[0] * zsk[1] - zs[1] * zsk[0]
-            g = np.zeros(7)
-            g[0] = dth_dk
-            g[1] = dth_ds
-            g[2] = t_end * dth_ds
-            g[4] = 1.0
-            jac.append(g)
-    return np.array(rows), np.array(jac)
-
-
-def _E_at(s, k):
-    from .elliptic import _E_jacobi
-    return _E_jacobi(s, k)
+    tangents = mode == "endpoints+tangents"
+    y, dy, d2y = _segment_partials_arr(pvec, np.array([0.0, 1.0]), tangents)
+    c = (y - target.points[[0, -1]]).ravel()
+    jac = dy.transpose(0, 2, 1).reshape(4, 7)
+    if tangents:
+        ys, ysp = dy[:, 1], d2y[:, 1]
+        ang = np.arctan2(ys[:, 1], ys[:, 0])
+        cross = ys[:, None, 0] * ysp[..., 1] - ys[:, None, 1] * ysp[..., 0]
+        c = np.concatenate([c, _wrap_angle(ang - target.theta[[0, -1]])])
+        jac = np.vstack([jac, cross / np.sum(ys * ys, axis=1)[:, None]])
+    return c, jac
 
 
 def _constraint_hessians(pvec, target, mode, h=1e-6):

@@ -57,10 +57,9 @@ class PiecewiseFit:
         return max(self.r4)
 
 
-def _fit_piece(piece, n_samples, constraints, max_iter):
-    """Recover a guess and optimize one sub-curve; handles the degenerate
-    and reversed-input paths."""
-    smp = sample(piece, n_samples)
+def _fit_piece(smp, constraints, max_iter):
+    """Recover a guess and optimize one sampled sub-curve; handles the
+    degenerate and reversed-input paths."""
     rep = initial_guess(smp)
     target = smp.reversed() if rep.reversed_input else smp
     if rep.degenerate is not None:
@@ -74,9 +73,8 @@ def _fit_piece(piece, n_samples, constraints, max_iter):
     return rep, fit(problem), target
 
 
-def _arclength_midpoint(piece, t0, t1, n_samples):
-    """Global parameter at which the piece's arclength is halved."""
-    smp = sample(piece, n_samples)
+def _arclength_midpoint(smp, t0, t1):
+    """Global parameter at which the sampled piece's arclength is halved."""
     t_loc = float(np.interp(0.5 * smp.length, smp.s, smp.t))
     t_loc = min(max(t_loc, 1e-6), 1.0 - 1e-6)
     return t0 + t_loc * (t1 - t0)
@@ -110,12 +108,13 @@ def fit_piecewise(curve, r4_threshold: float, max_depth: int,
 
     def process(t0, t1, depth):
         piece = curve.trimmed(t0, t1) if (t0, t1) != (0.0, 1.0) else curve
-        rep, res, target = _fit_piece(piece, n_samples, constraints, max_iter)
+        smp = sample(piece, n_samples)
+        rep, res, target = _fit_piece(smp, constraints, max_iter)
         r4 = residual_r4(res.params, target)
         if r4 <= r4_threshold or depth >= max_depth:
             leaves[t0] = (t1, rep, res, r4)
             return
-        tm = _arclength_midpoint(piece, t0, t1, n_samples)
+        tm = _arclength_midpoint(smp, t0, t1)
         breakpoints.append(tm)
         process(t0, tm, depth + 1)
         process(tm, t1, depth + 1)

@@ -228,6 +228,21 @@ class TestIdentityGrid:
             assert abs(d[2] + k * k * sn * cn) < 1e-6
 
 
+def _mp_jacobi_E(u, k):
+    """sn, cn, dn and E(u) in mpmath; k > 1 by the A&S 16.11 transfer."""
+    if k > 1:
+        k = mp.mpf(k)
+        sn, cn, dn, e = _mp_jacobi_E(k * u, 1 / k)
+        return sn / k, dn, cn, k * e + u * (1 - k * k)
+    m = mp.mpf(k) ** 2
+    sn, cn, dn = (mp.ellipfun(f, u, m) for f in ("sn", "cn", "dn"))
+    # amplitude: am(u) = j*pi + am(r) with r = u - 2Kj in [-K, K]
+    K = mp.ellipk(m)
+    j = mp.nint(u / (2 * K))
+    phi = j * mp.pi + mp.asin(mp.ellipfun("sn", u - 2 * K * j, m))
+    return sn, cn, dn, mp.ellipe(phi, m)
+
+
 def test_mpmath_cross_check():
     mp.mp.dps = 30
     for u, k in [(0.7, 0.3), (3.9, 0.9), (-2.2, 0.55)]:
@@ -235,3 +250,14 @@ def test_mpmath_cross_check():
         assert sn == pytest.approx(float(mp.ellipfun("sn", u, k * k)), abs=1e-13)
         assert cn == pytest.approx(float(mp.ellipfun("cn", u, k * k)), abs=1e-13)
         assert dn == pytest.approx(float(mp.ellipfun("dn", u, k * k)), abs=1e-13)
+    us = [-1e3, -271.3, -31.7, -2.9, -0.37, 0.41, 1.3, 7.9, 63.1, 517.9, 1e3]
+    # the k > 1 transfer is ill-conditioned next to the guard band
+    edge = [1 - 2 * K_GUARD_BAND, 1 + 2 * K_GUARD_BAND]
+    cases = [([0.0, 0.3, 0.9, 0.999, 1.001, 1.5, 3.0, 9.0], us, 2e-12, 1e-13),
+             (edge, [u for u in us if abs(u) <= 25] + [-25.0, 25.0], 1e-9, 1e-10)]
+    for ks, args, tol, rel in cases:
+        for k in ks:
+            for u in args:
+                sn, cn, dn, e = (float(v) for v in _mp_jacobi_E(u, k))
+                assert jacobi(u, k) == pytest.approx((sn, cn, dn), abs=tol)
+                assert incomplete_E(u, k) == pytest.approx(e, rel=rel, abs=0)

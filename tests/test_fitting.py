@@ -12,6 +12,7 @@ from elastica_fit.errors import DomainError
 from elastica_fit.fitting import (
     FitProblem,
     FitResult,
+    _constraint_values_jacobian,
     fit,
     gradient_hessian,
     objective,
@@ -94,6 +95,24 @@ class TestGradientHessian:
         tgt = elastica_target(BASE, 512)
         g, _ = gradient_hessian(BASE, tgt)
         assert np.linalg.norm(g) < 1e-8
+
+
+class TestConstraintJacobian:
+    @pytest.mark.parametrize("mode", ["endpoints", "endpoints+tangents"])
+    @pytest.mark.parametrize("k", [0.3, 0.8, 1.4, 2.5])
+    def test_central_differences(self, mode, k):
+        p = dataclasses.replace(BASE, k=k)
+        tgt = elastica_target(dataclasses.replace(p, s0=0.25, phi=0.72), 64)
+        pvec = p.as_array()
+        c, J = _constraint_values_jacobian(pvec, tgt, mode)
+        assert J.shape == (len(c), 7)
+        h = 1e-6
+        for i in range(7):
+            e = np.zeros(7)
+            e[i] = h
+            cp, _ = _constraint_values_jacobian(pvec + e, tgt, mode)
+            cm, _ = _constraint_values_jacobian(pvec - e, tgt, mode)
+            assert J[:, i] == pytest.approx((cp - cm) / (2 * h), abs=1e-7)
 
 
 class TestFitProblemValidation:
