@@ -12,9 +12,11 @@ Conventions:
 
 Evaluation is by the arithmetic-geometric mean: descending Landen for K,
 the AGM angle recursion for am, ascending Landen for F and E.  sn, cn, dn
-and E at one argument all come from a single amplitude.  All functions are
-pure scalar Python; ``_jacobi_E_arr`` is the one loop over an array of
-arguments.
+and E at one argument all come from a single amplitude.  The descending
+AGM (Gauss transformation) depends on k alone, so ``_agm_rows`` builds it
+once per call and both recursions reuse it.  Per-point functions are scalar
+Python; ``_jacobi_E_arr`` runs the same recursions as numpy expressions over
+a whole array of arguments, with one AGM for the shared modulus.
 """
 
 import math
@@ -48,49 +50,59 @@ def _agm_K(k):
     return math.pi / (2.0 * a)
 
 
-def _am(u, k):
-    # AGM angle recursion (backward), valid for all real u
-    if k < 1e-14:
-        return u
+def _agm_rows(k):
+    # descending AGM of (1, k'): rows (a_n, b_n, c_n) from n = 0 until
+    # |c_n| <= _TOL; the Gauss transformation depends on k alone
     a = 1.0
     b = math.sqrt((1.0 - k) * (1.0 + k))
     c = k
-    ratios = []
-    while abs(c) > _TOL and len(ratios) < _MAX_AGM - 1:
+    rows = [(a, b, c)]
+    while abs(c) > _TOL and len(rows) < _MAX_AGM:
         a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
-        ratios.append(c / a)
-    phi = (2.0 ** len(ratios)) * a * u
-    for r in reversed(ratios):
-        phi = 0.5 * (phi + math.asin(min(max(r * math.sin(phi), -1.0), 1.0)))
+        rows.append((a, b, c))
+    return rows
+
+
+def _am_rows(u, rows):
+    # AGM angle recursion (backward), valid for all real u
+    a = rows[-1][0]
+    phi = (2.0 ** (len(rows) - 1)) * a * u
+    for a, _, c in reversed(rows[1:]):
+        phi = 0.5 * (phi + math.asin(min(max(c / a * math.sin(phi), -1.0), 1.0)))
     return phi
 
 
-def _F_E_legendre(phi, k):
-    # ascending Landen; returns (F(phi,k), E(phi,k)), amplitude convention
+def _am(u, k):
     if k < 1e-14:
-        return phi, phi
+        return u
+    return _am_rows(u, _agm_rows(k))
+
+
+def _F_E_rows(phi, k, rows):
+    # ascending Landen; returns (F(phi,k), E(phi,k)), amplitude convention
     m = np.rint(phi / math.pi)
     phin = phi - math.pi * m
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    c = k
-    csum = 0.5 * c * c
+    csum = 0.5 * k * k
     esum = 0.0
     twon = 1.0
-    it = 0
-    while abs(c) > _TOL and it < _MAX_AGM:
+    for (a, b, _), (_, _, c) in zip(rows, rows[1:]):
         base = math.atan2(b * math.sin(phin), a * math.cos(phin))
         phin = phin + base + math.pi * np.rint((phin - base) / math.pi)
-        a, b, c = 0.5 * (a + b), math.sqrt(a * b), 0.5 * (a - b)
         twon *= 2.0
         csum += 0.5 * twon * c * c
         esum += c * math.sin(phin)
-        it += 1
+    a = rows[-1][0]
     quarter = math.pi / (2.0 * a)
     f_red = phin / (twon * a)
     e_complete = quarter * (1.0 - csum)
     e_red = f_red * (1.0 - csum) + esum
     return f_red + 2.0 * m * quarter, e_red + 2.0 * m * e_complete
+
+
+def _F_E_legendre(phi, k):
+    if k < 1e-14:
+        return phi, phi
+    return _F_E_rows(phi, k, _agm_rows(k))
 
 
 def _sn_cn_dn(phi, k):
@@ -109,16 +121,18 @@ def _jacobi(u, k):
 
 
 def _jacobi_E(u, k):
-    # sn, cn, dn and E(u) = integral of dn^2 over [0, u] from one amplitude,
-    # any k outside the guard band
+    # sn, cn, dn and E(u) = integral of dn^2 over [0, u] from one amplitude
+    # and one AGM, any k outside the guard band
     if k > 1.0:
-        ki = 1.0 / k
-        phi = _am(k * u, ki)
-        sni, cni, dni = _sn_cn_dn(phi, ki)
-        e = _F_E_legendre(phi, ki)[1]
+        sni, cni, dni, e = _jacobi_E(k * u, 1.0 / k)
         return sni / k, dni, cni, k * e + u * (1.0 - k * k)
-    phi = _am(u, k)
-    return (*_sn_cn_dn(phi, k), _F_E_legendre(phi, k)[1])
+    if k < 1e-14:
+        phi = e = u
+    else:
+        rows = _agm_rows(k)
+        phi = _am_rows(u, rows)
+        e = _F_E_rows(phi, k, rows)[1]
+    return (*_sn_cn_dn(phi, k), e)
 
 
 def _quarter_period(k):
@@ -128,9 +142,41 @@ def _quarter_period(k):
 
 
 def _jacobi_E_arr(u, k):
-    # (sn, cn, dn, E) over a 1-d array of arguments, shared modulus
+    # _jacobi_E over a 1-d array of arguments, as a (4, n) array: one AGM
+    # for the shared modulus, then the recursions of _am_rows and _F_E_rows
+    # as array expressions
+    u = np.asarray(u, dtype=float)
     k = float(k)
-    return np.array([_jacobi_E(x, k) for x in u.tolist()]).reshape(-1, 4).T
+    if k > 1.0:
+        sni, cni, dni, e = _jacobi_E_arr(k * u, 1.0 / k)
+        return np.array([sni / k, dni, cni, k * e + u * (1.0 - k * k)])
+    if k < 1e-14:
+        phi = e = u
+    else:
+        rows = _agm_rows(k)
+        a = rows[-1][0]
+        phi = (2.0 ** (len(rows) - 1)) * a * u
+        for a, _, c in reversed(rows[1:]):
+            r = np.minimum(np.maximum(c / a * np.sin(phi), -1.0), 1.0)
+            phi = 0.5 * (phi + np.arcsin(r))
+        m = np.rint(phi / math.pi)
+        phin = phi - math.pi * m
+        sin_n = np.sin(phin)
+        csum = 0.5 * k * k
+        esum = 0.0
+        twon = 1.0
+        for (a, b, _), (_, _, c) in zip(rows, rows[1:]):
+            base = np.arctan2(b * sin_n, a * np.cos(phin))
+            phin = phin + base + math.pi * np.rint((phin - base) / math.pi)
+            sin_n = np.sin(phin)
+            twon *= 2.0
+            csum += 0.5 * twon * c * c
+            esum = esum + c * sin_n
+        a = rows[-1][0]
+        e_complete = math.pi / (2.0 * a) * (1.0 - csum)
+        e = phin / (twon * a) * (1.0 - csum) + esum + 2.0 * m * e_complete
+    sn = np.sin(phi)
+    return np.array([sn, np.cos(phi), np.sqrt(1.0 - (k * sn) * (k * sn)), e])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from scipy.integrate import quad
 
 from elastica_fit.elliptic import (
     K_GUARD_BAND,
+    _jacobi_E,
+    _jacobi_E_arr,
     am,
     incomplete_E,
     incomplete_F,
@@ -253,11 +255,19 @@ def test_mpmath_cross_check():
     us = [-1e3, -271.3, -31.7, -2.9, -0.37, 0.41, 1.3, 7.9, 63.1, 517.9, 1e3]
     # the k > 1 transfer is ill-conditioned next to the guard band
     edge = [1 - 2 * K_GUARD_BAND, 1 + 2 * K_GUARD_BAND]
-    cases = [([0.0, 0.3, 0.9, 0.999, 1.001, 1.5, 3.0, 9.0], us, 2e-12, 1e-13),
+    cases = [([0.0, 1e-15, 0.3, 0.9, 0.999, 1.001, 1.5, 3.0, 9.0], us, 2e-12, 1e-13),
              (edge, [u for u in us if abs(u) <= 25] + [-25.0, 25.0], 1e-9, 1e-10)]
     for ks, args, tol, rel in cases:
         for k in ks:
-            for u in args:
+            # the array kernel runs one AGM for all arguments
+            arr = _jacobi_E_arr(np.array(args), k)
+            for u, got in zip(args, arr.T):
                 sn, cn, dn, e = (float(v) for v in _mp_jacobi_E(u, k))
                 assert jacobi(u, k) == pytest.approx((sn, cn, dn), abs=tol)
                 assert incomplete_E(u, k) == pytest.approx(e, rel=rel, abs=0)
+                assert tuple(got[:3]) == pytest.approx((sn, cn, dn), abs=tol)
+                assert got[3] == pytest.approx(e, rel=rel, abs=0)
+                # against the scalar kernel the only difference is rounding
+                want = _jacobi_E(u, k)
+                assert tuple(got[:3]) == pytest.approx(want[:3], abs=1e-14)
+                assert got[3] == pytest.approx(want[3], rel=1e-13, abs=0)
