@@ -29,6 +29,9 @@ PARAM_NAMES = ("k", "s0", "ell", "w", "phi", "x0", "y0")
 #: smallest modulus for which the second k-derivative is evaluated
 K_MIN = 1e-6
 
+#: strict upper triangle of the 7 x 7 parameter Hessian
+_UPPER = np.triu_indices(7, 1)
+
 
 @dataclass(frozen=True)
 class ElasticaParams:
@@ -171,8 +174,7 @@ def _segment_partials_arr(p, t, with_second):
         d2y[:, 2, 4] = tc * w * qb[:, 1]        # ell phi
         d2y[:, 3, 4] = qb[:, 0]                 # w phi
         d2y[:, 4, 4] = -w * rb[:, 0]            # phi phi
-        upper = np.triu_indices(7, 1)
-        d2y[:, upper[1], upper[0]] = d2y[:, upper[0], upper[1]]
+        d2y[:, _UPPER[1], _UPPER[0]] = d2y[:, _UPPER[0], _UPPER[1]]
     return y, dy, d2y
 
 

@@ -7,7 +7,8 @@ The objective matches curve points by normalized arclength:
 
 Unconstrained problems use trust-region Newton with eigenvalue-shift
 regularization; endpoint / end-tangent constrained problems a trust-region
-SQP on the same Hessian with an l1 merit function.
+SQP on the exact Lagrangian Hessian (objective Hessian plus the
+multiplier-weighted analytic constraint Hessians) with an l1 merit function.
 """
 
 import math
@@ -19,10 +20,11 @@ from .curve import CurveSamples
 from .elastica import (
     K_MIN,
     ElasticaParams,
+    _rotate,
     _segment_eval_arr,
     _segment_partials_arr,
 )
-from .elliptic import K_GUARD_BAND
+from .elliptic import K_GUARD_BAND, _jacobi_E_arr
 from .errors import DomainError
 
 #: upper clamp for the modulus during optimization
@@ -107,40 +109,83 @@ def _wrap_angle(a):
     return (a + math.pi) % (2 * math.pi) - math.pi
 
 
-def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str):
-    """Equality constraints c(p) = 0 and their Jacobian.
+_ENDS = np.array([0.0, 1.0])
 
-    Position rows: y_p(t) - x(t) at t = 0, 1.  Tangent rows: wrapped
-    difference of tangent angles at the ends (ell > 0 assumed); the angle
-    is that of y_s = dy/ds0, whose gradient is cross(y_s, d(y_s)/dp) / |y_s|^2.
+
+def _constraint_values(pvec, target: CurveSamples, mode: str):
+    """Equality constraints c(p) = 0, from one elliptic evaluation at the
+    end nodes t = 0, 1.
+
+    Position rows: y_p(t) - x(t).  Tangent rows: wrapped difference of
+    tangent angles, the angle of y_s = dy/ds0 being phi + 2 atan2(k sn, dn)
+    (ell > 0 assumed).
     """
-    tangents = mode == "endpoints+tangents"
-    y, dy, d2y = _segment_partials_arr(pvec, np.array([0.0, 1.0]), tangents)
-    c = (y - target.points[[0, -1]]).ravel()
-    jac = dy.transpose(0, 2, 1).reshape(4, 7)
-    if tangents:
-        ys, ysp = dy[:, 1], d2y[:, 1]
-        ang = np.arctan2(ys[:, 1], ys[:, 0])
-        cross = ys[:, None, 0] * ysp[..., 1] - ys[:, None, 1] * ysp[..., 0]
+    k, s0, ell, w, phi, x0, y0 = pvec
+    s = s0 + ell * _ENDS
+    S, C, D, E = _jacobi_E_arr(s, k)
+    z = np.stack([2.0 * E - s, 2.0 * k * (1.0 - C)], axis=-1)
+    c = (w * _rotate(phi, z) + (x0, y0) - target.points[[0, -1]]).ravel()
+    if mode == "endpoints+tangents":
+        ang = phi + 2.0 * np.arctan2(k * S, D)
         c = np.concatenate([c, _wrap_angle(ang - target.theta[[0, -1]])])
-        jac = np.vstack([jac, cross / np.sum(ys * ys, axis=1)[:, None]])
+    return c
+
+
+def _angle_partials(s, k):
+    """Partials of the basic elastica's tangent angle 2 atan2(k sn, dn) at
+    arclengths s: (theta_s, theta_ss, theta_k, theta_sk, theta_kk).
+
+    The k-derivatives of sn, cn, dn and E at fixed s are those of Byrd &
+    Friedman 710.00; theta_kk divides by k.
+    """
+    S, C, D, E = _jacobi_E_arr(s, k)
+    kp2 = 1.0 - k * k
+    G = E - kp2 * s
+    Q = S * D - C * G
+    P = k * k * S * C - D * G
+    Q_k = P * (C * D + S * G) / (k * kp2) - k * Q / kp2 - k * s * C
+    return (2.0 * k * C,
+            -2.0 * k * S * D,
+            2.0 * Q / kp2,
+            (2.0 / kp2) * (C * (kp2 - k * k * S * S) + S * D * G),
+            2.0 * Q_k / kp2 + 4.0 * k * Q / (kp2 * kp2))
+
+
+def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
+                                with_hessians=False):
+    """c(p), its Jacobian (m, 7) and, if with_hessians, the Hessian of each
+    constraint (m, 7, 7).
+
+    Position rows take their derivatives from the segment partials at t = 0,
+    1.  A tangent row is phi + theta(s0 + ell*t, k), so its gradient is
+    (theta_k, theta_s, t*theta_s, 0, 1, 0, 0) and its Hessian lives in the
+    (k, s0, ell) block.
+    """
+    c = _constraint_values(pvec, target, mode)
+    _, dy, d2y = _segment_partials_arr(pvec, _ENDS, with_hessians)
+    jac = dy.transpose(0, 2, 1).reshape(4, 7)
+    hess = d2y.transpose(0, 3, 1, 2).reshape(4, 7, 7)
+    if mode == "endpoints+tangents":
+        t = _ENDS
+        th_s, th_ss, th_k, th_sk, th_kk = _angle_partials(
+            pvec[1] + pvec[2] * t, pvec[0])
+        grad = np.zeros((2, 7))
+        grad[:, 0] = th_k
+        grad[:, 1] = th_s
+        grad[:, 2] = t * th_s
+        grad[:, 4] = 1.0
+        h = np.zeros((2, 7, 7))
+        h[:, 0, 0] = th_kk
+        h[:, 0, 1] = h[:, 1, 0] = th_sk
+        h[:, 0, 2] = h[:, 2, 0] = t * th_sk
+        h[:, 1, 1] = th_ss
+        h[:, 1, 2] = h[:, 2, 1] = t * th_ss
+        h[:, 2, 2] = t * t * th_ss
+        jac = np.vstack([jac, grad])
+        hess = np.concatenate([hess, h])
+    if with_hessians:
+        return c, jac, hess
     return c, jac
-
-
-def _constraint_hessians(pvec, target, mode, h=1e-6):
-    """Second derivatives of each constraint, by central differences of the
-    analytic Jacobian."""
-    c0, J0 = _constraint_values_jacobian(pvec, target, mode)
-    m = len(c0)
-    H = np.zeros((m, 7, 7))
-    for i in range(7):
-        e = np.zeros(7)
-        e[i] = h
-        _, Jp = _constraint_values_jacobian(pvec + e, target, mode)
-        _, Jm = _constraint_values_jacobian(pvec - e, target, mode)
-        H[:, :, i] = (Jp - Jm) / (2 * h)
-    H = 0.5 * (H + np.swapaxes(H, 1, 2))
-    return H
 
 
 # ---------------------------------------------------------------------------
@@ -279,9 +324,7 @@ def _fit_constrained(problem: FitProblem) -> FitResult:
     p = _project(problem.init.as_array(), L)
     mode = problem.constraints
     f = objective(ElasticaParams.from_array(p), problem.target)
-    c, J = _constraint_values_jacobian(p, problem.target, mode)
-    m = len(c)
-    nu = np.zeros(m)
+    m = len(_constraint_values(p, problem.target, mode))
     mu_merit = 10.0
     delta = 1.0
     it = 0
@@ -292,14 +335,13 @@ def _fit_constrained(problem: FitProblem) -> FitResult:
         it += 1
         par = ElasticaParams.from_array(p)
         g, H = gradient_hessian(par, problem.target)
-        c, J = _constraint_values_jacobian(p, problem.target, mode)
+        c, J, Hc = _constraint_values_jacobian(p, problem.target, mode, True)
         pg, nu_ls = _projected_grad_norm(g, J)
         cviol = float(np.max(np.abs(c))) if m else 0.0
         if pg <= problem.grad_tol and cviol <= 1e-10:
             converged = True
             msg = "KKT tolerances reached"
             break
-        Hc = _constraint_hessians(p, problem.target, mode)
         W = H + np.einsum("m,mij->ij", nu_ls, Hc)
         # regularize W on the whole space (simple and robust for 7 dims)
         evals = np.linalg.eigvalsh(W)
@@ -340,16 +382,17 @@ def _fit_constrained(problem: FitProblem) -> FitResult:
             else max(mu_needed, 0.5 * mu_merit)
 
         def merit(vec):
-            cc, _ = _constraint_values_jacobian(vec, problem.target, mode)
-            return (objective(ElasticaParams.from_array(vec), problem.target)
-                    + mu_merit * float(np.sum(np.abs(cc))))
+            """(merit, objective, c) at vec."""
+            fv = objective(ElasticaParams.from_array(vec), problem.target)
+            cv = _constraint_values(vec, problem.target, mode)
+            return fv + mu_merit * float(np.sum(np.abs(cv))), fv, cv
 
         phi0 = f + mu_merit * float(np.sum(np.abs(c)))
         pred = (-(g @ step + 0.5 * step @ W @ step)
                 + mu_merit * (np.sum(np.abs(c)) - np.sum(np.abs(c + J @ step))))
         trial = _project(p + step, L)
         try:
-            phi_trial = merit(trial)
+            phi_trial, f_trial, c_t = merit(trial)
         except (DomainError, FloatingPointError, OverflowError):
             phi_trial = math.inf
         if not math.isfinite(phi_trial):
@@ -361,22 +404,18 @@ def _fit_constrained(problem: FitProblem) -> FitResult:
             # second-order correction: re-land on the constraint manifold
             # (avoids the Maratos effect rejecting good steps near optimum)
             try:
-                c_t, _ = _constraint_values_jacobian(trial, problem.target,
-                                                     mode)
                 soc, *_ = np.linalg.lstsq(J, -c_t, rcond=None)
                 trial2 = _project(p + step + soc, L)
-                phi2 = merit(trial2)
+                phi2, f2, _ = merit(trial2)
             except (DomainError, FloatingPointError, OverflowError,
                     np.linalg.LinAlgError):
                 phi2 = math.inf
             if phi2 <= phi0 + 1e-14 and (pred <= 0 or
                                          (phi0 - phi2) / pred > 1e-4):
-                trial, phi_trial = trial2, phi2
+                trial, phi_trial, f_trial = trial2, phi2, f2
                 rho = (phi0 - phi2) / pred if pred > 0 else 1.0
         if phi_trial <= phi0 + 1e-14 and rho > 1e-4:
-            p = trial
-            nu = nu_new
-            f = objective(ElasticaParams.from_array(p), problem.target)
+            p, f = trial, f_trial
             if rho > 0.75:
                 delta = min(delta * 2.0, 1e3)
         else:

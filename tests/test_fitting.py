@@ -3,6 +3,7 @@
 import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -12,6 +13,8 @@ from elastica_fit.errors import DomainError
 from elastica_fit.fitting import (
     FitProblem,
     FitResult,
+    _angle_partials,
+    _constraint_values,
     _constraint_values_jacobian,
     fit,
     gradient_hessian,
@@ -113,6 +116,45 @@ class TestConstraintJacobian:
             cp, _ = _constraint_values_jacobian(pvec + e, tgt, mode)
             cm, _ = _constraint_values_jacobian(pvec - e, tgt, mode)
             assert J[:, i] == pytest.approx((cp - cm) / (2 * h), abs=1e-7)
+
+    @pytest.mark.parametrize("mode", ["endpoints", "endpoints+tangents"])
+    @pytest.mark.parametrize("k", [0.3, 0.8, 1.4, 2.5])
+    def test_hessians_central_differences(self, mode, k):
+        p = dataclasses.replace(BASE, k=k)
+        tgt = elastica_target(dataclasses.replace(p, s0=0.25, phi=0.72), 64)
+        pvec = p.as_array()
+        c, J, H = _constraint_values_jacobian(pvec, tgt, mode, True)
+        assert H.shape == (len(c), 7, 7)
+        assert np.array_equal(H, np.swapaxes(H, 1, 2))
+        assert np.array_equal(_constraint_values(pvec, tgt, mode), c)
+        assert np.array_equal(_constraint_values_jacobian(pvec, tgt, mode)[1], J)
+        h = 1e-6
+        for i in range(7):
+            e = np.zeros(7)
+            e[i] = h
+            _, Jp = _constraint_values_jacobian(pvec + e, tgt, mode)
+            _, Jm = _constraint_values_jacobian(pvec - e, tgt, mode)
+            assert H[:, :, i] == pytest.approx((Jp - Jm) / (2 * h), abs=1e-7)
+
+    @pytest.mark.parametrize("k", [0.3, 0.9, 1.2, 3.0])
+    def test_angle_partials_mpmath(self, k):
+        """theta_k, theta_sk and theta_kk against mpmath derivatives of
+        2 atan2(k sn, dn)."""
+        s = np.array([-0.7, 0.0, 0.4, 1.3, 2.9])
+        _, _, th_k, th_sk, th_kk = _angle_partials(s, k)
+
+        def theta(u, kk):
+            sn, dn = (mp.re(mp.ellipfun(f, u, m=kk * kk)) for f in ("sn", "dn"))
+            return 2 * mp.atan2(kk * sn, dn)
+
+        with mp.workdps(30):
+            for j, u in enumerate(s):
+                ref = (mp.diff(lambda kk: theta(u, kk), k),
+                       mp.diff(theta, (u, k), (1, 1)),
+                       mp.diff(lambda kk: theta(u, kk), k, 2))
+                got = (th_k[j], th_sk[j], th_kk[j])
+                for a, b in zip(got, ref):
+                    assert a == pytest.approx(float(b), rel=1e-11, abs=1e-12)
 
 
 class TestFitProblemValidation:
