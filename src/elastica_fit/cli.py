@@ -19,7 +19,7 @@ import numpy as np
 from .curve import DEFAULT_SAMPLES, load_curve, sample
 from .elastica import K_MIN, PARAM_NAMES, segment_eval_many
 from .errors import DegenerateInputError, DomainError
-from .fitting import gradient_hessian, residual_r4
+from .fitting import FitResult, gradient_hessian, residual_r4
 from .recovery import initial_guess
 from .segmentation import _fit_piece, fit_piecewise
 from .svg import write_svg
@@ -96,11 +96,16 @@ def _elastica_polyline(params, n=257):
     return segment_eval_many(params, np.linspace(0.0, 1.0, n))
 
 
-def _guess_grad_norm(rep, target) -> float:
-    if rep.params.k < K_MIN:
-        return 0.0
-    g, _ = gradient_hessian(rep.params, target)
-    return float(np.linalg.norm(g))
+def _guess_result(rep, target) -> FitResult:
+    """The initial guess as a converged fit of zero iterations."""
+    grad_norm = 0.0
+    if rep.params.k >= K_MIN:
+        g, _ = gradient_hessian(rep.params, target)
+        grad_norm = float(np.linalg.norm(g))
+    # R4 = sqrt(2 F / L^3)
+    return FitResult(params=rep.params,
+                     objective=0.5 * rep.R4 ** 2 * target.length ** 3,
+                     grad_norm=grad_norm, iterations=0, converged=True)
 
 
 def run(config: RunConfig) -> int:
@@ -153,18 +158,7 @@ def run(config: RunConfig) -> int:
             smp = sample(curve, config.samples)
             rep = initial_guess(smp)
             target = smp.reversed() if rep.reversed_input else smp
-            report = {
-                "params": _params_dict(rep.params),
-                "residuals": {"R1": rep.R1, "R2": rep.R2, "R3": rep.R3,
-                              "R4_init": rep.R4, "R4_opt": rep.R4},
-                "grad_norm": _guess_grad_norm(rep, target),
-                "iterations": 0,
-                "converged": True,
-                "inflectional": rep.inflectional,
-                "n_segments": rep.n_segments,
-                "reversed_input": rep.reversed_input,
-                "degenerate": rep.degenerate,
-            }
+            report = _segment_record(rep, _guess_result(rep, target), rep.R4)
             layers = [(target.points, "target"),
                       (_elastica_polyline(rep.params), "guess")]
     except DegenerateInputError as exc:

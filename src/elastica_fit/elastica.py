@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import _check_modulus, _jacobi, _jacobi_E, _jacobi_E_arr
+from .elliptic import _check_modulus, _jacobi_E, _jacobi_E_arr
 from .errors import DomainError
 
 #: parameter order used for gradient / Hessian indexing
@@ -217,7 +217,7 @@ def segment_curvature(p: ElasticaParams, t: float) -> float:
     """Signed curvature (2k/w) * cn(s0 + ell*t, k)."""
     if p.k == 0:
         return 0.0
-    _, cn, _ = _jacobi(p.s0 + p.ell * float(t), p.k)
+    cn = _jacobi_E(p.s0 + p.ell * float(t), p.k)[1]
     return 2.0 * p.k / p.w * cn
 
 
@@ -233,13 +233,13 @@ class ElasticaCurve:
 
     def derivative(self, t):
         p = self.params
-        S, _, D = _jacobi(p.s0 + p.ell * t, p.k)
+        S, _, D, _ = _jacobi_E(p.s0 + p.ell * t, p.k)
         zs = np.array([2.0 * D * D - 1.0, 2.0 * p.k * S * D])
         return p.ell * p.w * _rotate(p.phi, zs)
 
     def second_derivative(self, t):
         p = self.params
-        S, C, D = _jacobi(p.s0 + p.ell * t, p.k)
+        S, C, D, _ = _jacobi_E(p.s0 + p.ell * t, p.k)
         zss = 2.0 * p.k * C * np.array([-2.0 * p.k * S * D, 2.0 * D * D - 1.0])
         return p.ell ** 2 * p.w * _rotate(p.phi, zss)
 

@@ -10,13 +10,14 @@ Conventions:
   ``dn(u,k) = cn(k*u, 1/k)``, ``E(u,k) = k*E(k*u, 1/k) + u*(1-k^2)``, and
   ``K(k) = K(1/k)/(2k)`` so that cn always has period 4K.
 
-Evaluation is by the arithmetic-geometric mean: descending Landen for K,
-the AGM angle recursion for am, ascending Landen for F and E.  sn, cn, dn
-and E at one argument all come from a single amplitude.  The descending
-AGM (Gauss transformation) depends on k alone, so ``_agm_rows`` builds it
-once per call and both recursions reuse it.  Per-point functions are scalar
-Python; ``_jacobi_E_arr`` runs the same recursions as numpy expressions over
-a whole array of arguments, with one AGM for the shared modulus.
+Evaluation is by the arithmetic-geometric mean.  One descending AGM of
+(1, k') (``_agm_rows``) gives K = pi/(2 a_N) and E/K = 1 - sum 2^(n-1) c_n^2.
+One backward amplitude recursion on its rows gives am(u) = phi_0, and the
+same loop sums the Jacobi zeta function Z(u) = sum c_n sin(phi_n), so that
+E(u) = u E/K + Z(u) (Abramowitz & Stegun 16.4, 17.6; DLMF 22.20).  sn, cn
+and dn come from the amplitude.  The recursion runs on a float with
+``math`` and on a numpy array with numpy, one AGM for the shared modulus.
+Ascending Landen on the same rows gives ``incomplete_F``.
 """
 
 import math
@@ -40,15 +41,7 @@ class EllipticTriple(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels (k strictly below 1 unless noted); no validation inside
-
-def _agm_K(k):
-    a = 1.0
-    b = math.sqrt((1.0 - k) * (1.0 + k))
-    while abs(a - b) > _TOL * a:
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    return math.pi / (2.0 * a)
-
+# kernels (k strictly below 1 unless noted); no validation inside
 
 def _agm_rows(k):
     # descending AGM of (1, k'): rows (a_n, b_n, c_n) from n = 0 until
@@ -63,120 +56,60 @@ def _agm_rows(k):
     return rows
 
 
-def _am_rows(u, rows):
-    # AGM angle recursion (backward), valid for all real u
-    a = rows[-1][0]
-    phi = (2.0 ** (len(rows) - 1)) * a * u
+def _am_E(u, k):
+    # am(u) and E(u) for a float or a numpy array u: the backward amplitude
+    # recursion phi_(n-1) = (phi_n + asin(c_n/a_n sin phi_n))/2 from
+    # phi_N = 2^N a_N u, summing Z(u) = sum c_n sin phi_n on the way;
+    # c_n <= a_n keeps the asin argument in [-1, 1]
+    sin, asin = (np.sin, np.arcsin) if isinstance(u, np.ndarray) \
+        else (math.sin, math.asin)
+    rows = _agm_rows(k)
+    phi = (2.0 ** (len(rows) - 1)) * rows[-1][0] * u
+    zeta = 0.0
     for a, _, c in reversed(rows[1:]):
-        phi = 0.5 * (phi + math.asin(min(max(c / a * math.sin(phi), -1.0), 1.0)))
-    return phi
-
-
-def _am(u, k):
-    if k < 1e-14:
-        return u
-    return _am_rows(u, _agm_rows(k))
-
-
-def _F_E_rows(phi, k, rows):
-    # ascending Landen; returns (F(phi,k), E(phi,k)), amplitude convention
-    m = np.rint(phi / math.pi)
-    phin = phi - math.pi * m
-    csum = 0.5 * k * k
-    esum = 0.0
-    twon = 1.0
-    for (a, b, _), (_, _, c) in zip(rows, rows[1:]):
-        base = math.atan2(b * math.sin(phin), a * math.cos(phin))
-        phin = phin + base + math.pi * np.rint((phin - base) / math.pi)
-        twon *= 2.0
-        csum += 0.5 * twon * c * c
-        esum += c * math.sin(phin)
-    a = rows[-1][0]
-    quarter = math.pi / (2.0 * a)
-    f_red = phin / (twon * a)
-    e_complete = quarter * (1.0 - csum)
-    e_red = f_red * (1.0 - csum) + esum
-    return f_red + 2.0 * m * quarter, e_red + 2.0 * m * e_complete
-
-
-def _F_E_legendre(phi, k):
-    if k < 1e-14:
-        return phi, phi
-    return _F_E_rows(phi, k, _agm_rows(k))
-
-
-def _sn_cn_dn(phi, k):
-    # k in [0, 1); phi = am(u, k)
-    sn = math.sin(phi)
-    cn = math.cos(phi)
-    return sn, cn, math.sqrt(1.0 - (k * sn) * (k * sn))
-
-
-def _jacobi(u, k):
-    # sn, cn, dn for any k outside the guard band
-    if k > 1.0:
-        sni, cni, dni = _sn_cn_dn(_am(k * u, 1.0 / k), 1.0 / k)
-        return sni / k, dni, cni
-    return _sn_cn_dn(_am(u, k), k)
+        s = sin(phi)
+        zeta = zeta + c * s
+        phi = 0.5 * (phi + asin(c / a * s))
+    e_over_k = 1.0 - sum(2.0 ** (n - 1) * c * c
+                         for n, (_, _, c) in enumerate(rows))
+    return phi, u * e_over_k + zeta
 
 
 def _jacobi_E(u, k):
     # sn, cn, dn and E(u) = integral of dn^2 over [0, u] from one amplitude
-    # and one AGM, any k outside the guard band
+    # and one AGM, any k outside the guard band; u a float or a numpy array
     if k > 1.0:
         sni, cni, dni, e = _jacobi_E(k * u, 1.0 / k)
         return sni / k, dni, cni, k * e + u * (1.0 - k * k)
-    if k < 1e-14:
-        phi = e = u
-    else:
-        rows = _agm_rows(k)
-        phi = _am_rows(u, rows)
-        e = _F_E_rows(phi, k, rows)[1]
-    return (*_sn_cn_dn(phi, k), e)
+    phi, e = _am_E(u, k)
+    xp = np if isinstance(phi, np.ndarray) else math
+    sn = xp.sin(phi)
+    return sn, xp.cos(phi), xp.sqrt(1.0 - (k * sn) * (k * sn)), e
+
+
+def _jacobi_E_arr(u, k):
+    # _jacobi_E over a 1-d array of arguments, as a (4, n) array
+    return np.array(_jacobi_E(np.asarray(u, dtype=float), float(k)))
+
+
+def _incomplete_F(phi, k):
+    # ascending Landen on the descending AGM rows, amplitude convention
+    rows = _agm_rows(k)
+    m = round(phi / math.pi)
+    phin = phi - math.pi * m
+    twon = 1.0
+    for a, b, _ in rows[:-1]:
+        base = math.atan2(b * math.sin(phin), a * math.cos(phin))
+        phin = phin + base + math.pi * round((phin - base) / math.pi)
+        twon *= 2.0
+    a = rows[-1][0]
+    return phin / (twon * a) + 2.0 * m * (math.pi / (2.0 * a))
 
 
 def _quarter_period(k):
     if k > 1.0:
-        return _agm_K(1.0 / k) / (2.0 * k)
-    return _agm_K(k)
-
-
-def _jacobi_E_arr(u, k):
-    # _jacobi_E over a 1-d array of arguments, as a (4, n) array: one AGM
-    # for the shared modulus, then the recursions of _am_rows and _F_E_rows
-    # as array expressions
-    u = np.asarray(u, dtype=float)
-    k = float(k)
-    if k > 1.0:
-        sni, cni, dni, e = _jacobi_E_arr(k * u, 1.0 / k)
-        return np.array([sni / k, dni, cni, k * e + u * (1.0 - k * k)])
-    if k < 1e-14:
-        phi = e = u
-    else:
-        rows = _agm_rows(k)
-        a = rows[-1][0]
-        phi = (2.0 ** (len(rows) - 1)) * a * u
-        for a, _, c in reversed(rows[1:]):
-            r = np.minimum(np.maximum(c / a * np.sin(phi), -1.0), 1.0)
-            phi = 0.5 * (phi + np.arcsin(r))
-        m = np.rint(phi / math.pi)
-        phin = phi - math.pi * m
-        sin_n = np.sin(phin)
-        csum = 0.5 * k * k
-        esum = 0.0
-        twon = 1.0
-        for (a, b, _), (_, _, c) in zip(rows, rows[1:]):
-            base = np.arctan2(b * sin_n, a * np.cos(phin))
-            phin = phin + base + math.pi * np.rint((phin - base) / math.pi)
-            sin_n = np.sin(phin)
-            twon *= 2.0
-            csum += 0.5 * twon * c * c
-            esum = esum + c * sin_n
-        a = rows[-1][0]
-        e_complete = math.pi / (2.0 * a) * (1.0 - csum)
-        e = phin / (twon * a) * (1.0 - csum) + esum + 2.0 * m * e_complete
-    sn = np.sin(phi)
-    return np.array([sn, np.cos(phi), np.sqrt(1.0 - (k * sn) * (k * sn)), e])
+        return _quarter_period(1.0 / k) / (2.0 * k)
+    return math.pi / (2.0 * _agm_rows(k)[-1][0])
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +134,7 @@ def jacobi(u: float, k: float) -> EllipticTriple:
     """sn, cn, dn at argument u and modulus k (extended domain for k > 1)."""
     _check_finite(u)
     _check_modulus(k)
-    return EllipticTriple(*_jacobi(u, k))
+    return EllipticTriple(*_jacobi_E(u, k)[:3])
 
 
 def am(u: float, k: float) -> float:
@@ -210,7 +143,7 @@ def am(u: float, k: float) -> float:
     _check_modulus(k)
     if k >= 1.0:
         raise DomainError(f"am requires modulus < 1, got {k}")
-    return _am(u, k)
+    return _am_E(u, k)[0]
 
 
 def incomplete_F(phi: float, k: float) -> float:
@@ -219,7 +152,7 @@ def incomplete_F(phi: float, k: float) -> float:
     _check_modulus(k)
     if k >= 1.0:
         raise DomainError(f"incomplete_F requires modulus < 1, got {k}")
-    return _F_E_legendre(phi, k)[0]
+    return _incomplete_F(phi, k)
 
 
 def incomplete_E(u: float, k: float) -> float:

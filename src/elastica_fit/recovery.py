@@ -14,16 +14,13 @@ from typing import Optional
 import numpy as np
 
 from .curve import CurveSamples, integrate_ds
-from .elastica import ElasticaParams, segment_eval_many
+from .elastica import K_MIN, ElasticaParams, segment_eval_many
 from .elliptic import K_GUARD_BAND, incomplete_F, quarter_period
 from .errors import DegenerateInputError
 from .fitting import residual_r4
 
 #: below lambda_min * (1/L^2) the curve is treated as constant-curvature
 LAMBDA_MIN_REL = 1e-8
-
-#: minimum recovered modulus (the k=0 chart boundary)
-K_FLOOR = 1e-6
 
 #: oscillation height threshold, as a fraction of u_max - u_min
 OSCILLATION_HEIGHT_FRACTION = 0.5
@@ -74,16 +71,22 @@ def affine_curvature_fit(samples: CurveSamples) -> AffineCurvatureFit:
     def I(f):
         return integrate_ds(samples, f)
 
-    A = np.array([
-        [I(y * y), -I(x * y), -I(y)],
-        [-I(x * y), I(x * x), I(x)],
-        [-I(y), I(x), I(one)],
-    ])
-    b = np.array([-I(y * kap), I(x * kap), I(kap)])
-    try:
-        lam1, lam2, alpha = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateInputError(f"singular curvature moment system: {exc}")
+    if np.any(kap):
+        A = np.array([
+            [I(y * y), -I(x * y), -I(y)],
+            [-I(x * y), I(x * x), I(x)],
+            [-I(y), I(x), I(one)],
+        ])
+        b = np.array([-I(y * kap), I(x * kap), I(kap)])
+        try:
+            lam1, lam2, alpha = np.linalg.solve(A, b)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateInputError(
+                f"singular curvature moment system: {exc}")
+    else:
+        # straight: kappa = 0 is fitted exactly, and A is singular when the
+        # points are collinear
+        lam1 = lam2 = alpha = 0.0
     lam = math.hypot(lam1, lam2)
 
     kap_sq = I(kap * kap)
@@ -114,14 +117,6 @@ def affine_curvature_fit(samples: CurveSamples) -> AffineCurvatureFit:
                               u=u, sin_theta_u=sin_tu, cos_theta_u=cos_tu)
 
 
-def _clamp_modulus(k):
-    if k < K_FLOOR:
-        return K_FLOOR
-    if abs(k - 1.0) <= K_GUARD_BAND:
-        return 1.0 - 2 * K_GUARD_BAND if k <= 1.0 else 1.0 + 2 * K_GUARD_BAND
-    return k
-
-
 def classify_and_modulus(fit: AffineCurvatureFit):
     """(inflectional, k) from the parabola minimum and the delta- formula."""
     lam, alpha, beta = fit.lam, fit.alpha, fit.beta
@@ -129,12 +124,13 @@ def classify_and_modulus(fit: AffineCurvatureFit):
     inflectional = min_p >= -1.0
     delta_minus_sq = max(alpha ** 2 - 2 * lam * (beta - 1.0), 0.0)
     k = math.sqrt(delta_minus_sq) / (2 * math.sqrt(lam))
-    # keep the classification and the clamped modulus consistent
+    # keep the classification and the modulus consistent, outside the guard
+    # band and above the k = 0 chart boundary
     if inflectional:
         k = min(k, 1.0 - 2 * K_GUARD_BAND)
     else:
         k = max(k, 1.0 + 2 * K_GUARD_BAND)
-    return inflectional, _clamp_modulus(k)
+    return inflectional, max(k, K_MIN)
 
 
 def _monotone_runs(u):

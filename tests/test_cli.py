@@ -75,9 +75,19 @@ def test_missing_file_exit_code(tmp_path):
 
 
 def test_degenerate_input_exit_code(tmp_path, capsys):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"polyline": [[1, 2], [1, 2], [1, 2]]}))
+    assert main([str(path), "--mode", "guess"]) == 3
+
+
+def test_straight_input_is_line(tmp_path, capsys):
     path = tmp_path / "line.json"
     path.write_text(json.dumps({"polyline": [[0, 0], [1, 0], [2, 0]]}))
-    assert main([str(path), "--mode", "guess"]) == 3
+    assert main([str(path), "--mode", "guess"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["degenerate"] == "line"
+    assert rep["params"]["k"] == 0.0
+    assert rep["residuals"]["R4_init"] <= 1e-6
 
 
 def test_report_determinism(s_curve_file, tmp_path):

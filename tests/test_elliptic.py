@@ -253,12 +253,28 @@ def test_mpmath_cross_check():
         assert cn == pytest.approx(float(mp.ellipfun("cn", u, k * k)), abs=1e-13)
         assert dn == pytest.approx(float(mp.ellipfun("dn", u, k * k)), abs=1e-13)
     us = [-1e3, -271.3, -31.7, -2.9, -0.37, 0.41, 1.3, 7.9, 63.1, 517.9, 1e3]
+    phis = [-1e3, -94.2, -3.3, -0.6, 0.0, 0.25, 1.5, 2.8, 40.1, 733.7, 1e3]
     # the k > 1 transfer is ill-conditioned next to the guard band
     edge = [1 - 2 * K_GUARD_BAND, 1 + 2 * K_GUARD_BAND]
-    cases = [([0.0, 1e-15, 0.3, 0.9, 0.999, 1.001, 1.5, 3.0, 9.0], us, 2e-12, 1e-13),
+    # 5e-15 .. 2e-14 straddle the AGM's first step (c_0 = k against 1e-15)
+    small = [0.0, 1e-15, 5e-15, 1e-14, 2e-14]
+    cases = [(small + [0.3, 0.9, 0.999, 1.001, 1.5, 3.0, 9.0], us, 2e-12, 1e-13),
              (edge, [u for u in us if abs(u) <= 25] + [-25.0, 25.0], 1e-9, 1e-10)]
     for ks, args, tol, rel in cases:
         for k in ks:
+            # m = k^2 in working precision: rounding k*k to a double moves
+            # K by up to 5e-11 next to the guard band
+            km = mp.mpf(k)
+            if k < 1:
+                K = mp.ellipk(km ** 2)
+                for phi in phis:
+                    f = incomplete_F(phi, k)
+                    assert f == pytest.approx(float(mp.ellipf(phi, km ** 2)),
+                                              rel=rel, abs=0)
+                    assert am(f, k) == pytest.approx(phi, rel=rel, abs=tol)
+            else:
+                K = mp.ellipk(1 / km ** 2) / (2 * km)
+            assert quarter_period(k) == pytest.approx(float(K), rel=rel, abs=0)
             # the array kernel runs one AGM for all arguments
             arr = _jacobi_E_arr(np.array(args), k)
             for u, got in zip(args, arr.T):

@@ -9,7 +9,6 @@ import pytest
 from elastica_fit.curve import BezierChain, Polyline, integrate_ds, sample
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
 from elastica_fit.elliptic import quarter_period
-from elastica_fit.errors import DegenerateInputError
 from elastica_fit.recovery import (
     affine_curvature_fit,
     classify_and_modulus,
@@ -197,10 +196,22 @@ class TestInitialGuess:
         assert rep.params.ell == pytest.approx(1.8, abs=1e-3)
         assert rep.R4 <= 1e-4
 
-    def test_collinear_raises(self):
-        smp = sample(Polyline([[0.0, 0.0], [2.0, 1.0], [4.0, 2.0]]), 64)
-        with pytest.raises(DegenerateInputError):
-            initial_guess(smp)
+    def test_collinear_is_line(self):
+        # kappa is identically zero on an axis and at 45 degrees, where the
+        # moment system is exactly singular; at 30 degrees rounding leaves
+        # it solvable and lambda is negligible
+        curves = [Polyline([[0.0, 0.0], [2.0, 1.0], [4.0, 2.0]])]
+        ts = np.array([0.0, 0.3, 1.1, 2.0, 3.0])
+        for d in ([1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-1.0, 1.0],
+                  [math.cos(math.pi / 6), math.sin(math.pi / 6)], [2.0, 1.0]):
+            d = np.array(d)
+            curves += [Polyline(1.5 + ts[:, None] * d),
+                       BezierChain([ts[[0, 2, 3, 4], None] * d])]
+        for cur in curves:
+            rep = initial_guess(sample(cur, 64))
+            assert rep.degenerate == "line"
+            assert rep.params.k == 0.0
+            assert rep.R4 <= 1e-6
 
     def test_degenerate_line(self):
         # nearly straight: the moment system solves but lambda is negligible
