@@ -5,10 +5,12 @@ The objective matches curve points by normalized arclength:
 
     F(p) = 1/2 * int_0^1 || y_p(s(t)/L) - x(t) ||^2 ||x'(t)|| dt.
 
-Unconstrained problems use trust-region Newton with eigenvalue-shift
-regularization; endpoint / end-tangent constrained problems a trust-region
-SQP on the exact Lagrangian Hessian (objective Hessian plus the
-multiplier-weighted analytic constraint Hessians) with an l1 merit function.
+Both optimizers share one trust-region step: -(A + mu I)^-1 b for the first
+shift mu of a doubling sequence that fits the radius, in closed form from one
+eigendecomposition of A.  Trust-region Newton applies it to the Hessian; the
+endpoint / end-tangent SQP (exact Lagrangian Hessian W, l1 merit function)
+applies it to W on the null space of the constraint Jacobian J, after a
+normal step from one SVD of J.
 """
 
 import math
@@ -132,8 +134,9 @@ def _constraint_values(pvec, target: CurveSamples, mode: str):
 
 
 def _angle_partials(s, k):
-    """Partials of the basic elastica's tangent angle 2 atan2(k sn, dn) at
-    arclengths s: (theta_s, theta_ss, theta_k, theta_sk, theta_kk).
+    """The basic elastica's tangent angle theta = 2 atan2(k sn, dn) at
+    arclengths s, and its partials: (theta, theta_s, theta_ss, theta_k,
+    theta_sk, theta_kk).
 
     The k-derivatives of sn, cn, dn and E at fixed s are those of Byrd &
     Friedman 710.00; theta_kk divides by k.
@@ -144,7 +147,8 @@ def _angle_partials(s, k):
     Q = S * D - C * G
     P = k * k * S * C - D * G
     Q_k = P * (C * D + S * G) / (k * kp2) - k * Q / kp2 - k * s * C
-    return (2.0 * k * C,
+    return (2.0 * np.arctan2(k * S, D),
+            2.0 * k * C,
             -2.0 * k * S * D,
             2.0 * Q / kp2,
             (2.0 / kp2) * (C * (kp2 - k * k * S * S) + S * D * G),
@@ -154,21 +158,23 @@ def _angle_partials(s, k):
 def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
                                 with_hessians=False):
     """c(p), its Jacobian (m, 7) and, if with_hessians, the Hessian of each
-    constraint (m, 7, 7).
+    constraint (m, 7, 7), from one evaluation of each kind at t = 0, 1.
 
-    Position rows take their derivatives from the segment partials at t = 0,
-    1.  A tangent row is phi + theta(s0 + ell*t, k), so its gradient is
-    (theta_k, theta_s, t*theta_s, 0, 1, 0, 0) and its Hessian lives in the
-    (k, s0, ell) block.
+    Position rows take their values and derivatives from the segment
+    partials.  A tangent row is phi + theta(s0 + ell*t, k), so its gradient
+    is (theta_k, theta_s, t*theta_s, 0, 1, 0, 0) and its Hessian lives in
+    the (k, s0, ell) block.  c equals _constraint_values bit for bit.
     """
-    c = _constraint_values(pvec, target, mode)
-    _, dy, d2y = _segment_partials_arr(pvec, _ENDS, with_hessians)
+    y, dy, d2y = _segment_partials_arr(pvec, _ENDS, with_hessians)
+    c = (y - target.points[[0, -1]]).ravel()
     jac = dy.transpose(0, 2, 1).reshape(4, 7)
     hess = d2y.transpose(0, 3, 1, 2).reshape(4, 7, 7)
     if mode == "endpoints+tangents":
         t = _ENDS
-        th_s, th_ss, th_k, th_sk, th_kk = _angle_partials(
+        th, th_s, th_ss, th_k, th_sk, th_kk = _angle_partials(
             pvec[1] + pvec[2] * t, pvec[0])
+        c = np.concatenate(
+            [c, _wrap_angle(pvec[4] + th - target.theta[[0, -1]])])
         grad = np.zeros((2, 7))
         grad[:, 0] = th_k
         grad[:, 1] = th_s
@@ -207,21 +213,19 @@ def _project(pvec, L):
     return q
 
 
-def _shifted_solve(H, g, delta):
-    """Newton/Levenberg step: solve (H + mu I) d = -g with the smallest shift
-    that makes the system positive definite and ||d|| <= delta."""
-    evals = np.linalg.eigvalsh(H)
-    mu = max(0.0, -float(evals[0])) + 1e-12
-    for _ in range(100):
-        try:
-            d = np.linalg.solve(H + mu * np.eye(7), -g)
-        except np.linalg.LinAlgError:
-            mu = 2 * mu + 1e-10
-            continue
-        if np.linalg.norm(d) <= delta:
-            return d, mu
-        mu = 2 * mu + 1e-10
-    return d, mu
+def _shifted_step(A, b, radius):
+    """(y, mu) with y = -(A + mu I)^-1 b for the first shift of
+    mu_j + 1e-10 = 2^j (max(0, -lambda_min(A)) + 1e-12 + 1e-10), j < 100,
+    with ||y|| <= radius (else the last).  A shift that leaves A + mu I
+    singular to rounding gives an infinite candidate, which never fits."""
+    lam, V = np.linalg.eigh(A)
+    mus = np.ldexp(max(0.0, -float(lam[0])) + 1e-12 + 1e-10,
+                   np.arange(100)) - 1e-10
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coef = (V.T @ b) / (lam + mus[:, None])
+    fits = np.flatnonzero(np.linalg.norm(coef, axis=1) <= radius)
+    j = fits[0] if fits.size else -1
+    return -V @ coef[j], float(mus[j])
 
 
 def _align_similarity(pvec, target: CurveSamples):
@@ -272,7 +276,7 @@ def _fit_unconstrained(problem: FitProblem) -> FitResult:
             converged = True
             msg = "gradient tolerance reached"
             break
-        d, mu = _shifted_solve(H, g, delta)
+        d, _ = _shifted_step(H, g, delta)
         if np.linalg.norm(d) <= problem.step_tol * (1 + np.linalg.norm(p)):
             msg = "step tolerance reached"
             converged = gnorm <= 1e3 * problem.grad_tol
@@ -313,10 +317,30 @@ def _fit_unconstrained(problem: FitProblem) -> FitResult:
                      constraint_violation=0.0, message=msg)
 
 
-def _projected_grad_norm(g, J):
-    """Norm of g minus its best approximation in the row space of J."""
-    nu, *_ = np.linalg.lstsq(J.T, -g, rcond=None)
-    return float(np.linalg.norm(g + J.T @ nu)), nu
+def _row_space(J):
+    """J = U diag(sv) Y^T over its numerical rank (the cut lstsq makes), and
+    an orthonormal basis Z of its null space: (U, sv, Y, Z)."""
+    U, sv, Vt = np.linalg.svd(J)
+    r = int(np.sum(sv > max(J.shape) * np.finfo(float).eps * sv[0]))
+    return U[:, :r], sv[:r], Vt[:r].T, Vt[r:].T
+
+
+def _null_space_step(W, g, c, bases, delta):
+    """(d, nu, sigma) solving [[W + sigma I, J^T], [J, 0]] (d, nu) =
+    (-g, -gamma c) with ||d|| <= delta.  gamma shrinks the normal step
+    dn = -gamma J^+ c to at most 0.8 delta, as no shift can shrink it; the
+    null-space part takes the rest of the radius, and nu solves the range
+    equation."""
+    U, sv, Y, Z = bases
+    cn = (U.T @ c) / sv
+    nd = float(np.linalg.norm(cn))
+    gamma = min(1.0, 0.8 * delta / nd) if nd > 0 else 1.0
+    dn = -gamma * (Y @ cn)
+    y, sigma = _shifted_step(Z.T @ W @ Z, Z.T @ (g + W @ dn),
+                             math.sqrt(delta * delta - (gamma * nd) ** 2))
+    d = dn + Z @ y
+    nu = -U @ ((Y.T @ (g + W @ d + sigma * d)) / sv)
+    return d, nu, sigma
 
 
 def _fit_constrained(problem: FitProblem) -> FitResult:
@@ -324,57 +348,26 @@ def _fit_constrained(problem: FitProblem) -> FitResult:
     p = _project(problem.init.as_array(), L)
     mode = problem.constraints
     f = objective(ElasticaParams.from_array(p), problem.target)
-    m = len(_constraint_values(p, problem.target, mode))
     mu_merit = 10.0
     delta = 1.0
     it = 0
     converged = False
     msg = "max_iter reached"
-    pg = math.inf
     while it < problem.max_iter:
         it += 1
         par = ElasticaParams.from_array(p)
         g, H = gradient_hessian(par, problem.target)
         c, J, Hc = _constraint_values_jacobian(p, problem.target, mode, True)
-        pg, nu_ls = _projected_grad_norm(g, J)
-        cviol = float(np.max(np.abs(c))) if m else 0.0
+        U, sv, Y, Z = bases = _row_space(J)
+        pg = float(np.linalg.norm(Z.T @ g))
+        cviol = float(np.max(np.abs(c)))
         if pg <= problem.grad_tol and cviol <= 1e-10:
             converged = True
             msg = "KKT tolerances reached"
             break
-        W = H + np.einsum("m,mij->ij", nu_ls, Hc)
-        # regularize W on the whole space (simple and robust for 7 dims)
-        evals = np.linalg.eigvalsh(W)
-        sigma = max(0.0, -float(evals[0])) + 1e-10
-        # relax the linearized constraint target so the feasibility step
-        # fits in the trust region (otherwise no shift can shrink the step)
-        dn, *_ = np.linalg.lstsq(J, -c, rcond=None)
-        nd = float(np.linalg.norm(dn))
-        gamma = min(1.0, 0.8 * delta / nd) if nd > 0 else 1.0
-        step = None
-        for _ in range(60):
-            KKT = np.zeros((7 + m, 7 + m))
-            KKT[:7, :7] = W + sigma * np.eye(7)
-            KKT[:7, 7:] = J.T
-            KKT[7:, :7] = J
-            rhs = np.concatenate([-g, -gamma * c])
-            try:
-                sol = np.linalg.solve(KKT, rhs)
-            except np.linalg.LinAlgError:
-                sigma = 2 * sigma + 1e-8
-                continue
-            d = sol[:7]
-            if np.linalg.norm(d) <= delta:
-                step = d
-                nu_new = sol[7:]
-                break
-            sigma = 2 * sigma + 1e-8
-        if step is None:
-            delta = max(delta * 0.5, 1e-14)
-            if delta <= 1e-13:
-                msg = "trust region collapsed"
-                break
-            continue
+        # least-squares multipliers -J^+T g weight the constraint Hessians
+        W = H + np.einsum("m,mij->ij", -U @ ((Y.T @ g) / sv), Hc)
+        step, nu_new, _ = _null_space_step(W, g, c, bases, delta)
         mu_needed = 2.0 * float(np.max(np.abs(nu_new))) + 1.0
         # raise mu immediately when needed, let it decay slowly otherwise so
         # one early multiplier spike cannot stall later objective progress
@@ -403,12 +396,10 @@ def _fit_constrained(problem: FitProblem) -> FitResult:
         if not (phi_trial <= phi0 + 1e-14 and rho > 1e-4):
             # second-order correction: re-land on the constraint manifold
             # (avoids the Maratos effect rejecting good steps near optimum)
+            trial2 = _project(p + step - Y @ ((U.T @ c_t) / sv), L)
             try:
-                soc, *_ = np.linalg.lstsq(J, -c_t, rcond=None)
-                trial2 = _project(p + step + soc, L)
                 phi2, f2, _ = merit(trial2)
-            except (DomainError, FloatingPointError, OverflowError,
-                    np.linalg.LinAlgError):
+            except (DomainError, FloatingPointError, OverflowError):
                 phi2 = math.inf
             if phi2 <= phi0 + 1e-14 and (pred <= 0 or
                                          (phi0 - phi2) / pred > 1e-4):
@@ -431,13 +422,14 @@ def _fit_constrained(problem: FitProblem) -> FitResult:
             break
         d, *_ = np.linalg.lstsq(J, -c, rcond=None)
         trial = _project(p + d, L)
-        ct, Jt = _constraint_values_jacobian(trial, problem.target, mode)
+        ct = _constraint_values(trial, problem.target, mode)
         if np.max(np.abs(ct)) >= np.max(np.abs(c)):
             break
-        p, c, J = trial, ct, Jt
+        p = trial
+        c, J = _constraint_values_jacobian(p, problem.target, mode)
     f = objective(ElasticaParams.from_array(p), problem.target)
     g, _ = gradient_hessian(ElasticaParams.from_array(p), problem.target)
-    pg, _ = _projected_grad_norm(g, J)
+    pg = float(np.linalg.norm(_row_space(J)[3].T @ g))
     return FitResult(params=ElasticaParams.from_array(p), objective=f,
                      grad_norm=pg, iterations=it, converged=converged,
                      constraint_violation=float(np.max(np.abs(c))),

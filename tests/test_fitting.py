@@ -16,6 +16,9 @@ from elastica_fit.fitting import (
     _angle_partials,
     _constraint_values,
     _constraint_values_jacobian,
+    _null_space_step,
+    _row_space,
+    _shifted_step,
     fit,
     gradient_hessian,
     objective,
@@ -141,7 +144,7 @@ class TestConstraintJacobian:
         """theta_k, theta_sk and theta_kk against mpmath derivatives of
         2 atan2(k sn, dn)."""
         s = np.array([-0.7, 0.0, 0.4, 1.3, 2.9])
-        _, _, th_k, th_sk, th_kk = _angle_partials(s, k)
+        _, _, _, th_k, th_sk, th_kk = _angle_partials(s, k)
 
         def theta(u, kk):
             sn, dn = (mp.re(mp.ellipfun(f, u, m=kk * kk)) for f in ("sn", "dn"))
@@ -155,6 +158,94 @@ class TestConstraintJacobian:
                 got = (th_k[j], th_sk[j], th_kk[j])
                 for a, b in zip(got, ref):
                     assert a == pytest.approx(float(b), rel=1e-11, abs=1e-12)
+
+
+def _shifted_solve(H, g, delta):
+    """Reference: the re-solving loop that _shifted_step replaced, verbatim."""
+    evals = np.linalg.eigvalsh(H)
+    mu = max(0.0, -float(evals[0])) + 1e-12
+    for _ in range(100):
+        try:
+            d = np.linalg.solve(H + mu * np.eye(7), -g)
+        except np.linalg.LinAlgError:
+            mu = 2 * mu + 1e-10
+            continue
+        if np.linalg.norm(d) <= delta:
+            return d, mu
+        mu = 2 * mu + 1e-10
+    return d, mu
+
+
+def _random_symmetric(rng, n, definite):
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    lam = rng.uniform(0.1, 5.0, n) if definite else rng.uniform(-5.0, 5.0, n)
+    return (Q * lam) @ Q.T
+
+
+class TestTrustRegionStep:
+    @pytest.mark.parametrize("definite", [True, False])
+    def test_shifted_step_matches_resolving_loop(self, definite):
+        rng = np.random.default_rng(23 + definite)
+        for _ in range(20):
+            A = _random_symmetric(rng, 7, definite)
+            b = rng.normal(size=7)
+            for radius in (1e-3, 0.1, 1.0, 10.0, 1e3):
+                y, mu = _shifted_step(A, b, radius)
+                d, mu_ref = _shifted_solve(A, b, radius)
+                assert mu == pytest.approx(mu_ref, rel=1e-12, abs=1e-24)
+                assert np.linalg.norm(y - d) <= 1e-10 * np.linalg.norm(d)
+                assert np.linalg.norm(y) <= radius
+
+    @pytest.mark.parametrize("m", [4, 6])
+    def test_null_space_step_matches_kkt_solve(self, m):
+        rng = np.random.default_rng(29 + m)
+        for trial in range(20):
+            W = _random_symmetric(rng, 7, trial % 2 == 0)
+            J = rng.normal(size=(m, 7))
+            g = rng.normal(size=7)
+            c = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 1)
+            bases = _row_space(J)
+            U, sv, Y, Z = bases
+            assert np.allclose(Y.T @ Y, np.eye(m)) and Z.shape == (7, 7 - m)
+            # the lstsq results the SQP takes from the SVD instead
+            nu_ls, *_ = np.linalg.lstsq(J.T, -g, rcond=None)
+            assert np.linalg.norm(Z.T @ g) == pytest.approx(
+                np.linalg.norm(g + J.T @ nu_ls), rel=1e-12)
+            assert np.allclose(-U @ ((Y.T @ g) / sv), nu_ls, rtol=1e-10)
+            dn, *_ = np.linalg.lstsq(J, -c, rcond=None)
+            assert np.allclose(-Y @ ((U.T @ c) / sv), dn, rtol=1e-10)
+            for delta in (1e-3, 0.1, 1.0, 10.0):
+                d, nu, sigma = _null_space_step(W, g, c, bases, delta)
+                gamma = min(1.0, 0.8 * delta / np.linalg.norm(dn))
+
+                def kkt(s):
+                    A = np.block([[W + s * np.eye(7), J.T],
+                                  [J, np.zeros((m, m))]])
+                    return np.linalg.solve(A, np.concatenate([-g, -gamma * c]))
+
+                sol = kkt(sigma)
+                assert np.linalg.norm(d - sol[:7]) <= \
+                    1e-10 * np.linalg.norm(sol[:7])
+                assert np.linalg.norm(nu - sol[7:]) <= \
+                    1e-10 * np.linalg.norm(sol[7:])
+                assert np.linalg.norm(d) <= delta
+                # sigma is the first shift of the sequence whose step fits
+                lam0 = np.linalg.eigvalsh(Z.T @ W @ Z)[0]
+                first = max(0.0, -lam0) + 1e-12
+                if sigma > first * (1 + 1e-12):
+                    prev = 0.5 * (sigma + 1e-10) - 1e-10
+                    assert np.linalg.norm(kkt(prev)[:7]) > delta
+
+    def test_row_space_cuts_rank_like_lstsq(self):
+        rng = np.random.default_rng(31)
+        J = rng.normal(size=(4, 7))
+        J[3] = J[0] - 2.0 * J[1]
+        c = rng.normal(size=4)
+        U, sv, Y, Z = _row_space(J)
+        assert len(sv) == 3 and Z.shape == (7, 4)
+        dn, *_ = np.linalg.lstsq(J, -c, rcond=None)
+        assert np.allclose(-Y @ ((U.T @ c) / sv), dn, rtol=1e-10)
+        assert np.allclose(J @ Z, 0.0, atol=1e-12)
 
 
 class TestFitProblemValidation:
