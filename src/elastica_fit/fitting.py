@@ -5,16 +5,20 @@ The objective matches curve points by normalized arclength:
 
     F(p) = 1/2 * int_0^1 || y_p(s(t)/L) - x(t) ||^2 ||x'(t)|| dt.
 
-Both optimizers share one trust-region step: -(A + mu I)^-1 b for the first
-shift mu of a doubling sequence that fits the radius, in closed form from one
-eigendecomposition of A.  Trust-region Newton applies it to the Hessian; the
-endpoint / end-tangent SQP (exact Lagrangian Hessian W, l1 merit function)
-applies it to W on the null space of the constraint Jacobian J, after a
-normal step from one SVD of J.
+One trust-region loop fits all three constraint modes, and every iterate
+lies on the fit's manifold.  Free fits keep the similarity block
+(w, phi, x0, y0) at its closed-form optimum for the shape (k, s0, ell), so
+the model is the reduced Hessian of variable projection.  Pinned fits keep
+c(p) = 0, and the model is the exact Lagrangian Hessian W on the null space
+of the constraint Jacobian J.  The step -(A + mu I)^-1 b takes the first
+shift mu of a doubling sequence that fits the radius, in closed form from
+one eigendecomposition of A.  Each trial is restored onto the manifold
+before F is evaluated, so F alone judges it: free fits re-solve the
+similarity block, pinned fits run capped Gauss-Newton steps on c.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,8 +36,6 @@ from .errors import DomainError
 #: upper clamp for the modulus during optimization
 K_MAX = 10.0
 
-_IDX = {"k": 0, "s0": 1, "ell": 2, "w": 3, "phi": 4, "x0": 5, "y0": 6}
-
 CONSTRAINT_MODES = ("none", "endpoints", "endpoints+tangents")
 
 
@@ -43,7 +45,6 @@ class FitProblem:
     init: ElasticaParams
     constraints: str = "none"
     grad_tol: float = 1e-8
-    step_tol: float = 1e-14
     max_iter: int = 1000
 
     def __post_init__(self):
@@ -55,6 +56,20 @@ class FitProblem:
 
 @dataclass
 class FitResult:
+    """The outcome of fit.  grad_norm is ||g|| for a free fit and ||Z^T g||
+    for a pinned one, and constraint_violation is max|c|.  message is one
+    of the loop's four stops:
+
+    - "gradient tolerance reached" (converged);
+    - "predicted decrease below rounding": the model promises less than
+      1e-15 F, converged if grad_norm <= 1e3 * grad_tol;
+    - "trust region collapsed";
+    - "max_iter reached";
+
+    or "constraints not restored" when Gauss-Newton cannot bring the
+    initial guess onto the constraints (0 iterations, unconverged).
+    """
+
     params: ElasticaParams
     objective: float
     grad_norm: float
@@ -208,8 +223,6 @@ def _project(pvec, L):
         k = max(min(k, K_MAX), 1.0 + 2 * K_GUARD_BAND)
     q[0] = k
     q[3] = max(q[3], 1e-9 * L)
-    if q[2] == 0.0:
-        q[2] = 1e-12
     return q
 
 
@@ -258,65 +271,6 @@ def _align_similarity(pvec, target: CurveSamples):
     return q
 
 
-def _fit_unconstrained(problem: FitProblem) -> FitResult:
-    L = problem.target.length
-    p = _project(problem.init.as_array(), L)
-    p = _project(_align_similarity(p, problem.target), L)
-    f = objective(ElasticaParams.from_array(p), problem.target)
-    delta = 1.0
-    it = 0
-    msg = "max_iter reached"
-    converged = False
-    g = np.zeros(7)
-    while it < problem.max_iter:
-        it += 1
-        g, H = gradient_hessian(ElasticaParams.from_array(p), problem.target)
-        gnorm = np.linalg.norm(g)
-        if gnorm <= problem.grad_tol:
-            converged = True
-            msg = "gradient tolerance reached"
-            break
-        d, _ = _shifted_step(H, g, delta)
-        if np.linalg.norm(d) <= problem.step_tol * (1 + np.linalg.norm(p)):
-            msg = "step tolerance reached"
-            converged = gnorm <= 1e3 * problem.grad_tol
-            break
-        trial = _project(p + d, L)
-        step = trial - p
-        pred = -(g @ step + 0.5 * step @ H @ step)
-        try:
-            f_trial = objective(ElasticaParams.from_array(trial), problem.target)
-        except (DomainError, FloatingPointError, OverflowError):
-            f_trial = math.inf
-        if not math.isfinite(f_trial):
-            delta *= 0.25
-            continue
-        rho = (f - f_trial) / pred if pred > 0 else -1.0
-        if rho > 1e-4 and f_trial <= f:
-            # re-solve the similarity block in closed form; this never
-            # increases F and keeps the search out of the similarity valley
-            aligned = _project(_align_similarity(trial, problem.target), L)
-            try:
-                f_aligned = objective(ElasticaParams.from_array(aligned),
-                                      problem.target)
-            except (DomainError, FloatingPointError, OverflowError):
-                f_aligned = math.inf
-            if f_aligned <= f_trial:
-                trial, f_trial = aligned, f_aligned
-            p, f = trial, f_trial
-            if rho > 0.75:
-                delta = min(delta * 2.0, 1e3)
-        else:
-            delta = max(delta * 0.25, 1e-14)
-            if delta <= 1e-13:
-                msg = "trust region collapsed"
-                break
-    gnorm = float(np.linalg.norm(g))
-    return FitResult(params=ElasticaParams.from_array(p), objective=f,
-                     grad_norm=gnorm, iterations=it, converged=converged,
-                     constraint_violation=0.0, message=msg)
-
-
 def _row_space(J):
     """J = U diag(sv) Y^T over its numerical rank (the cut lstsq makes), and
     an orthonormal basis Z of its null space: (U, sv, Y, Z)."""
@@ -325,88 +279,91 @@ def _row_space(J):
     return U[:, :r], sv[:r], Vt[:r].T, Vt[r:].T
 
 
-def _null_space_step(W, g, c, bases, delta):
-    """(d, nu, sigma) solving [[W + sigma I, J^T], [J, 0]] (d, nu) =
-    (-g, -gamma c) with ||d|| <= delta.  gamma shrinks the normal step
-    dn = -gamma J^+ c to at most 0.8 delta, as no shift can shrink it; the
-    null-space part takes the rest of the radius, and nu solves the range
-    equation."""
-    U, sv, Y, Z = bases
-    cn = (U.T @ c) / sv
-    nd = float(np.linalg.norm(cn))
-    gamma = min(1.0, 0.8 * delta / nd) if nd > 0 else 1.0
-    dn = -gamma * (Y @ cn)
-    y, sigma = _shifted_step(Z.T @ W @ Z, Z.T @ (g + W @ dn),
-                             math.sqrt(delta * delta - (gamma * nd) ** 2))
-    d = dn + Z @ y
-    nu = -U @ ((Y.T @ (g + W @ d + sigma * d)) / sv)
-    return d, nu, sigma
+def _restore(q, target: CurveSamples, mode: str):
+    """(q moved onto the fit's manifold, its constraint violation).
+
+    Free: the similarity block re-solved in closed form.  Pinned:
+    Gauss-Newton on c over all seven parameters, each step -J^+ c capped at
+    length 0.5, until max|c| <= 1e-12 or for 20 steps."""
+    L = target.length
+    q = _project(q, L)
+    if mode == "none":
+        return _project(_align_similarity(q, target), L), 0.0
+    c = _constraint_values(q, target, mode)
+    for _ in range(20):
+        if np.max(np.abs(c)) <= 1e-12:
+            break
+        _, J = _constraint_values_jacobian(q, target, mode)
+        d, *_ = np.linalg.lstsq(J, -c, rcond=None)
+        size = np.linalg.norm(d)
+        q = _project(q + (d if size <= 0.5 else d * (0.5 / size)), L)
+        c = _constraint_values(q, target, mode)
+    return q, float(np.max(np.abs(c)))
 
 
-def _fit_constrained(problem: FitProblem) -> FitResult:
-    L = problem.target.length
-    p = _project(problem.init.as_array(), L)
-    mode = problem.constraints
-    f = objective(ElasticaParams.from_array(p), problem.target)
-    mu_merit = 10.0
+def _reduced_model(q, target: CurveSamples, mode: str):
+    """(grad_norm, B^T g, B^T W B, B) at a point q on the fit's manifold,
+    B a basis of the directions along it.
+
+    Free: W = H and B = [I; -H_ll^-1 H_ln] over the similarity block l.  As
+    F is minimal over l at q, B^T g and B^T H B are the gradient and Hessian
+    of (k, s0, ell) -> F(., l*(.)); grad_norm is ||g||.  Pinned: B = Z, the
+    null space of J, and W = H + sum_i lambda_i Hess c_i with the
+    least-squares multipliers lambda = -J^+T g; grad_norm is ||Z^T g||."""
+    g, H = gradient_hessian(ElasticaParams.from_array(q), target)
+    if mode == "none":
+        lift, *_ = np.linalg.lstsq(H[3:, 3:], H[3:, :3], rcond=None)
+        B = np.vstack([np.eye(3), -lift])
+        return float(np.linalg.norm(g)), B.T @ g, B.T @ H @ B, B
+    _, J, Hc = _constraint_values_jacobian(q, target, mode, True)
+    U, sv, Y, Z = _row_space(J)
+    W = H + np.einsum("m,mij->ij", -U @ ((Y.T @ g) / sv), Hc)
+    gz = Z.T @ g
+    return float(np.linalg.norm(gz)), gz, Z.T @ W @ Z, Z
+
+
+def fit(problem: FitProblem) -> FitResult:
+    """Minimize the L2 objective from the initial guess, optionally with
+    endpoint / end-tangent equality constraints, by trust-region steps
+    along the fit's manifold; every trial is restored onto it before F is
+    evaluated, so F alone judges each step."""
+    target, mode = problem.target, problem.constraints
+    p, cviol = _restore(problem.init.as_array(), target, mode)
+    f = objective(ElasticaParams.from_array(p), target)
+    gnorm, gr, A, B = _reduced_model(p, target, mode)
     delta = 1.0
     it = 0
     converged = False
     msg = "max_iter reached"
-    while it < problem.max_iter:
-        it += 1
-        par = ElasticaParams.from_array(p)
-        g, H = gradient_hessian(par, problem.target)
-        c, J, Hc = _constraint_values_jacobian(p, problem.target, mode, True)
-        U, sv, Y, Z = bases = _row_space(J)
-        pg = float(np.linalg.norm(Z.T @ g))
-        cviol = float(np.max(np.abs(c)))
-        if pg <= problem.grad_tol and cviol <= 1e-10:
-            converged = True
-            msg = "KKT tolerances reached"
+    while True:
+        if cviol > 1e-10:
+            msg = "constraints not restored"
             break
-        # least-squares multipliers -J^+T g weight the constraint Hessians
-        W = H + np.einsum("m,mij->ij", -U @ ((Y.T @ g) / sv), Hc)
-        step, nu_new, _ = _null_space_step(W, g, c, bases, delta)
-        mu_needed = 2.0 * float(np.max(np.abs(nu_new))) + 1.0
-        # raise mu immediately when needed, let it decay slowly otherwise so
-        # one early multiplier spike cannot stall later objective progress
-        mu_merit = mu_needed if mu_needed > mu_merit \
-            else max(mu_needed, 0.5 * mu_merit)
-
-        def merit(vec):
-            """(merit, objective, c) at vec."""
-            fv = objective(ElasticaParams.from_array(vec), problem.target)
-            cv = _constraint_values(vec, problem.target, mode)
-            return fv + mu_merit * float(np.sum(np.abs(cv))), fv, cv
-
-        phi0 = f + mu_merit * float(np.sum(np.abs(c)))
-        pred = (-(g @ step + 0.5 * step @ W @ step)
-                + mu_merit * (np.sum(np.abs(c)) - np.sum(np.abs(c + J @ step))))
-        trial = _project(p + step, L)
+        if gnorm <= problem.grad_tol:
+            converged = True
+            msg = "gradient tolerance reached"
+            break
+        if it >= problem.max_iter:
+            break
+        it += 1
+        y, _ = _shifted_step(A, gr, delta)
+        pred = -(gr @ y + 0.5 * y @ A @ y)
+        if pred <= 1e-15 * f:
+            # no step can lower F measurably: at F's rounding floor unless
+            # the gradient says otherwise
+            converged = gnorm <= 1e3 * problem.grad_tol
+            msg = "predicted decrease below rounding"
+            break
+        trial, cv = _restore(p + B @ y, target, mode)
         try:
-            phi_trial, f_trial, c_t = merit(trial)
+            f_trial = objective(ElasticaParams.from_array(trial), target) \
+                if cv <= 1e-10 else math.inf
         except (DomainError, FloatingPointError, OverflowError):
-            phi_trial = math.inf
-        if not math.isfinite(phi_trial):
-            delta *= 0.25
-            continue
-        rho = (phi0 - phi_trial) / pred if pred > 0 else \
-            (1.0 if phi_trial < phi0 else -1.0)
-        if not (phi_trial <= phi0 + 1e-14 and rho > 1e-4):
-            # second-order correction: re-land on the constraint manifold
-            # (avoids the Maratos effect rejecting good steps near optimum)
-            trial2 = _project(p + step - Y @ ((U.T @ c_t) / sv), L)
-            try:
-                phi2, f2, _ = merit(trial2)
-            except (DomainError, FloatingPointError, OverflowError):
-                phi2 = math.inf
-            if phi2 <= phi0 + 1e-14 and (pred <= 0 or
-                                         (phi0 - phi2) / pred > 1e-4):
-                trial, phi_trial, f_trial = trial2, phi2, f2
-                rho = (phi0 - phi2) / pred if pred > 0 else 1.0
-        if phi_trial <= phi0 + 1e-14 and rho > 1e-4:
-            p, f = trial, f_trial
+            f_trial = math.inf
+        rho = (f - f_trial) / pred
+        if rho > 1e-4:
+            p, f, cviol = trial, f_trial, cv
+            gnorm, gr, A, B = _reduced_model(p, target, mode)
             if rho > 0.75:
                 delta = min(delta * 2.0, 1e3)
         else:
@@ -414,31 +371,6 @@ def _fit_constrained(problem: FitProblem) -> FitResult:
             if delta <= 1e-13:
                 msg = "trust region collapsed"
                 break
-    # feasibility polish: Gauss-Newton on c alone, so joins stay tight even
-    # when the objective stalls short of full KKT convergence
-    c, J = _constraint_values_jacobian(p, problem.target, mode)
-    for _ in range(20):
-        if np.max(np.abs(c)) <= 1e-12:
-            break
-        d, *_ = np.linalg.lstsq(J, -c, rcond=None)
-        trial = _project(p + d, L)
-        ct = _constraint_values(trial, problem.target, mode)
-        if np.max(np.abs(ct)) >= np.max(np.abs(c)):
-            break
-        p = trial
-        c, J = _constraint_values_jacobian(p, problem.target, mode)
-    f = objective(ElasticaParams.from_array(p), problem.target)
-    g, _ = gradient_hessian(ElasticaParams.from_array(p), problem.target)
-    pg = float(np.linalg.norm(_row_space(J)[3].T @ g))
     return FitResult(params=ElasticaParams.from_array(p), objective=f,
-                     grad_norm=pg, iterations=it, converged=converged,
-                     constraint_violation=float(np.max(np.abs(c))),
-                     message=msg)
-
-
-def fit(problem: FitProblem) -> FitResult:
-    """Minimize the L2 objective from the initial guess, optionally with
-    endpoint / end-tangent equality constraints."""
-    if problem.constraints == "none":
-        return _fit_unconstrained(problem)
-    return _fit_constrained(problem)
+                     grad_norm=gnorm, iterations=it, converged=converged,
+                     constraint_violation=cviol, message=msg)

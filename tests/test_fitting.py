@@ -2,21 +2,24 @@
 
 import dataclasses
 import math
+import os
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from elastica_fit.curve import BezierChain, sample
+from elastica_fit import fitting
+from elastica_fit.curve import BezierChain, load_curve, sample
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
 from elastica_fit.errors import DomainError
 from elastica_fit.fitting import (
     FitProblem,
     FitResult,
+    _align_similarity,
     _angle_partials,
     _constraint_values,
     _constraint_values_jacobian,
-    _null_space_step,
+    _reduced_model,
     _row_space,
     _shifted_step,
     fit,
@@ -197,44 +200,22 @@ class TestTrustRegionStep:
                 assert np.linalg.norm(y) <= radius
 
     @pytest.mark.parametrize("m", [4, 6])
-    def test_null_space_step_matches_kkt_solve(self, m):
+    def test_row_space_gives_lstsq_multipliers(self, m):
+        """The pinned fit's multipliers, ||Z^T g|| and J^+ c from the SVD
+        equal lstsq's."""
         rng = np.random.default_rng(29 + m)
-        for trial in range(20):
-            W = _random_symmetric(rng, 7, trial % 2 == 0)
+        for _ in range(20):
             J = rng.normal(size=(m, 7))
             g = rng.normal(size=7)
-            c = rng.normal(size=m) * 10.0 ** rng.uniform(-3, 1)
-            bases = _row_space(J)
-            U, sv, Y, Z = bases
+            c = rng.normal(size=m)
+            U, sv, Y, Z = _row_space(J)
             assert np.allclose(Y.T @ Y, np.eye(m)) and Z.shape == (7, 7 - m)
-            # the lstsq results the SQP takes from the SVD instead
             nu_ls, *_ = np.linalg.lstsq(J.T, -g, rcond=None)
             assert np.linalg.norm(Z.T @ g) == pytest.approx(
                 np.linalg.norm(g + J.T @ nu_ls), rel=1e-12)
             assert np.allclose(-U @ ((Y.T @ g) / sv), nu_ls, rtol=1e-10)
             dn, *_ = np.linalg.lstsq(J, -c, rcond=None)
             assert np.allclose(-Y @ ((U.T @ c) / sv), dn, rtol=1e-10)
-            for delta in (1e-3, 0.1, 1.0, 10.0):
-                d, nu, sigma = _null_space_step(W, g, c, bases, delta)
-                gamma = min(1.0, 0.8 * delta / np.linalg.norm(dn))
-
-                def kkt(s):
-                    A = np.block([[W + s * np.eye(7), J.T],
-                                  [J, np.zeros((m, m))]])
-                    return np.linalg.solve(A, np.concatenate([-g, -gamma * c]))
-
-                sol = kkt(sigma)
-                assert np.linalg.norm(d - sol[:7]) <= \
-                    1e-10 * np.linalg.norm(sol[:7])
-                assert np.linalg.norm(nu - sol[7:]) <= \
-                    1e-10 * np.linalg.norm(sol[7:])
-                assert np.linalg.norm(d) <= delta
-                # sigma is the first shift of the sequence whose step fits
-                lam0 = np.linalg.eigvalsh(Z.T @ W @ Z)[0]
-                first = max(0.0, -lam0) + 1e-12
-                if sigma > first * (1 + 1e-12):
-                    prev = 0.5 * (sigma + 1e-10) - 1e-10
-                    assert np.linalg.norm(kkt(prev)[:7]) > delta
 
     def test_row_space_cuts_rank_like_lstsq(self):
         rng = np.random.default_rng(31)
@@ -346,3 +327,130 @@ class TestFitConstrained:
         assert res.converged
         assert res.objective <= 1e-10
         assert res.constraint_violation <= 1e-10
+
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
+
+#: a closed cubic: both ends at the origin
+CLOSED_LOOP = BezierChain([[[0, 0], [2, 2], [-2, 2], [0, 0]]])
+
+
+def guess_and_fit(cur, constraints, n=256, **kw):
+    """The CLI's fit mode: sample, initial guess, fit; (result, target)."""
+    from elastica_fit.recovery import initial_guess
+    tgt = sample(cur, n)
+    rep = initial_guess(tgt)
+    if rep.reversed_input:
+        tgt = tgt.reversed()
+    res = fit(FitProblem(target=tgt, init=rep.params,
+                         constraints=constraints, **kw))
+    return res, tgt
+
+
+class TestReducedModel:
+    def test_free_matches_reduced_objective(self):
+        """B^T g and B^T H B are the gradient and Hessian of
+        n -> F(n, l*(n)) at an aligned point, by central differences."""
+        rng = np.random.default_rng(37)
+        h = 1e-4
+        E = h * np.eye(3)
+        for _ in range(5):
+            tgt = elastica_target(random_params(rng), 256)
+            p = _align_similarity(random_params(rng).as_array(), tgt)
+
+            def F(n):
+                q = p.copy()
+                q[:3] = n
+                q = _align_similarity(q, tgt)
+                return objective(ElasticaParams.from_array(q), tgt)
+
+            _, gr, A, _ = _reduced_model(p, tgt, "none")
+            n0 = p[:3]
+            g_fd = np.array([(F(n0 + e) - F(n0 - e)) / (2 * h) for e in E])
+            H_fd = np.array([[(F(n0 + a + b) - F(n0 + a - b)
+                               - F(n0 - a + b) + F(n0 - a - b)) / (4 * h * h)
+                              for b in E] for a in E])
+            assert np.linalg.norm(gr - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
+            assert np.linalg.norm(A - H_fd) <= 1e-5 * np.linalg.norm(H_fd)
+
+
+class TestFitOnManifold:
+    def test_pinned_shallow_s_converges(self):
+        cur = load_curve(os.path.join(CORPUS_DIR, "shallow_s.json"))
+        res, _ = guess_and_fit(cur, "endpoints", max_iter=600)
+        assert res.converged
+        assert res.iterations <= 100
+        assert res.constraint_violation <= 1e-10
+
+    def test_hook_with_tangents_converges(self):
+        """Near F's rounding floor no step can pass the ratio test; the
+        predicted-decrease stop ends the fit there as converged."""
+        cur = load_curve(os.path.join(CORPUS_DIR, "hook.json"))
+        res, _ = guess_and_fit(cur, "endpoints+tangents")
+        assert res.converged
+        assert res.constraint_violation <= 1e-10
+
+    def test_restores_small_modulus_guess(self):
+        """From a k ~ 0.1 guess, where J is nearly rank-deficient, capped
+        Gauss-Newton steps reach the tangent constraints (uncapped ones
+        run off to max|c| ~ 55)."""
+        cur = BezierChain([
+            [[-1.503, -0.943], [-1.293, -0.719], [-1.157, -0.348],
+             [-1.023, -0.043]],
+            [[-1.023, -0.043], [-0.864, 0.319], [-0.535, 0.548],
+             [-0.366, 0.738]],
+            [[-0.366, 0.738], [-0.135, 0.999], [0.139, 1.293],
+             [0.306, 1.506]]])
+        res, _ = guess_and_fit(cur, "endpoints+tangents", max_iter=5)
+        assert res.iterations == 5
+        assert res.constraint_violation <= 1e-10
+
+    @pytest.mark.parametrize("mode, r4", [
+        ("none", 5.818684890075234e-3),
+        ("endpoints", 6.410867205730372e-3),
+        ("endpoints+tangents", 8.091441105761687e-3)])
+    def test_closed_target(self, mode, r4):
+        """A closed target fits in every mode, at the R4 that the merit
+        function SQP and the free fit before it reached."""
+        res, tgt = guess_and_fit(CLOSED_LOOP, mode)
+        assert res.converged
+        assert residual_r4(res.params, tgt) == pytest.approx(r4, rel=1e-6)
+        assert res.constraint_violation <= 1e-10
+
+    def test_ell_zero_trial_is_rejected(self, monkeypatch):
+        """A trial with ell == 0 (a step that cancels ell exactly) is not a
+        valid ElasticaParams; the loop turns it down like a non-finite
+        objective and goes on, so _project needs no ell clamp."""
+        rng = np.random.default_rng(41)
+        tgt = elastica_target(BASE, 256)
+        restored = []
+        real = fitting._restore
+
+        def restore(q, target, mode):
+            q, cv = real(q, target, mode)
+            if len(restored) == 1:
+                q[2] = 0.0
+            restored.append(q)
+            return q, cv
+
+        monkeypatch.setattr(fitting, "_restore", restore)
+        res = fit(FitProblem(target=tgt, init=perturbed(BASE, rng)))
+        assert restored[1][2] == 0.0 and len(restored) > 2
+        assert res.converged and res.objective <= 1e-10
+
+    def test_unrestorable_guess_returns_unconverged(self, monkeypatch):
+        """If Gauss-Newton cannot meet the constraints from the guess, fit
+        reports the gap instead of raising."""
+        tgt = elastica_target(BASE, 256)
+        init = dataclasses.replace(BASE, x0=BASE.x0 + 0.3)
+        real = fitting._constraint_values_jacobian
+
+        def flat(pvec, target, mode, with_hessians=False):
+            out = real(pvec, target, mode, with_hessians)
+            return (out[0], np.zeros_like(out[1])) + out[2:]
+
+        monkeypatch.setattr(fitting, "_constraint_values_jacobian", flat)
+        res = fit(FitProblem(target=tgt, init=init, constraints="endpoints"))
+        assert not res.converged and res.iterations == 0
+        assert res.message == "constraints not restored"
+        assert res.constraint_violation == pytest.approx(0.3, rel=1e-12)

@@ -1,9 +1,11 @@
 """Tests for recursive piecewise elastica fitting."""
 
+import os
+
 import numpy as np
 import pytest
 
-from elastica_fit.curve import BezierChain, sample
+from elastica_fit.curve import BezierChain, load_curve, sample
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
 from elastica_fit.errors import DomainError
 from elastica_fit.segmentation import fit_piecewise
@@ -82,3 +84,25 @@ def test_deterministic():
     for ra, rb in zip(a.segments, b.segments):
         assert ra.params.as_array() == pytest.approx(rb.params.as_array(),
                                                      abs=0.0)
+
+
+def test_s_curve_deep_leaves_converge():
+    """G1 leaves of the deep S-curve stop on their own test, not at the
+    iteration cap."""
+    cur = load_curve(os.path.join(os.path.dirname(__file__), "..", "corpus",
+                                  "s_curve_deep.json"))
+    pw = fit_piecewise(cur, r4_threshold=1e-3, max_depth=3,
+                       constraints="endpoints+tangents", n_samples=256,
+                       max_iter=200)
+    assert all(s.iterations < 200 and s.converged for s in pw.segments)
+    assert pw.threshold_met
+
+
+def test_closed_target():
+    """A closed cubic (both ends at the origin) splits into four pieces."""
+    cur = BezierChain([[[0, 0], [2, 2], [-2, 2], [0, 0]]])
+    pw = fit_piecewise(cur, r4_threshold=1e-3, max_depth=3, n_samples=256)
+    assert pw.n_segments == 4
+    assert pw.threshold_met
+    for j in pw.join_continuity:
+        assert j.position_gap <= 1e-10
