@@ -11,8 +11,6 @@ Exit codes: 0 success, 2 parse error, 3 degenerate input, 4 unconverged fit
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -30,28 +28,6 @@ EXIT_DEGENERATE = 3
 EXIT_UNCONVERGED = 4
 
 MODES = ("guess", "fit", "piecewise")
-
-
-@dataclass
-class RunConfig:
-    input: str
-    mode: str = "fit"
-    endpoints: bool = False
-    tangents: bool = False
-    samples: int = DEFAULT_SAMPLES
-    r4_threshold: float = 1e-3
-    max_depth: int = 3
-    out: Optional[str] = None
-    svg: Optional[str] = None
-    max_iter: int = 1000
-
-    @property
-    def constraints(self) -> str:
-        if self.tangents:
-            return "endpoints+tangents"
-        if self.endpoints:
-            return "endpoints"
-        return "none"
 
 
 def _json_fragment(obj) -> str:
@@ -108,8 +84,9 @@ def _guess_result(rep, target) -> FitResult:
                      grad_norm=grad_norm, iterations=0, converged=True)
 
 
-def run(config: RunConfig) -> int:
-    """Execute one pipeline run; returns the process exit code."""
+def run(config: argparse.Namespace) -> int:
+    """Execute one pipeline run with build_parser's options; returns the
+    process exit code."""
     try:
         curve = load_curve(config.input)
     except (OSError, ValueError) as exc:
@@ -145,8 +122,10 @@ def run(config: RunConfig) -> int:
                 layers.append((_elastica_polyline(rep.params), "guess"))
                 layers.append((_elastica_polyline(res.params), "fit"))
         elif config.mode == "fit":
+            constraints = ("endpoints+tangents" if config.tangents
+                           else "endpoints" if config.endpoints else "none")
             rep, res, target = _fit_piece(sample(curve, config.samples),
-                                          config.constraints, config.max_iter)
+                                          constraints, config.max_iter)
             report = _segment_record(rep, res,
                                      residual_r4(res.params, target))
             if not res.converged:
@@ -204,13 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        input=args.input, mode=args.mode, endpoints=args.endpoints,
-        tangents=args.tangents, samples=args.samples,
-        r4_threshold=args.r4_threshold, max_depth=args.max_depth,
-        out=args.out, svg=args.svg, max_iter=args.max_iter)
-    return run(config)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 Provides point/derivative evaluation on a common [0, 1] parameter domain,
 uniform sampling with arclength, tangent angle and curvature, composite
 Simpson line integrals, and parameter-interval trimming (used by the
-recursive segmentation).
+recursive segmentation).  Every line integral over the samples is a dot
+product with one weight vector, CurveSamples.weights.
 
 Curve JSON schema (consumed by the CLI):
     {"bezier": [[[x,y],[x,y],[x,y],[x,y]], ...]}   cubic pieces, or
@@ -43,6 +44,16 @@ class CurveSamples:
     @property
     def n_intervals(self) -> int:
         return len(self.t) - 1
+
+    @property
+    def weights(self) -> np.ndarray:
+        """Composite Simpson weights in t times the speed ||x'(t)||, so that
+        f @ weights is the line integral of per-node values f over ds."""
+        n = self.n_intervals
+        w = np.full(n + 1, 2.0)
+        w[1::2] = 4.0
+        w[0] = w[-1] = 1.0
+        return w * (1.0 / n) / 3.0 * self.speeds
 
     def reversed(self) -> "CurveSamples":
         """Samples of the same curve traversed in the opposite direction."""
@@ -242,16 +253,13 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
 
 
 def integrate_ds(samples: CurveSamples, f) -> float:
-    """Line integral of per-node values f over the curve, composite Simpson."""
+    """Line integral of per-node values f over the curve: f @ weights, the
+    composite Simpson rule."""
     f = np.asarray(f, dtype=float)
     if f.shape[0] != len(samples.t):
         raise DomainError(
             f"value array length {f.shape[0]} != node count {len(samples.t)}")
-    g = f * samples.speeds
-    n = samples.n_intervals
-    h = 1.0 / n
-    wsum = g[0] + g[-1] + 4.0 * np.sum(g[1:-1:2]) + 2.0 * np.sum(g[2:-2:2])
-    return float(wsum * h / 3.0)
+    return float(f @ samples.weights)
 
 
 def load_curve(source):

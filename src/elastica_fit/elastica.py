@@ -84,8 +84,8 @@ class BasicDerivatives(NamedTuple):
 def _zeta_blocks(s, k, with_kk):
     """zeta and its five derivative blocks at an array of arclengths s,
     packed as (n, 6, 2): value, d/ds, d2/ds2, d/dk, d2/dsdk, d2/dk2 (the
-    last left zero unless with_kk)."""
-    S, C, D, E = _jacobi_E_arr(s, k)
+    last left zero unless with_kk), and the (sn, cn, dn, E) they came from."""
+    S, C, D, E = jacobi_E = _jacobi_E_arr(s, k)
     kp2 = 1.0 - k * k
     out = np.zeros((len(s), 6, 2))
     out[:, 0, 0] = 2.0 * E - s
@@ -112,7 +112,7 @@ def _zeta_blocks(s, k, with_kk):
                                  - 2.0 * k * k * S * S + k * k))
         out[:, 5, 0] = (2.0 / (kp2 * kp2)) * (a0 + b0)
         out[:, 5, 1] = (2.0 / (kp2 * kp2)) * (a1 + b1)
-    return out
+    return out, jacobi_E
 
 
 def _rotate(phi, v):
@@ -131,21 +131,23 @@ def _segment_eval_arr(p, t):
     p is the 7-vector (k, s0, ell, w, phi, x0, y0); returns an (n, 2) array.
     """
     k, s0, ell, w, phi, x0, y0 = p
-    z = _zeta_blocks(s0 + ell * t, k, False)[:, 0]
+    z = _zeta_blocks(s0 + ell * t, k, False)[0][:, 0]
     return w * _rotate(phi, z) + (x0, y0)
 
 
 def _segment_partials_arr(p, t, with_second):
     """Segment points with first (and optionally second) parameter partials.
 
-    Returns (y, dy, d2y) with shapes (n, 2), (n, 7, 2), (n, 7, 7, 2); d2y
-    is all zero unless with_second; its k-k entry, which divides by k, is
-    left zero for k < K_MIN.
+    Returns (y, dy, d2y, jacobi_E) with y, dy, d2y of shapes (n, 2),
+    (n, 7, 2), (n, 7, 7, 2) and jacobi_E = (sn, cn, dn, E) at the
+    arclengths s0 + ell*t.  d2y is all zero unless with_second, and its k-k
+    entry, which divides by k, is left zero for k < K_MIN.
     """
     k, s0, ell, w, phi, x0, y0 = p
     n = len(t)
     # rotated blocks: rb = R_phi @ block, qb = R_{phi+pi/2} @ block
-    blocks = _zeta_blocks(s0 + ell * t, k, with_second and k >= K_MIN)
+    blocks, jacobi_E = _zeta_blocks(s0 + ell * t, k,
+                                    with_second and k >= K_MIN)
     rb = _rotate(phi, blocks)
     qb = np.stack([-rb[..., 1], rb[..., 0]], axis=-1)
     tc = t[:, None]
@@ -175,7 +177,7 @@ def _segment_partials_arr(p, t, with_second):
         d2y[:, 3, 4] = qb[:, 0]                 # w phi
         d2y[:, 4, 4] = -w * rb[:, 0]            # phi phi
         d2y[:, _UPPER[1], _UPPER[0]] = d2y[:, _UPPER[0], _UPPER[1]]
-    return y, dy, d2y
+    return y, dy, d2y, jacobi_E
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +198,7 @@ def basic_derivatives(s: float, k: float) -> BasicDerivatives:
     if k < K_MIN:
         raise DomainError(
             f"second k-derivative undefined for k < {K_MIN} (got {k})")
-    b = _zeta_blocks(np.array([float(s)]), k, True)[0]
+    b = _zeta_blocks(np.array([float(s)]), k, True)[0][0]
     return BasicDerivatives(ds=b[1], dss=b[2], dk=b[3], dsk=b[4], dkk=b[5])
 
 
@@ -255,7 +257,8 @@ def segment_partials(p: ElasticaParams, t: float, second: bool = True):
     parameters: arrays of shape (7, 2) and (7, 7, 2)."""
     if second and p.k < K_MIN:
         raise DomainError(f"second partials need k >= {K_MIN} (got {p.k})")
-    y, dy, d2y = _segment_partials_arr(p.as_array(), np.array([float(t)]), second)
+    _, dy, d2y, _ = _segment_partials_arr(p.as_array(), np.array([float(t)]),
+                                          second)
     if second:
         return dy[0], d2y[0]
     return dy[0], None

@@ -15,6 +15,12 @@ shift mu of a doubling sequence that fits the radius, in closed form from
 one eigendecomposition of A.  Each trial is restored onto the manifold
 before F is evaluated, so F alone judges it: free fits re-solve the
 similarity block, pinned fits run capped Gauss-Newton steps on c.
+
+c, J and the constraint Hessians come from one elliptic evaluation at the
+end nodes.  One SVD of J (_row_space) gives both the null-space basis of
+the model and the Gauss-Newton step -J^+ c, with the same rank cut.
+Every integral over the target is a dot product with its Simpson weights
+(CurveSamples.weights).
 """
 
 import math
@@ -26,11 +32,10 @@ from .curve import CurveSamples
 from .elastica import (
     K_MIN,
     ElasticaParams,
-    _rotate,
     _segment_eval_arr,
     _segment_partials_arr,
 )
-from .elliptic import K_GUARD_BAND, _jacobi_E_arr
+from .elliptic import K_GUARD_BAND
 from .errors import DomainError
 
 #: upper clamp for the modulus during optimization
@@ -79,14 +84,6 @@ class FitResult:
     message: str = ""
 
 
-def _simpson_weights(samples: CurveSamples) -> np.ndarray:
-    n = samples.n_intervals
-    w = np.full(n + 1, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return w * (1.0 / n) / 3.0 * samples.speeds
-
-
 def _tau(samples: CurveSamples) -> np.ndarray:
     return samples.s / samples.length
 
@@ -96,7 +93,7 @@ def objective(p: ElasticaParams, target: CurveSamples) -> float:
     y = _segment_eval_arr(p.as_array(), _tau(target))
     diff = y - target.points
     f = 0.5 * np.sum(diff * diff, axis=1)
-    return float(np.dot(f, _simpson_weights(target)))
+    return float(np.dot(f, target.weights))
 
 
 def residual_r4(p: ElasticaParams, target: CurveSamples) -> float:
@@ -109,9 +106,9 @@ def gradient_hessian(p: ElasticaParams, target: CurveSamples):
     """Analytic gradient (7,) and symmetric Hessian (7, 7) of the objective."""
     if p.k < K_MIN:
         raise DomainError(f"Hessian needs k >= {K_MIN}")
-    y, dy, d2y = _segment_partials_arr(p.as_array(), _tau(target), True)
+    y, dy, d2y, _ = _segment_partials_arr(p.as_array(), _tau(target), True)
     diff = y - target.points
-    wts = _simpson_weights(target)
+    wts = target.weights
     grad = np.einsum("nc,nic,n->i", diff, dy, wts)
     hess = (np.einsum("nic,njc,n->ij", dy, dy, wts)
             + np.einsum("nc,nijc,n->ij", diff, d2y, wts))
@@ -129,34 +126,14 @@ def _wrap_angle(a):
 _ENDS = np.array([0.0, 1.0])
 
 
-def _constraint_values(pvec, target: CurveSamples, mode: str):
-    """Equality constraints c(p) = 0, from one elliptic evaluation at the
-    end nodes t = 0, 1.
-
-    Position rows: y_p(t) - x(t).  Tangent rows: wrapped difference of
-    tangent angles, the angle of y_s = dy/ds0 being phi + 2 atan2(k sn, dn)
-    (ell > 0 assumed).
-    """
-    k, s0, ell, w, phi, x0, y0 = pvec
-    s = s0 + ell * _ENDS
-    S, C, D, E = _jacobi_E_arr(s, k)
-    z = np.stack([2.0 * E - s, 2.0 * k * (1.0 - C)], axis=-1)
-    c = (w * _rotate(phi, z) + (x0, y0) - target.points[[0, -1]]).ravel()
-    if mode == "endpoints+tangents":
-        ang = phi + 2.0 * np.arctan2(k * S, D)
-        c = np.concatenate([c, _wrap_angle(ang - target.theta[[0, -1]])])
-    return c
-
-
-def _angle_partials(s, k):
+def _angle_partials(s, k, S, C, D, E):
     """The basic elastica's tangent angle theta = 2 atan2(k sn, dn) at
     arclengths s, and its partials: (theta, theta_s, theta_ss, theta_k,
-    theta_sk, theta_kk).
+    theta_sk, theta_kk), from sn, cn, dn and E at s.
 
     The k-derivatives of sn, cn, dn and E at fixed s are those of Byrd &
     Friedman 710.00; theta_kk divides by k.
     """
-    S, C, D, E = _jacobi_E_arr(s, k)
     kp2 = 1.0 - k * k
     G = E - kp2 * s
     Q = S * D - C * G
@@ -172,22 +149,24 @@ def _angle_partials(s, k):
 
 def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
                                 with_hessians=False):
-    """c(p), its Jacobian (m, 7) and, if with_hessians, the Hessian of each
-    constraint (m, 7, 7), from one evaluation of each kind at t = 0, 1.
+    """The equality constraints c(p) = 0, their Jacobian (m, 7) and, if
+    with_hessians, the Hessian of each constraint (m, 7, 7), from one
+    elliptic evaluation at the end nodes t = 0, 1.
 
-    Position rows take their values and derivatives from the segment
-    partials.  A tangent row is phi + theta(s0 + ell*t, k), so its gradient
-    is (theta_k, theta_s, t*theta_s, 0, 1, 0, 0) and its Hessian lives in
-    the (k, s0, ell) block.  c equals _constraint_values bit for bit.
+    Position rows are y_p(t) - x(t), from the segment partials.  Tangent
+    rows are the wrapped difference of tangent angles, the angle of
+    y_s = dy/ds0 being phi + theta(s0 + ell*t, k) (ell > 0 assumed), so
+    their gradient is (theta_k, theta_s, t*theta_s, 0, 1, 0, 0) and their
+    Hessian lives in the (k, s0, ell) block.
     """
-    y, dy, d2y = _segment_partials_arr(pvec, _ENDS, with_hessians)
+    y, dy, d2y, jacobi_E = _segment_partials_arr(pvec, _ENDS, with_hessians)
     c = (y - target.points[[0, -1]]).ravel()
     jac = dy.transpose(0, 2, 1).reshape(4, 7)
     hess = d2y.transpose(0, 3, 1, 2).reshape(4, 7, 7)
     if mode == "endpoints+tangents":
         t = _ENDS
         th, th_s, th_ss, th_k, th_sk, th_kk = _angle_partials(
-            pvec[1] + pvec[2] * t, pvec[0])
+            pvec[1] + pvec[2] * t, pvec[0], *jacobi_E)
         c = np.concatenate(
             [c, _wrap_angle(pvec[4] + th - target.theta[[0, -1]])])
         grad = np.zeros((2, 7))
@@ -247,7 +226,7 @@ def _align_similarity(pvec, target: CurveSamples):
     base = pvec.copy()
     base[3:] = (1.0, 0.0, 0.0, 0.0)
     z = _segment_eval_arr(base, _tau(target))
-    wts = _simpson_weights(target)
+    wts = target.weights
     tot = float(np.sum(wts))
     if tot <= 0:
         return pvec
@@ -283,21 +262,22 @@ def _restore(q, target: CurveSamples, mode: str):
     """(q moved onto the fit's manifold, its constraint violation).
 
     Free: the similarity block re-solved in closed form.  Pinned:
-    Gauss-Newton on c over all seven parameters, each step -J^+ c capped at
-    length 0.5, until max|c| <= 1e-12 or for 20 steps."""
+    Gauss-Newton on c over all seven parameters, each step -J^+ c from
+    _row_space capped at length 0.5, until max|c| <= 1e-12 or for 20
+    steps."""
     L = target.length
     q = _project(q, L)
     if mode == "none":
         return _project(_align_similarity(q, target), L), 0.0
-    c = _constraint_values(q, target, mode)
+    c, J = _constraint_values_jacobian(q, target, mode)
     for _ in range(20):
         if np.max(np.abs(c)) <= 1e-12:
             break
-        _, J = _constraint_values_jacobian(q, target, mode)
-        d, *_ = np.linalg.lstsq(J, -c, rcond=None)
+        U, sv, Y, _ = _row_space(J)
+        d = -Y @ ((U.T @ c) / sv)
         size = np.linalg.norm(d)
         q = _project(q + (d if size <= 0.5 else d * (0.5 / size)), L)
-        c = _constraint_values(q, target, mode)
+        c, J = _constraint_values_jacobian(q, target, mode)
     return q, float(np.max(np.abs(c)))
 
 

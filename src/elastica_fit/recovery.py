@@ -66,26 +66,23 @@ def affine_curvature_fit(samples: CurveSamples) -> AffineCurvatureFit:
     y = samples.points[:, 1]
     kap = samples.kappa
     L = samples.length
-    one = np.ones_like(x)
 
     def I(f):
         return integrate_ds(samples, f)
 
     if np.any(kap):
-        A = np.array([
-            [I(y * y), -I(x * y), -I(y)],
-            [-I(x * y), I(x * x), I(x)],
-            [-I(y), I(x), I(one)],
-        ])
-        b = np.array([-I(y * kap), I(x * kap), I(kap)])
+        # normal equations M^T diag(w) M (lambda1, lambda2, alpha) =
+        # M^T diag(w) kappa for kappa = -lambda1 y + lambda2 x + alpha
+        M = np.stack([-y, x, np.ones_like(x)], axis=1)
+        Mw = M.T * samples.weights
         try:
-            lam1, lam2, alpha = np.linalg.solve(A, b)
+            lam1, lam2, alpha = np.linalg.solve(Mw @ M, Mw @ kap)
         except np.linalg.LinAlgError as exc:
             raise DegenerateInputError(
                 f"singular curvature moment system: {exc}")
     else:
-        # straight: kappa = 0 is fitted exactly, and A is singular when the
-        # points are collinear
+        # straight: kappa = 0 is fitted exactly, and the moment matrix is
+        # singular when the points are collinear
         lam1 = lam2 = alpha = 0.0
     lam = math.hypot(lam1, lam2)
 

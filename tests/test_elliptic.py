@@ -1,7 +1,8 @@
 """Tests for the elliptic-function layer.
 
 Oracles: an RK4 integration of the defining ODE system for (sn, cn, dn),
-adaptive quadrature for the integrals, and mpmath for spot values.
+adaptive quadrature for the integrals, mpmath for spot values, and
+scipy.special's Cephes routines on random draws.
 """
 
 import math
@@ -10,6 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ellipeinc, ellipj
 
 from elastica_fit.elliptic import (
     K_GUARD_BAND,
@@ -287,3 +289,20 @@ def test_mpmath_cross_check():
                 want = _jacobi_E(u, k)
                 assert tuple(got[:3]) == pytest.approx(want[:3], abs=1e-14)
                 assert got[3] == pytest.approx(want[3], rel=1e-13, abs=0)
+
+
+def test_scipy_random_draws():
+    """jacobi against ellipj(u, k^2), and incomplete_E against
+    ellipeinc(am(u), k^2) with ellipj's amplitude, for k in [0, 0.999)
+    and log-uniform |u| in [1e-3, 1e3] of either sign."""
+    rng = np.random.default_rng(43)
+    n = 2000
+    k = rng.uniform(0.0, 0.999, n)
+    u = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    sn, cn, dn, phi = ellipj(u, k * k)
+    e_ref = ellipeinc(phi, k * k)
+    got = np.array([jacobi(a, b) for a, b in zip(u, k)])
+    e = np.array([incomplete_E(a, b) for a, b in zip(u, k)])
+    err = np.abs(got - np.stack([sn, cn, dn], axis=1)).max(axis=1)
+    assert np.all(err <= 1e-13 * (1.0 + np.abs(u)))
+    assert np.all(np.abs(e - e_ref) <= 1e-13 * np.abs(e_ref))

@@ -8,16 +8,16 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from elastica_fit import fitting
+from elastica_fit import elastica, fitting
 from elastica_fit.curve import BezierChain, load_curve, sample
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
+from elastica_fit.elliptic import _jacobi_E_arr
 from elastica_fit.errors import DomainError
 from elastica_fit.fitting import (
     FitProblem,
     FitResult,
     _align_similarity,
     _angle_partials,
-    _constraint_values,
     _constraint_values_jacobian,
     _reduced_model,
     _row_space,
@@ -132,7 +132,6 @@ class TestConstraintJacobian:
         c, J, H = _constraint_values_jacobian(pvec, tgt, mode, True)
         assert H.shape == (len(c), 7, 7)
         assert np.array_equal(H, np.swapaxes(H, 1, 2))
-        assert np.array_equal(_constraint_values(pvec, tgt, mode), c)
         assert np.array_equal(_constraint_values_jacobian(pvec, tgt, mode)[1], J)
         h = 1e-6
         for i in range(7):
@@ -142,12 +141,29 @@ class TestConstraintJacobian:
             _, Jm = _constraint_values_jacobian(pvec - e, tgt, mode)
             assert H[:, :, i] == pytest.approx((Jp - Jm) / (2 * h), abs=1e-7)
 
+    def test_one_elliptic_evaluation(self, monkeypatch):
+        """Position and tangent rows, with their Hessians, share one
+        evaluation of sn, cn, dn and E at the end nodes."""
+        tgt = elastica_target(BASE, 64)
+        calls = []
+
+        def counted(s, k):
+            calls.append(len(s))
+            return _jacobi_E_arr(s, k)
+
+        for mod in (fitting, elastica):
+            monkeypatch.setattr(mod, "_jacobi_E_arr", counted, raising=False)
+        _constraint_values_jacobian(BASE.as_array(), tgt,
+                                    "endpoints+tangents", True)
+        assert calls == [2]
+
     @pytest.mark.parametrize("k", [0.3, 0.9, 1.2, 3.0])
     def test_angle_partials_mpmath(self, k):
         """theta_k, theta_sk and theta_kk against mpmath derivatives of
         2 atan2(k sn, dn)."""
         s = np.array([-0.7, 0.0, 0.4, 1.3, 2.9])
-        _, _, _, th_k, th_sk, th_kk = _angle_partials(s, k)
+        _, _, _, th_k, th_sk, th_kk = _angle_partials(
+            s, k, *_jacobi_E_arr(s, k))
 
         def theta(u, kk):
             sn, dn = (mp.re(mp.ellipfun(f, u, m=kk * kk)) for f in ("sn", "dn"))
