@@ -3,8 +3,10 @@
 Provides point/derivative evaluation on a common [0, 1] parameter domain,
 uniform sampling with arclength, tangent angle and curvature, composite
 Simpson line integrals, and parameter-interval trimming (used by the
-recursive segmentation).  Every line integral over the samples is a dot
-product with one weight vector, CurveSamples.weights.
+recursive segmentation).  Sampling calls a curve at one scalar t at a
+time and derives everything else with array expressions.  Every line
+integral over the samples is a dot product with one weight vector,
+CurveSamples.weights.
 
 Curve JSON schema (consumed by the CLI):
     {"bezier": [[[x,y],[x,y],[x,y],[x,y]], ...]}   cubic pieces, or
@@ -14,6 +16,7 @@ Curve JSON schema (consumed by the CLI):
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -187,30 +190,26 @@ class Polyline:
         return Polyline(pts[keep])
 
 
-def _circumcircle_curvature(a, b, c):
-    """Signed curvature of the circle through three points (0 if collinear)."""
-    ab = b - a
-    bc = c - b
-    ac = c - a
-    cross = ab[0] * bc[1] - ab[1] * bc[0]
-    denom = np.linalg.norm(ab) * np.linalg.norm(bc) * np.linalg.norm(ac)
-    if denom == 0:
-        return 0.0
-    return 2.0 * cross / denom
+def _evaluate(f, t):
+    """(len(t), 2) array of the scalar protocol call f at every t."""
+    return np.fromiter((f(ti) for ti in t), dtype=(float, 2), count=len(t))
 
 
 def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
     """Discretize a curve at n uniform parameter intervals (n rounded up to
-    even, n >= 16), computing arclength, tangent angle and curvature."""
+    even, n >= 16), computing arclength, tangent angle and curvature.
+
+    The curve is called at scalar t only.  A Polyline gets chord arclength
+    and circumcircle curvature, any other curve 3-point Gauss-Legendre
+    arclength."""
     if n < 16:
         raise DomainError(f"need at least 16 sample intervals, got {n}")
     if n % 2:
         n += 1
     t = np.linspace(0.0, 1.0, n + 1)
-    pts = np.array([curve.point(ti) for ti in t])
+    pts = _evaluate(curve.point, t)
 
     if isinstance(curve, Polyline):
-        # chord-based quantities; curvature from the three-point circumcircle
         chords = np.diff(pts, axis=0)
         seglen = np.linalg.norm(chords, axis=1)
         s = np.concatenate([[0.0], np.cumsum(seglen)])
@@ -219,30 +218,31 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
         d[0] = chords[0] * n
         d[-1] = chords[-1] * n
         speeds = np.linalg.norm(d, axis=1)
+        # circumcircle through (a, b, c): 2 (ab x bc) / (|ab| |bc| |ac|),
+        # and 0 where two of the nodes coincide
+        ab, bc = chords[:-1], chords[1:]
+        cross = ab[:, 0] * bc[:, 1] - ab[:, 1] * bc[:, 0]
+        denom = (seglen[:-1] * seglen[1:]
+                 * np.linalg.norm(pts[2:] - pts[:-2], axis=1))
         kap = np.zeros(n + 1)
-        for i in range(1, n):
-            kap[i] = _circumcircle_curvature(pts[i - 1], pts[i], pts[i + 1])
+        np.divide(2.0 * cross, denom, out=kap[1:-1], where=denom != 0)
         kap[0] = kap[1]
         kap[-1] = kap[-2]
     else:
-        d = np.array([curve.derivative(ti) for ti in t])
-        dd = np.array([curve.second_derivative(ti) for ti in t])
+        d = _evaluate(curve.derivative, t)
+        dd = _evaluate(curve.second_derivative, t)
         speeds = np.linalg.norm(d, axis=1)
         if np.any(speeds == 0):
             raise DegenerateInputError("curve has a stationary point (cusp)")
         kap = (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]) / speeds ** 3
         # cumulative arclength by 3-point Gauss-Legendre per interval
         g = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
-        wgt = np.array([5.0, 8.0, 5.0]) / 18.0
-        seg = np.empty(n)
+        w0, w1, w2 = np.array([5.0, 8.0, 5.0]) / 18.0
         h = 1.0 / n
-        for i in range(n):
-            mid = t[i] + 0.5 * h
-            acc = 0.0
-            for gj, wj in zip(g, wgt):
-                dv = curve.derivative(mid + 0.5 * h * gj)
-                acc += wj * math.hypot(dv[0], dv[1])
-            seg[i] = acc * h
+        tq = (t[:-1] + 0.5 * h)[:, None] + 0.5 * h * g
+        dq = _evaluate(curve.derivative, tq.ravel())
+        sp = np.hypot(dq[:, 0], dq[:, 1]).reshape(n, 3)
+        seg = (w0 * sp[:, 0] + w1 * sp[:, 1] + w2 * sp[:, 2]) * h
         s = np.concatenate([[0.0], np.cumsum(seg)])
 
     if s[-1] <= 0:
@@ -268,7 +268,7 @@ def load_curve(source):
         doc = source
     else:
         text = source if str(source).lstrip().startswith("{") else \
-            open(source, encoding="utf-8").read()
+            Path(source).read_text(encoding="utf-8")
         doc = json.loads(text)
     if "bezier" in doc:
         return BezierChain(doc["bezier"])

@@ -131,7 +131,9 @@ def _segment_eval_arr(p, t):
     p is the 7-vector (k, s0, ell, w, phi, x0, y0); returns an (n, 2) array.
     """
     k, s0, ell, w, phi, x0, y0 = p
-    z = _zeta_blocks(s0 + ell * t, k, False)[0][:, 0]
+    s = s0 + ell * t
+    _, C, _, E = _jacobi_E_arr(s, k)
+    z = np.stack([2.0 * E - s, 2.0 * k * (1.0 - C)], axis=-1)
     return w * _rotate(phi, z) + (x0, y0)
 
 

@@ -133,23 +133,18 @@ def classify_and_modulus(fit: AffineCurvatureFit):
 def _monotone_runs(u):
     """Maximal monotone runs of the sampled u-values, as a list of
     (start_index, end_index, increasing) with end inclusive."""
-    du = np.diff(u)
-    signs = np.sign(du)
-    # zero differences inherit the previous direction
-    for i in range(1, len(signs)):
-        if signs[i] == 0:
-            signs[i] = signs[i - 1]
-    for i in range(len(signs) - 2, -1, -1):
-        if signs[i] == 0:
-            signs[i] = signs[i + 1]
-    runs = []
-    start = 0
-    for i in range(1, len(signs)):
-        if signs[i] != signs[i - 1]:
-            runs.append((start, i, signs[i - 1] > 0))
-            start = i
-    runs.append((start, len(u) - 1, signs[-1] > 0))
-    return runs
+    signs = np.sign(np.diff(u))
+    nonzero = np.flatnonzero(signs)
+    if nonzero.size:
+        # zero differences take the last nonzero direction before them,
+        # leading ones the first nonzero direction
+        fill = np.where(signs != 0, np.arange(len(signs)), nonzero[0])
+        signs = signs[np.maximum.accumulate(fill)]
+    cuts = np.flatnonzero(signs[1:] != signs[:-1]) + 1
+    starts = np.concatenate([[0], cuts])
+    ends = np.append(cuts, len(u) - 1)
+    return list(zip(starts.tolist(), ends.tolist(),
+                    (signs[starts] > 0).tolist()))
 
 
 def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
@@ -169,14 +164,11 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
         delta_plus = math.sqrt(max(alpha ** 2 - 2 * lam * (beta + 1.0), 0.0))
         u_min = (-alpha + delta_plus) / lam
 
-    # direction of u at the start: first sample with a significant du/ds
+    # direction of u at the start: first sample with a significant du/ds,
+    # tie broken toward decreasing
     dus = fit.cos_theta_u
-    thresh = 1e-6 * float(np.max(np.abs(dus))) if np.max(np.abs(dus)) > 0 else 0.0
-    increasing = False  # tie broken toward decreasing
-    for v in dus:
-        if abs(v) > thresh:
-            increasing = v > 0
-            break
+    significant = np.flatnonzero(np.abs(dus) > 1e-6 * np.max(np.abs(dus)))
+    increasing = bool(significant.size) and bool(dus[significant[0]] > 0)
 
     # oscillation counting with the minimal-height rule; the first and last
     # runs contain the curve endpoints and are genuinely partial, so the
@@ -195,42 +187,31 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
     R3 = integrate_ds(samples, outside.astype(float)) / L
     clamped_fraction = float(np.mean(outside))
 
-    du0 = u_max - u[0]
-    du1 = u_max - u[-1]
+    # amplitude of a drop du below u_max, on a half-period P of the
+    # amplitude; non-inflectional curves run on the reciprocal modulus
     if inflectional:
-        def cn_of(du):
-            return min(max(1.0 - du / (2 * k * w), -1.0), 1.0)
+        P, k_am, scale = math.pi, k, 1.0
 
-        a0 = math.acos(cn_of(du0))
-        a1 = math.acos(cn_of(du1))
-        if not increasing:
-            am0 = a0
-            am1 = (n - 1) * math.pi + a1 if n % 2 else n * math.pi - a1
-        else:
-            am0 = 2 * math.pi - a0
-            am1 = (n + 1) * math.pi - a1 if n % 2 else n * math.pi + a1
-        s0 = incomplete_F(am0, k)
-        s1 = incomplete_F(am1, k)
+        def amplitude(du):
+            return math.acos(min(max(1.0 - du / (2 * k * w), -1.0), 1.0))
     else:
+        P, k_am, scale = math.pi / 2, 1.0 / k, k
         cn_floor = math.sqrt(max(1.0 - 1.0 / k ** 2, 0.0))
 
-        def arg_of(du):
+        def amplitude(du):
             du = min(max(du, 0.0), 2 * k * w * (1.0 - cn_floor))
-            return min(math.sqrt(max(du / w * (k - du / (4 * w)), 0.0)), 1.0)
-
-        a0 = math.asin(arg_of(du0))
-        a1 = math.asin(arg_of(du1))
-        if not increasing:
-            am0 = a0
-            am1 = ((n - 1) / 2.0) * math.pi + a1 if n % 2 \
-                else (n / 2.0) * math.pi - a1
-        else:
-            am0 = math.pi - a0
-            am1 = ((n + 1) / 2.0) * math.pi - a1 if n % 2 \
-                else (n / 2.0) * math.pi + a1
-        ki = 1.0 / k
-        s0 = incomplete_F(am0, ki) / k
-        s1 = incomplete_F(am1, ki) / k
+            return math.asin(
+                min(math.sqrt(max(du / w * (k - du / (4 * w)), 0.0)), 1.0))
+    a0 = amplitude(u_max - u[0])
+    a1 = amplitude(u_max - u[-1])
+    if not increasing:
+        am0 = a0
+        am1 = (n - 1) * P + a1 if n % 2 else n * P - a1
+    else:
+        am0 = 2 * P - a0
+        am1 = (n + 1) * P - a1 if n % 2 else n * P + a1
+    s0 = incomplete_F(am0, k_am) / scale
+    s1 = incomplete_F(am1, k_am) / scale
     ell = s1 - s0
     if ell <= 0:
         # clamping collapsed the interval; fall back to the arclength extent

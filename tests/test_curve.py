@@ -1,6 +1,7 @@
 """Tests for curve sampling and line integrals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,52 @@ def test_polyline_circle_curvature():
     poly = Polyline(np.column_stack([r * np.cos(ang), r * np.sin(ang)]))
     smp = sample(poly, 128)
     assert np.max(np.abs(smp.kappa - 1 / r)) < 1e-10
+
+
+def _circumcircle_loop(pts):
+    """Polyline curvature node by node: the loop that sample's circumcircle
+    expression replaced, kept as its reference."""
+    def circumcircle_curvature(a, b, c):
+        ab = b - a
+        bc = c - b
+        ac = c - a
+        cross = ab[0] * bc[1] - ab[1] * bc[0]
+        denom = np.linalg.norm(ab) * np.linalg.norm(bc) * np.linalg.norm(ac)
+        if denom == 0:
+            return 0.0
+        return 2.0 * cross / denom
+
+    n = len(pts) - 1
+    kap = np.zeros(n + 1)
+    for i in range(1, n):
+        kap[i] = circumcircle_curvature(pts[i - 1], pts[i], pts[i + 1])
+    kap[0] = kap[1]
+    kap[-1] = kap[-2]
+    return kap
+
+
+@pytest.mark.parametrize("verts, n", [
+    (np.random.default_rng(3).normal(size=(9, 2)), 64),
+    (np.random.default_rng(4).normal(size=(17, 2)), 16),
+    (np.random.default_rng(5).uniform(-1e3, 1e3, size=(40, 2)), 200),
+    ([[0, 0], [1, 0.5], [3, 1.5], [4, 2]], 32),
+    ([[0, 0], [1, 0], [1, 0], [2, 1], [2, 1], [3, 0]], 30),
+], ids=["random", "random_vertex_nodes", "random_large", "collinear",
+        "repeated_vertex"])
+def test_polyline_curvature_matches_loop(verts, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        smp = sample(Polyline(verts), n)
+    np.testing.assert_allclose(smp.kappa, _circumcircle_loop(smp.points),
+                               rtol=1e-14, atol=0.0)
+
+
+def test_polyline_degenerate_curvature_is_zero():
+    smp = sample(Polyline([[0, 0], [1, 0.5], [3, 1.5], [4, 2]]), 32)
+    assert np.all(np.abs(smp.kappa) < 1e-12)
+    # nodes 10..20 sit on the repeated vertex: a zero chord on either side
+    smp = sample(Polyline([[0, 0], [1, 0], [1, 0], [2, 1]]), 30)
+    assert np.all(smp.kappa[10:21] == 0.0)
 
 
 def test_trim_bezier_exact():

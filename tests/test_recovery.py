@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastica_fit.curve import BezierChain, Polyline, integrate_ds, sample
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
 from elastica_fit.elliptic import quarter_period
 from elastica_fit.recovery import (
+    _monotone_runs,
     affine_curvature_fit,
     classify_and_modulus,
     initial_guess,
@@ -239,3 +242,104 @@ class TestInitialGuess:
         for p in ROUNDTRIP_CASES:
             rep = initial_guess(elastica_samples(p, 1024))
             assert (rep.R3 == 0.0) == (rep.clamped_fraction == 0.0)
+
+
+def _monotone_runs_loop(u):
+    """The element-by-element loop that _monotone_runs replaced, kept as its
+    reference."""
+    du = np.diff(u)
+    signs = np.sign(du)
+    # zero differences inherit the previous direction
+    for i in range(1, len(signs)):
+        if signs[i] == 0:
+            signs[i] = signs[i - 1]
+    for i in range(len(signs) - 2, -1, -1):
+        if signs[i] == 0:
+            signs[i] = signs[i + 1]
+    runs = []
+    start = 0
+    for i in range(1, len(signs)):
+        if signs[i] != signs[i - 1]:
+            runs.append((start, i, signs[i - 1] > 0))
+            start = i
+    runs.append((start, len(u) - 1, signs[-1] > 0))
+    return runs
+
+
+def _walk(seed, n, step_set):
+    return np.cumsum(np.random.default_rng(seed).choice(step_set, size=n))
+
+
+MONOTONE_RUN_INPUTS = {
+    "walk": _walk(1, 200, [-1.0, 1.0]),
+    "walk_long_runs": np.cumsum(
+        np.repeat(np.random.default_rng(2).choice([-1.0, 1.0], 30), 7)),
+    "plateaus": _walk(3, 300, [-1.0, 0.0, 0.0, 1.0]),
+    "float_walk": np.round(np.random.default_rng(4).normal(size=500)
+                           .cumsum(), 1),
+    "leading_zeros": np.array([2.0, 2.0, 2.0, 3.0, 4.0, 1.0, 0.0]),
+    "leading_zeros_down": np.array([2.0, 2.0, 1.0, 1.0, 3.0]),
+    "trailing_zeros": np.array([0.0, 1.0, 0.5, 0.2, 0.2, 0.2]),
+    "inner_plateau_turn": np.array([0.0, 1.0, 1.0, 1.0, 0.0, 0.0, 2.0]),
+    "all_equal": np.full(9, 1.5),
+    "length2_up": np.array([0.0, 1.0]),
+    "length2_down": np.array([1.0, 0.0]),
+    "length2_equal": np.array([1.0, 1.0]),
+    "sine": np.sin(np.linspace(0.0, 7.0 * math.pi, 1025)),
+}
+
+
+@pytest.mark.parametrize("name", MONOTONE_RUN_INPUTS)
+def test_monotone_runs_match_loop(name):
+    u = MONOTONE_RUN_INPUTS[name]
+    assert _monotone_runs(u) == _monotone_runs_loop(u)
+
+
+def _drawn_elastica(i, k_frac, f0, f1, w, phi, x0, y0):
+    """Elastica as drawn by acceptance criterion 4: k below 1 for even i and
+    above 1 for odd i, 1 + i % 4 monotone runs of u."""
+    k = 0.2 + 0.75 * k_frac if i % 2 == 0 else 1.05 + 0.85 * k_frac
+    half = 2.0 * quarter_period(k)
+    ell = (i % 4 + f1 - f0) * half
+    if ell < 0.1 * half:
+        ell += half
+    return ElasticaParams(k=k, s0=(i % 2 + f0) * half, ell=ell, w=w,
+                          phi=phi, x0=x0, y0=y0)
+
+
+_unit = st.floats(0.0, 1.0)
+_frac = st.floats(0.05, 0.95)
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(i=st.integers(0, 3), k_frac=_unit, f0=_frac, f1=_frac,
+       w=st.floats(0.5, 2.0), phi=st.floats(-math.pi, math.pi),
+       x0=st.floats(-2.0, 2.0), y0=st.floats(-2.0, 2.0),
+       rho=st.floats(-math.pi, math.pi), log_c=st.floats(-0.7, 0.7),
+       vx=st.floats(-3.0, 3.0), vy=st.floats(-3.0, 3.0))
+def test_initial_guess_similarity_equivariance(i, k_frac, f0, f1, w, phi, x0,
+                                               y0, rho, log_c, vx, vy):
+    """initial_guess commutes with translation, rotation and scaling: the
+    posed elastica (c w, phi + rho, c R (x0, y0) + v) gets the posed guess."""
+    p = _drawn_elastica(i, k_frac, f0, f1, w, phi, x0, y0)
+    c = math.exp(log_c)
+    R = np.array([[math.cos(rho), -math.sin(rho)],
+                  [math.sin(rho), math.cos(rho)]])
+    xy = c * R @ np.array([x0, y0]) + (vx, vy)
+    posed = dataclasses.replace(p, w=c * w, phi=phi + rho,
+                                x0=float(xy[0]), y0=float(xy[1]))
+    base = initial_guess(sample(ElasticaCurve(p), 512))
+    rep = initial_guess(sample(ElasticaCurve(posed), 512))
+    assert rep.degenerate is base.degenerate is None
+    assert (rep.inflectional, rep.n_segments, rep.reversed_input) == \
+        (base.inflectional, base.n_segments, base.reversed_input)
+    q0, q1 = base.params, rep.params
+    assert q1.k == pytest.approx(q0.k, abs=1e-6)
+    assert q1.s0 == pytest.approx(q0.s0, abs=1e-6)
+    assert q1.ell == pytest.approx(q0.ell, abs=1e-6)
+    assert q1.w == pytest.approx(c * q0.w, abs=1e-6)
+    dphi = (q1.phi - q0.phi - rho + math.pi) % (2 * math.pi) - math.pi
+    assert abs(dphi) < 1e-6
+    want = c * R @ np.array([q0.x0, q0.y0]) + (vx, vy)
+    assert q1.x0 == pytest.approx(want[0], abs=1e-6)
+    assert q1.y0 == pytest.approx(want[1], abs=1e-6)
