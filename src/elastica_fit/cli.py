@@ -1,8 +1,11 @@
 """Command line front end.
 
 Reads a curve JSON file, runs the guess / fit / piecewise pipeline, writes a
-JSON report (stdout or --out) and an optional SVG overlay of the target,
-initial guess, and optimized curves.
+JSON report (stdout or --out) and, under --svg only, an SVG overlay of the
+target, initial guess, and optimized curves.  Guess mode stops after the
+initial guess; fit mode is fit_piecewise on one piece (depth 0, any R4), and
+reports that piece's record; piecewise mode reports every leaf's record with
+the breakpoints and join gaps.
 
 Exit codes: 0 success, 2 parse error, 3 degenerate input, 4 unconverged fit
 (the report is still written).
@@ -10,6 +13,7 @@ Exit codes: 0 success, 2 parse error, 3 degenerate input, 4 unconverged fit
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -17,9 +21,9 @@ import numpy as np
 from .curve import DEFAULT_SAMPLES, load_curve, sample
 from .elastica import K_MIN, PARAM_NAMES, segment_eval_many
 from .errors import DegenerateInputError, DomainError
-from .fitting import FitResult, gradient_hessian, residual_r4
+from .fitting import FitResult, gradient_hessian
 from .recovery import initial_guess
-from .segmentation import _fit_piece, fit_piecewise
+from .segmentation import fit_piecewise
 from .svg import write_svg
 
 EXIT_OK = 0
@@ -95,20 +99,32 @@ def run(config: argparse.Namespace) -> int:
         return EXIT_PARSE
 
     status = EXIT_OK
-    layers = []
     try:
-        if config.mode == "piecewise":
+        if config.mode == "guess":
+            smp = sample(curve, config.samples)
+            rep = initial_guess(smp)
+            target = smp.reversed() if rep.reversed_input else smp
+            report = _segment_record(rep, _guess_result(rep, target), rep.R4)
+            if config.svg:
+                layers = [(target.points, "target"),
+                          (_elastica_polyline(rep.params), "guess")]
+        else:
+            # fit mode is piecewise mode on one piece that meets any R4
+            single = config.mode == "fit"
+            constraints = ("endpoints+tangents" if config.tangents
+                           else "endpoints" if config.endpoints or not single
+                           else "none")
             pw = fit_piecewise(
-                curve, r4_threshold=config.r4_threshold,
-                max_depth=config.max_depth,
-                constraints="endpoints+tangents" if config.tangents
-                else "endpoints",
-                n_samples=config.samples, max_iter=config.max_iter)
-            report = {
+                curve,
+                r4_threshold=math.inf if single else config.r4_threshold,
+                max_depth=0 if single else config.max_depth,
+                constraints=constraints, n_samples=config.samples,
+                max_iter=config.max_iter)
+            records = [_segment_record(rep, res, r4) for rep, res, r4
+                       in zip(pw.guesses, pw.segments, pw.r4)]
+            report = records[0] if single else {
                 "breakpoints": list(pw.breakpoints),
-                "segments": [
-                    _segment_record(rep, res, r4)
-                    for rep, res, r4 in zip(pw.guesses, pw.segments, pw.r4)],
+                "segments": records,
                 "join_continuity": [
                     {"position_gap": j.position_gap,
                      "tangent_gap": j.tangent_gap}
@@ -117,29 +133,11 @@ def run(config: argparse.Namespace) -> int:
             }
             if not all(res.converged for res in pw.segments):
                 status = EXIT_UNCONVERGED
-            layers.append((sample(curve, config.samples).points, "target"))
-            for rep, res in zip(pw.guesses, pw.segments):
-                layers.append((_elastica_polyline(rep.params), "guess"))
-                layers.append((_elastica_polyline(res.params), "fit"))
-        elif config.mode == "fit":
-            constraints = ("endpoints+tangents" if config.tangents
-                           else "endpoints" if config.endpoints else "none")
-            rep, res, target = _fit_piece(sample(curve, config.samples),
-                                          constraints, config.max_iter)
-            report = _segment_record(rep, res,
-                                     residual_r4(res.params, target))
-            if not res.converged:
-                status = EXIT_UNCONVERGED
-            layers = [(target.points, "target"),
-                      (_elastica_polyline(rep.params), "guess"),
-                      (_elastica_polyline(res.params), "fit")]
-        else:
-            smp = sample(curve, config.samples)
-            rep = initial_guess(smp)
-            target = smp.reversed() if rep.reversed_input else smp
-            report = _segment_record(rep, _guess_result(rep, target), rep.R4)
-            layers = [(target.points, "target"),
-                      (_elastica_polyline(rep.params), "guess")]
+            if config.svg:
+                layers = [(sample(curve, config.samples).points, "target")]
+                for rep, res in zip(pw.guesses, pw.segments):
+                    layers.append((_elastica_polyline(rep.params), "guess"))
+                    layers.append((_elastica_polyline(res.params), "fit"))
     except DegenerateInputError as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import _check_modulus, _jacobi_E, _jacobi_E_arr
+from .elliptic import K_GUARD_BAND, _check_modulus, _jacobi_E, _jacobi_E_arr
 from .errors import DomainError
 
 #: parameter order used for gradient / Hessian indexing
@@ -28,6 +28,19 @@ PARAM_NAMES = ("k", "s0", "ell", "w", "phi", "x0", "y0")
 
 #: smallest modulus for which the second k-derivative is evaluated
 K_MIN = 1e-6
+
+#: upper clamp for the modulus during optimization
+K_MAX = 10.0
+
+
+def _chart_modulus(k, above_one, k_max=K_MAX):
+    """k moved into its side of 1: [K_MIN, 1 - 2 g] below, [1 + 2 g, k_max]
+    above, with g = K_GUARD_BAND the singular band.  A NaN k is returned
+    unchanged."""
+    if above_one:
+        return max(min(k, k_max), 1.0 + 2 * K_GUARD_BAND)
+    return max(min(k, 1.0 - 2 * K_GUARD_BAND), K_MIN)
+
 
 #: strict upper triangle of the 7 x 7 parameter Hessian
 _UPPER = np.triu_indices(7, 1)

@@ -32,14 +32,11 @@ from .curve import CurveSamples
 from .elastica import (
     K_MIN,
     ElasticaParams,
+    _chart_modulus,
     _segment_eval_arr,
     _segment_partials_arr,
 )
-from .elliptic import K_GUARD_BAND
 from .errors import DomainError
-
-#: upper clamp for the modulus during optimization
-K_MAX = 10.0
 
 CONSTRAINT_MODES = ("none", "endpoints", "endpoints+tangents")
 
@@ -193,14 +190,7 @@ def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
 
 def _project(pvec, L):
     q = pvec.copy()
-    k = q[0]
-    if k < K_MIN:
-        k = K_MIN
-    elif K_MIN <= k <= 1.0:
-        k = min(k, 1.0 - 2 * K_GUARD_BAND)
-    elif 1.0 < k:
-        k = max(min(k, K_MAX), 1.0 + 2 * K_GUARD_BAND)
-    q[0] = k
+    q[0] = _chart_modulus(q[0], q[0] > 1.0)
     q[3] = max(q[3], 1e-9 * L)
     return q
 

@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from .curve import CurveSamples, integrate_ds
-from .elastica import K_MIN, ElasticaParams, segment_eval_many
-from .elliptic import K_GUARD_BAND, incomplete_F, quarter_period
+from .elastica import ElasticaParams, _chart_modulus, segment_eval_many
+from .elliptic import incomplete_F, quarter_period
 from .errors import DegenerateInputError
 from .fitting import residual_r4
 
@@ -121,13 +121,9 @@ def classify_and_modulus(fit: AffineCurvatureFit):
     inflectional = min_p >= -1.0
     delta_minus_sq = max(alpha ** 2 - 2 * lam * (beta - 1.0), 0.0)
     k = math.sqrt(delta_minus_sq) / (2 * math.sqrt(lam))
-    # keep the classification and the modulus consistent, outside the guard
-    # band and above the k = 0 chart boundary
-    if inflectional:
-        k = min(k, 1.0 - 2 * K_GUARD_BAND)
-    else:
-        k = max(k, 1.0 + 2 * K_GUARD_BAND)
-    return inflectional, max(k, K_MIN)
+    # keep the modulus on the classification's side of 1; no K_MAX cap, so
+    # that an exact elastica of larger modulus is still recovered exactly
+    return inflectional, _chart_modulus(k, not inflectional, math.inf)
 
 
 def _monotone_runs(u):

@@ -1,9 +1,13 @@
 """Recursive split-and-fit driver producing piecewise elastica.
 
-A piece that fits its sub-curve with R4 at or below the threshold becomes a
-leaf; otherwise it is split at its arclength midpoint and both halves are
-processed, up to max_depth.  Joins are made continuous by fitting every piece
-with endpoint constraints (and end-tangent constraints when requested); the
+This is the one path from a curve to fitted pieces; the CLI's fit mode is
+the depth-0 case.  Each piece is sampled, gets an initial guess and is fitted
+(a degenerate guess is kept as its own fit).  A piece whose R4 is at or below
+the threshold becomes a leaf; otherwise it is split at the arclength midpoint
+of its samples, mapped linearly back to the curve's parameter, and both
+halves are processed, up to max_depth.  The recursion returns its leaves in
+curve order.  Joins are made continuous by fitting every piece with endpoint
+constraints (the default; end-tangent constraints too when requested); the
 join tangent direction comes from the target curve at the breakpoint, so the
 pieces decouple.
 """
@@ -57,22 +61,6 @@ class PiecewiseFit:
         return max(self.r4)
 
 
-def _fit_piece(smp, constraints, max_iter):
-    """Recover a guess and optimize one sampled sub-curve; handles the
-    degenerate and reversed-input paths."""
-    rep = initial_guess(smp)
-    target = smp.reversed() if rep.reversed_input else smp
-    if rep.degenerate is not None:
-        res = FitResult(params=rep.params,
-                        objective=objective(rep.params, target),
-                        grad_norm=0.0, iterations=0, converged=True,
-                        message=f"degenerate {rep.degenerate}")
-        return rep, res, target
-    problem = FitProblem(target=target, init=rep.params,
-                         constraints=constraints, max_iter=max_iter)
-    return rep, fit(problem), target
-
-
 def _arclength_midpoint(smp, t0, t1):
     """Global parameter at which the sampled piece's arclength is halved."""
     t_loc = float(np.interp(0.5 * smp.length, smp.s, smp.t))
@@ -103,32 +91,28 @@ def fit_piecewise(curve, r4_threshold: float, max_depth: int,
     if max_depth < 0:
         raise DomainError("max_depth must be nonnegative")
 
-    breakpoints = [0.0, 1.0]
-    leaves = {}
-
     def process(t0, t1, depth):
+        """The leaves of [t0, t1] in order, each as (t0, guess, fit, r4)."""
         piece = curve.trimmed(t0, t1) if (t0, t1) != (0.0, 1.0) else curve
         smp = sample(piece, n_samples)
-        rep, res, target = _fit_piece(smp, constraints, max_iter)
+        rep = initial_guess(smp)
+        target = smp.reversed() if rep.reversed_input else smp
+        if rep.degenerate is not None:
+            res = FitResult(params=rep.params,
+                            objective=objective(rep.params, target),
+                            grad_norm=0.0, iterations=0, converged=True,
+                            message=f"degenerate {rep.degenerate}")
+        else:
+            res = fit(FitProblem(target=target, init=rep.params,
+                                 constraints=constraints, max_iter=max_iter))
         r4 = residual_r4(res.params, target)
         if r4 <= r4_threshold or depth >= max_depth:
-            leaves[t0] = (t1, rep, res, r4)
-            return
+            return [(t0, rep, res, r4)]
         tm = _arclength_midpoint(smp, t0, t1)
-        breakpoints.append(tm)
-        process(t0, tm, depth + 1)
-        process(tm, t1, depth + 1)
+        return process(t0, tm, depth + 1) + process(tm, t1, depth + 1)
 
-    process(0.0, 1.0, 0)
-    breakpoints.sort()
-
-    segments, guesses, r4s, rev = [], [], [], []
-    for t0 in breakpoints[:-1]:
-        _, rep, res, r4 = leaves[t0]
-        segments.append(res)
-        guesses.append(rep)
-        r4s.append(r4)
-        rev.append(rep.reversed_input)
+    starts, guesses, segments, r4s = map(list, zip(*process(0.0, 1.0, 0)))
+    rev = [rep.reversed_input for rep in guesses]
 
     joins = []
     for i in range(len(segments) - 1):
@@ -139,6 +123,6 @@ def fit_piecewise(curve, r4_threshold: float, max_depth: int,
         joins.append(JoinContinuity(position_gap=gap, tangent_gap=abs(dth)))
 
     return PiecewiseFit(
-        breakpoints=breakpoints, segments=segments, guesses=guesses,
+        breakpoints=starts + [1.0], segments=segments, guesses=guesses,
         r4=r4s, reversed_flags=rev, join_continuity=joins,
         threshold_met=all(r <= r4_threshold for r in r4s))

@@ -134,6 +134,27 @@ def test_piecewise_report_schema(tmp_path):
         assert j["position_gap"] <= 1e-10
 
 
+def test_piecewise_without_svg_samples_nothing(s_curve_file, tmp_path,
+                                              monkeypatch):
+    """Without --svg no overlay is built: the CLI samples the curve only
+    inside fit_piecewise."""
+    from elastica_fit import cli
+    calls = []
+    real = cli.sample
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sample", counted)
+    out = tmp_path / "pw.json"
+    code = main([s_curve_file, "--mode", "piecewise", "--max-depth", "1",
+                 "--samples", "256", "--out", str(out)])
+    assert code == 0
+    assert json.loads(out.read_text())["segments"]
+    assert calls == []
+
+
 def test_svg_output_minimal_subset(s_curve_file, tmp_path):
     svg = tmp_path / "plot.svg"
     code = main([s_curve_file, "--mode", "guess", "--samples", "256",

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from elastica_fit.elastica import (
+    K_MAX,
+    K_MIN,
     ElasticaParams,
+    _chart_modulus,
     basic_derivatives,
     basic_point,
     segment_curvature,
@@ -18,7 +21,7 @@ from elastica_fit.elastica import (
     segment_eval_many,
     segment_partials,
 )
-from elastica_fit.elliptic import incomplete_E, quarter_period
+from elastica_fit.elliptic import K_GUARD_BAND, incomplete_E, quarter_period
 from elastica_fit.errors import DomainError
 
 
@@ -255,3 +258,31 @@ class TestPendulumEquation:
             defect = ((th[2] - 2 * th[1] + th[0]) / h ** 2
                       + lam1 * math.sin(th[1]) - lam2 * math.cos(th[1]))
             assert abs(defect) < 1e-6
+
+
+def test_chart_modulus_restates_both_clamps():
+    """_chart_modulus gives bit for bit what the optimizer's projection and
+    the guess's modulus clamp gave as separate rules; NaN passes through."""
+    g = K_GUARD_BAND
+    ks = [math.nan, -math.inf, -1.0, 0.0, 1e-7, K_MIN, 0.5, 1 - 3 * g,
+          1 - 2 * g, 1 - g, 1.0, 1 + g, 1 + 2 * g, 1 + 3 * g, 2.0, K_MAX,
+          11.0, math.inf]
+
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    for k in ks + [np.float64(k) for k in ks]:
+        if k < K_MIN:
+            project = K_MIN
+        elif K_MIN <= k <= 1.0:
+            project = min(k, 1.0 - 2 * g)
+        elif 1.0 < k:
+            project = max(min(k, K_MAX), 1.0 + 2 * g)
+        else:
+            project = k
+        assert bits(_chart_modulus(k, k > 1.0)) == bits(project)
+        for inflectional in (True, False):
+            clamp = max(min(k, 1.0 - 2 * g) if inflectional
+                        else max(k, 1.0 + 2 * g), K_MIN)
+            assert bits(_chart_modulus(k, not inflectional, math.inf)) \
+                == bits(clamp)

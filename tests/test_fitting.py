@@ -7,6 +7,8 @@ import os
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastica_fit import elastica, fitting
 from elastica_fit.curve import BezierChain, load_curve, sample
@@ -470,3 +472,49 @@ class TestFitOnManifold:
         assert not res.converged and res.iterations == 0
         assert res.message == "constraints not restored"
         assert res.constraint_violation == pytest.approx(0.3, rel=1e-12)
+
+
+CORPUS_NAMES = sorted(os.path.splitext(f)[0] for f in os.listdir(CORPUS_DIR))
+
+
+@pytest.mark.parametrize("mode", ["none", "endpoints+tangents"])
+@settings(derandomize=True, deadline=None, max_examples=10, database=None)
+@given(name=st.sampled_from(CORPUS_NAMES),
+       rho=st.floats(-math.pi, math.pi),
+       vx=st.floats(-3.0, 3.0), vy=st.floats(-3.0, 3.0))
+def test_fit_rigid_motion_equivariance(mode, name, rho, vx, vy):
+    """fit commutes with rotation and translation: the posed corpus curve
+    gets the same R4, and the posed parameters (k, s0, ell, w equal,
+    phi + rho, R (x0, y0) + v)."""
+    cur = load_curve(os.path.join(CORPUS_DIR, name + ".json"))
+    R = np.array([[math.cos(rho), -math.sin(rho)],
+                  [math.sin(rho), math.cos(rho)]])
+    posed = BezierChain(cur.pieces @ R.T + (vx, vy))
+    base, tgt0 = guess_and_fit(cur, mode, max_iter=600)
+    res, tgt1 = guess_and_fit(posed, mode, max_iter=600)
+    assert residual_r4(res.params, tgt1) == pytest.approx(
+        residual_r4(base.params, tgt0), rel=1e-9)
+    q0, q1 = base.params, res.params
+    for a, b in ((q1.k, q0.k), (q1.s0, q0.s0), (q1.ell, q0.ell),
+                 (q1.w, q0.w)):
+        assert a == pytest.approx(b, abs=1e-6)
+    dphi = (q1.phi - q0.phi - rho + math.pi) % (2 * math.pi) - math.pi
+    assert abs(dphi) < 1e-6
+    want = R @ np.array([q0.x0, q0.y0]) + (vx, vy)
+    assert q1.x0 == pytest.approx(want[0], abs=1e-6)
+    assert q1.y0 == pytest.approx(want[1], abs=1e-6)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "known defect: grad_tol is absolute, so a scaled copy of a curve stops "
+    "early (c = 1e-3) or reports unconverged (c = 1e3); ROADMAP item 5"))
+def test_fit_scale_invariance():
+    """A scaled s_curve fits to the unscaled R4, and converges."""
+    cur = load_curve(os.path.join(CORPUS_DIR, "s_curve.json"))
+    base, tgt = guess_and_fit(cur, "none", max_iter=600)
+    r4 = residual_r4(base.params, tgt)
+    for c in (1e-3, 1e3):
+        res, tgt = guess_and_fit(BezierChain(c * cur.pieces), "none",
+                                 max_iter=600)
+        assert residual_r4(res.params, tgt) == pytest.approx(r4, rel=1e-6)
+        assert res.converged
