@@ -11,7 +11,10 @@ and every elastica segment is a scaled, rotated, translated piece of it:
 
 All first and second derivatives with respect to arclength and the seven
 parameters (k, s0, ell, w, phi, x0, y0) are available in closed form; the
-second k-derivative divides by k and is undefined at k = 0.
+second k-derivative divides by k and is undefined at k = 0.  Second
+parameter partials are used only contracted with vectors at the nodes
+(_second_partials_dot); the (7, 7, 2) tensor is assembled only by the
+one-node oracle segment_partials.
 """
 
 import math
@@ -40,10 +43,6 @@ def _chart_modulus(k, above_one, k_max=K_MAX):
     if above_one:
         return max(min(k, k_max), 1.0 + 2 * K_GUARD_BAND)
     return max(min(k, 1.0 - 2 * K_GUARD_BAND), K_MIN)
-
-
-#: strict upper triangle of the 7 x 7 parameter Hessian
-_UPPER = np.triu_indices(7, 1)
 
 
 @dataclass(frozen=True)
@@ -151,48 +150,68 @@ def _segment_eval_arr(p, t):
 
 
 def _segment_partials_arr(p, t, with_second):
-    """Segment points with first (and optionally second) parameter partials.
+    """Segment points with their first parameter partials, and the zeta
+    blocks the second partials are made of.
 
-    Returns (y, dy, d2y, jacobi_E) with y, dy, d2y of shapes (n, 2),
-    (n, 7, 2), (n, 7, 7, 2) and jacobi_E = (sn, cn, dn, E) at the
-    arclengths s0 + ell*t.  d2y is all zero unless with_second, and its k-k
-    entry, which divides by k, is left zero for k < K_MIN.
+    Returns (y, dy, blocks, jacobi_E): y (n, 2), dy (7, n, 2) indexed by
+    parameter first, the (n, 6, 2) blocks of _zeta_blocks at the
+    arclengths s0 + ell*t, and jacobi_E = (sn, cn, dn, E) there.  The k-k
+    block, which divides by k, is left zero unless with_second and
+    k >= K_MIN.
     """
     k, s0, ell, w, phi, x0, y0 = p
-    n = len(t)
-    # rotated blocks: rb = R_phi @ block, qb = R_{phi+pi/2} @ block
     blocks, jacobi_E = _zeta_blocks(s0 + ell * t, k,
                                     with_second and k >= K_MIN)
-    rb = _rotate(phi, blocks)
-    qb = np.stack([-rb[..., 1], rb[..., 0]], axis=-1)
-    tc = t[:, None]
+    rb = _rotate(phi, blocks[:, [0, 1, 3]])     # R_phi @ value, d/ds, d/dk
     y = w * rb[:, 0] + (x0, y0)
-    dy = np.zeros((n, 7, 2))
-    dy[:, 0] = w * rb[:, 3]                 # k
-    dy[:, 1] = w * rb[:, 1]                 # s0
-    dy[:, 2] = tc * w * rb[:, 1]            # ell
-    dy[:, 3] = rb[:, 0]                     # w
-    dy[:, 4] = w * qb[:, 0]                 # phi
-    dy[:, 5, 0] = 1.0                       # x0
-    dy[:, 6, 1] = 1.0                       # y0
-    d2y = np.zeros((n, 7, 7, 2))
-    if with_second:
-        d2y[:, 0, 0] = w * rb[:, 5]             # k k
-        d2y[:, 0, 1] = w * rb[:, 4]             # k s0
-        d2y[:, 0, 2] = tc * w * rb[:, 4]        # k ell
-        d2y[:, 0, 3] = rb[:, 3]                 # k w
-        d2y[:, 0, 4] = w * qb[:, 3]             # k phi
-        d2y[:, 1, 1] = w * rb[:, 2]             # s0 s0
-        d2y[:, 1, 2] = tc * w * rb[:, 2]        # s0 ell
-        d2y[:, 1, 3] = rb[:, 1]                 # s0 w
-        d2y[:, 1, 4] = w * qb[:, 1]             # s0 phi
-        d2y[:, 2, 2] = tc * tc * w * rb[:, 2]   # ell ell
-        d2y[:, 2, 3] = tc * rb[:, 1]            # ell w
-        d2y[:, 2, 4] = tc * w * qb[:, 1]        # ell phi
-        d2y[:, 3, 4] = qb[:, 0]                 # w phi
-        d2y[:, 4, 4] = -w * rb[:, 0]            # phi phi
-        d2y[:, _UPPER[1], _UPPER[0]] = d2y[:, _UPPER[0], _UPPER[1]]
-    return y, dy, d2y, jacobi_E
+    dy = np.zeros((7, len(t), 2))
+    dy[0] = w * rb[:, 2]                        # k
+    dy[1] = w * rb[:, 1]                        # s0
+    dy[2] = t[:, None] * w * rb[:, 1]           # ell
+    dy[3] = rb[:, 0]                            # w
+    dy[4, :, 0] = -w * rb[:, 0, 1]              # phi: R_(phi + pi/2) @ zeta
+    dy[4, :, 1] = w * rb[:, 0, 0]
+    dy[5, :, 0] = 1.0                           # x0
+    dy[6, :, 1] = 1.0                           # y0
+    return y, dy, blocks, jacobi_E
+
+
+def _second_partials_dot(v, t, blocks, w, phi):
+    """sum_i v_i . d2y_i / dp dp': the second parameter partials of the
+    segment at the nodes t, contracted with vectors v of shape (..., n, 2),
+    as a symmetric (..., 7, 7) array; blocks are _zeta_blocks at the nodes.
+
+    Every second partial is w * R_phi or w * R_(phi + pi/2) applied to one
+    zeta block, times 1, t or t^2 (w-partials drop the factor w), so the
+    sum takes v back by R_-phi once and needs only the dot products of the
+    blocks with it and its quarter turn, summed against 1, t and t^2.  This
+    table is the only statement of the second partials.
+    """
+    u = _rotate(-phi, v)
+    ub = u[..., None, 0] * blocks[..., 0] + u[..., None, 1] * blocks[..., 1]
+    qb = u[..., None, 1] * blocks[..., 0] - u[..., None, 0] * blocks[..., 1]
+    powers = np.stack([np.ones_like(t), t, t * t])
+    D = powers @ ub     # D[..., j, m] = sum_i t_i^j u_i . block_m
+    Q = powers @ qb     # the same for R_(phi + pi/2)
+    h = np.zeros(D.shape[:-2] + (7, 7))
+    for (i, j), val in {
+        (0, 0): w * D[..., 0, 5],       # k k
+        (0, 1): w * D[..., 0, 4],       # k s0
+        (0, 2): w * D[..., 1, 4],       # k ell
+        (0, 3): D[..., 0, 3],           # k w
+        (0, 4): w * Q[..., 0, 3],       # k phi
+        (1, 1): w * D[..., 0, 2],       # s0 s0
+        (1, 2): w * D[..., 1, 2],       # s0 ell
+        (1, 3): D[..., 0, 1],           # s0 w
+        (1, 4): w * Q[..., 0, 1],       # s0 phi
+        (2, 2): w * D[..., 2, 2],       # ell ell
+        (2, 3): D[..., 1, 1],           # ell w
+        (2, 4): w * Q[..., 1, 1],       # ell phi
+        (3, 4): Q[..., 0, 0],           # w phi
+        (4, 4): -w * D[..., 0, 0],      # phi phi
+    }.items():
+        h[..., i, j] = h[..., j, i] = val
+    return h
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +288,14 @@ class ElasticaCurve:
 
 def segment_partials(p: ElasticaParams, t: float, second: bool = True):
     """First (and second) partials of segment_eval with respect to the seven
-    parameters: arrays of shape (7, 2) and (7, 7, 2)."""
+    parameters: arrays of shape (7, 2) and (7, 7, 2).  The (7, 7, 2)
+    tensor is assembled only here, for this one-node oracle, by contracting
+    the second partials with the two unit vectors."""
     if second and p.k < K_MIN:
         raise DomainError(f"second partials need k >= {K_MIN} (got {p.k})")
-    _, dy, d2y, _ = _segment_partials_arr(p.as_array(), np.array([float(t)]),
-                                          second)
+    t = np.array([float(t)])
+    _, dy, blocks, _ = _segment_partials_arr(p.as_array(), t, second)
     if second:
-        return dy[0], d2y[0]
-    return dy[0], None
+        d2y = _second_partials_dot(np.eye(2)[:, None], t, blocks, p.w, p.phi)
+        return dy[:, 0], np.moveaxis(d2y, 0, -1)
+    return dy[:, 0], None

@@ -16,6 +16,13 @@ one eigendecomposition of A.  Each trial is restored onto the manifold
 before F is evaluated, so F alone judges it: free fits re-solve the
 similarity block, pinned fits run capped Gauss-Newton steps on c.
 
+The Hessian of F is a Gauss-Newton term, one (7, 2n) matrix product of
+the first partials, plus sum_i omega_i diff_i . d2y_i from
+elastica._second_partials_dot, which rotates the weighted residual back by
+-phi once and dots it with the zeta blocks against 1, t and t^2.  The same
+contraction with unit vectors at t = 0, 1 gives the position constraints'
+Hessians in the Lagrangian Hessian W; no per-node tensor is built.
+
 c, J and the constraint Hessians come from one elliptic evaluation at the
 end nodes.  One SVD of J (_row_space) gives both the null-space basis of
 the model and the Gauss-Newton step -J^+ c, with the same rank cut.
@@ -33,6 +40,7 @@ from .elastica import (
     K_MIN,
     ElasticaParams,
     _chart_modulus,
+    _second_partials_dot,
     _segment_eval_arr,
     _segment_partials_arr,
 )
@@ -103,14 +111,15 @@ def gradient_hessian(p: ElasticaParams, target: CurveSamples):
     """Analytic gradient (7,) and symmetric Hessian (7, 7) of the objective."""
     if p.k < K_MIN:
         raise DomainError(f"Hessian needs k >= {K_MIN}")
-    y, dy, d2y, _ = _segment_partials_arr(p.as_array(), _tau(target), True)
-    diff = y - target.points
-    wts = target.weights
-    grad = np.einsum("nc,nic,n->i", diff, dy, wts)
-    hess = (np.einsum("nic,njc,n->ij", dy, dy, wts)
-            + np.einsum("nc,nijc,n->ij", diff, d2y, wts))
-    hess = 0.5 * (hess + hess.T)
-    return grad, hess
+    t = _tau(target)
+    y, dy, blocks, _ = _segment_partials_arr(p.as_array(), t, True)
+    wts = target.weights[:, None]
+    v = wts * (y - target.points)
+    jac = dy.reshape(7, -1)
+    grad = jac @ v.ravel()
+    hess = ((dy * wts).reshape(7, -1) @ jac.T
+            + _second_partials_dot(v, t, blocks, p.w, p.phi))
+    return grad, 0.5 * (hess + hess.T)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +165,13 @@ def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
     their gradient is (theta_k, theta_s, t*theta_s, 0, 1, 0, 0) and their
     Hessian lives in the (k, s0, ell) block.
     """
-    y, dy, d2y, jacobi_E = _segment_partials_arr(pvec, _ENDS, with_hessians)
+    y, dy, blocks, jacobi_E = _segment_partials_arr(pvec, _ENDS, with_hessians)
     c = (y - target.points[[0, -1]]).ravel()
-    jac = dy.transpose(0, 2, 1).reshape(4, 7)
-    hess = d2y.transpose(0, 3, 1, 2).reshape(4, 7, 7)
+    jac = dy.reshape(7, 4).T
+    if with_hessians:
+        # row 2e + j is coordinate j at end e: the unit vector e_j there
+        hess = _second_partials_dot(np.eye(4).reshape(4, 2, 2), _ENDS,
+                                    blocks, pvec[3], pvec[4])
     if mode == "endpoints+tangents":
         t = _ENDS
         th, th_s, th_ss, th_k, th_sk, th_kk = _angle_partials(
@@ -179,7 +191,8 @@ def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
         h[:, 1, 2] = h[:, 2, 1] = t * th_ss
         h[:, 2, 2] = t * t * th_ss
         jac = np.vstack([jac, grad])
-        hess = np.concatenate([hess, h])
+        if with_hessians:
+            hess = np.concatenate([hess, h])
     if with_hessians:
         return c, jac, hess
     return c, jac

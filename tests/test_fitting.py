@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from elastica_fit import elastica, fitting
 from elastica_fit.curve import BezierChain, load_curve, sample
-from elastica_fit.elastica import ElasticaCurve, ElasticaParams
+from elastica_fit.elastica import (
+    K_MIN,
+    ElasticaCurve,
+    ElasticaParams,
+    basic_derivatives,
+    basic_point,
+    segment_eval_many,
+    segment_partials,
+)
 from elastica_fit.elliptic import _jacobi_E_arr
 from elastica_fit.errors import DomainError
 from elastica_fit.fitting import (
@@ -20,6 +28,7 @@ from elastica_fit.fitting import (
     FitResult,
     _align_similarity,
     _angle_partials,
+    _ENDS,
     _constraint_values_jacobian,
     _reduced_model,
     _row_space,
@@ -31,6 +40,9 @@ from elastica_fit.fitting import (
 )
 
 BASE = ElasticaParams(k=0.8, s0=0.2, ell=3.0, w=1.5, phi=0.7, x0=2.0, y0=-1.0)
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
+CORPUS_NAMES = sorted(os.path.splitext(f)[0] for f in os.listdir(CORPUS_DIR))
 
 
 def elastica_target(p, n=256):
@@ -106,6 +118,114 @@ class TestGradientHessian:
         tgt = elastica_target(BASE, 512)
         g, _ = gradient_hessian(BASE, tgt)
         assert np.linalg.norm(g) < 1e-8
+
+
+def _tensor_partials(p, t):
+    """Reference: the first and second parameter partials as (n, 7, 2) and
+    (n, 7, 7, 2) tensors, assembled node by node from the zeta blocks with
+    every second partial written out."""
+    w = p.w
+    c, s = math.cos(p.phi), math.sin(p.phi)
+    R = np.array([[c, -s], [s, c]])
+    Q = np.array([[-s, -c], [c, -s]])       # R_(phi + pi/2)
+    dy = np.zeros((len(t), 7, 2))
+    d2y = np.zeros((len(t), 7, 7, 2))
+    for i, ti in enumerate(t):
+        sv = p.s0 + p.ell * ti
+        z = basic_point(sv, p.k)
+        b = basic_derivatives(sv, p.k)
+        dy[i] = [w * R @ b.dk, w * R @ b.ds, ti * w * R @ b.ds, R @ z,
+                 w * Q @ z, (1.0, 0.0), (0.0, 1.0)]
+        for (j, m), v in {
+                (0, 0): w * R @ b.dkk, (0, 1): w * R @ b.dsk,
+                (0, 2): ti * w * R @ b.dsk, (0, 3): R @ b.dk,
+                (0, 4): w * Q @ b.dk, (1, 1): w * R @ b.dss,
+                (1, 2): ti * w * R @ b.dss, (1, 3): R @ b.ds,
+                (1, 4): w * Q @ b.ds, (2, 2): ti * ti * w * R @ b.dss,
+                (2, 3): ti * R @ b.ds, (2, 4): ti * w * Q @ b.ds,
+                (3, 4): Q @ z, (4, 4): -w * R @ z}.items():
+            d2y[i, j, m] = d2y[i, m, j] = v
+    return dy, d2y
+
+
+def _tensor_gradient_hessian(p, target):
+    """Reference: gradient and Hessian of F contracted from the tensors."""
+    t = target.s / target.length
+    dy, d2y = _tensor_partials(p, t)
+    diff = segment_eval_many(p, t) - target.points
+    wts = target.weights
+    grad = np.einsum("nc,nic,n->i", diff, dy, wts)
+    hess = (np.einsum("nic,njc,n->ij", dy, dy, wts)
+            + np.einsum("nc,nijc,n->ij", diff, d2y, wts))
+    return grad, 0.5 * (hess + hess.T)
+
+
+def _rel_gap(a, ref):
+    return float(np.max(np.abs(a - ref)) / np.max(np.abs(ref)))
+
+
+def _corpus_guesses(n=256):
+    """(guess, target) for each corpus curve, the target in the guess's
+    direction."""
+    from elastica_fit.recovery import initial_guess
+    out = []
+    for name in CORPUS_NAMES:
+        tgt = sample(load_curve(os.path.join(CORPUS_DIR, name + ".json")), n)
+        rep = initial_guess(tgt)
+        out.append((rep.params, tgt.reversed() if rep.reversed_input else tgt))
+    return out
+
+
+class TestHessianContraction:
+    """gradient_hessian, the constraint Hessians and segment_partials, all
+    contracted through the similarity structure, against the tensors."""
+
+    def test_corpus_guesses(self):
+        for p, tgt in _corpus_guesses():
+            g, H = gradient_hessian(p, tgt)
+            g_ref, H_ref = _tensor_gradient_hessian(p, tgt)
+            assert _rel_gap(g, g_ref) <= 1e-12
+            assert _rel_gap(H, H_ref) <= 1e-12
+
+    @pytest.mark.parametrize("k", [2 * K_MIN, 0.3, 0.95, 1.05, 3.0])
+    def test_random_parameters(self, k):
+        rng = np.random.default_rng(43)
+        for _ in range(4):
+            p = dataclasses.replace(random_params(rng), k=k,
+                                    ell=-rng.uniform(0.5, 4.0))
+            tgt = elastica_target(random_params(rng), 128)
+            g, H = gradient_hessian(p, tgt)
+            g_ref, H_ref = _tensor_gradient_hessian(p, tgt)
+            assert _rel_gap(g, g_ref) <= 1e-12
+            assert _rel_gap(H, H_ref) <= 1e-12
+            t = rng.uniform(0.0, 1.0)
+            dy, d2y = segment_partials(p, t)
+            dy_ref, d2y_ref = _tensor_partials(p, [t])
+            assert _rel_gap(dy, dy_ref[0]) <= 1e-12
+            assert _rel_gap(d2y, d2y_ref[0]) <= 1e-12
+
+    @pytest.mark.parametrize("mode", ["endpoints", "endpoints+tangents"])
+    def test_pinned_lagrangian_hessian(self, mode):
+        """Z^T W Z of the pinned model equals the one built from H and the
+        position-row Hessians of the tensors, with the model's multipliers;
+        the tangent rows keep their own Hessians.  The gap is measured
+        against W, since Z^T W Z can be a small difference of its
+        entries."""
+        for p, tgt in _corpus_guesses()[::3]:
+            q = p.as_array()
+            _, J, Hc = _constraint_values_jacobian(q, tgt, mode, True)
+            _, d2y = _tensor_partials(p, _ENDS)
+            Hc_ref = np.concatenate(
+                [d2y.transpose(0, 3, 1, 2).reshape(4, 7, 7), Hc[4:]])
+            assert _rel_gap(Hc, Hc_ref) <= 1e-12
+            g, H = _tensor_gradient_hessian(p, tgt)
+            U, sv, Y, Z = _row_space(J)
+            lam = -U @ ((Y.T @ g) / sv)
+            W = H + np.einsum("m,mij->ij", lam, Hc_ref)
+            _, _, A, B = _reduced_model(q, tgt, mode)
+            assert np.array_equal(B, Z)
+            assert (np.max(np.abs(A - Z.T @ W @ Z))
+                    <= 1e-12 * np.max(np.abs(W)))
 
 
 class TestConstraintJacobian:
@@ -347,8 +467,6 @@ class TestFitConstrained:
         assert res.constraint_violation <= 1e-10
 
 
-CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
-
 #: a closed cubic: both ends at the origin
 CLOSED_LOOP = BezierChain([[[0, 0], [2, 2], [-2, 2], [0, 0]]])
 
@@ -474,9 +592,6 @@ class TestFitOnManifold:
         assert res.constraint_violation == pytest.approx(0.3, rel=1e-12)
 
 
-CORPUS_NAMES = sorted(os.path.splitext(f)[0] for f in os.listdir(CORPUS_DIR))
-
-
 @pytest.mark.parametrize("mode", ["none", "endpoints+tangents"])
 @settings(derandomize=True, deadline=None, max_examples=10, database=None)
 @given(name=st.sampled_from(CORPUS_NAMES),
@@ -503,6 +618,19 @@ def test_fit_rigid_motion_equivariance(mode, name, rho, vx, vy):
     want = R @ np.array([q0.x0, q0.y0]) + (vx, vy)
     assert q1.x0 == pytest.approx(want[0], abs=1e-6)
     assert q1.y0 == pytest.approx(want[1], abs=1e-6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=12, database=None)
+@given(name=st.sampled_from(CORPUS_NAMES))
+def test_fit_reversal_invariance(name):
+    """The free fit of a corpus curve traversed backwards reaches the same
+    R4 as the forward fit."""
+    cur = load_curve(os.path.join(CORPUS_DIR, name + ".json"))
+    fwd, tgt0 = guess_and_fit(cur, "none", max_iter=600)
+    bwd, tgt1 = guess_and_fit(BezierChain(cur.pieces[::-1, ::-1]), "none",
+                              max_iter=600)
+    assert residual_r4(bwd.params, tgt1) == pytest.approx(
+        residual_r4(fwd.params, tgt0), rel=1e-9)
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
