@@ -21,7 +21,7 @@ import numpy as np
 from .curve import DEFAULT_SAMPLES, load_curve, sample
 from .elastica import K_MIN, PARAM_NAMES, segment_eval_many
 from .errors import DegenerateInputError, DomainError
-from .fitting import FitResult, gradient_hessian
+from .fitting import FitResult, _unit_problem, gradient_hessian
 from .recovery import initial_guess
 from .segmentation import fit_piecewise
 from .svg import write_svg
@@ -77,10 +77,10 @@ def _elastica_polyline(params, n=257):
 
 
 def _guess_result(rep, target) -> FitResult:
-    """The initial guess as a converged fit of zero iterations."""
+    """The initial guess as a converged 0-iteration fit; grad_norm as fit's."""
     grad_norm = 0.0
     if rep.params.k >= K_MIN:
-        g, _ = gradient_hessian(rep.params, target)
+        g, _ = gradient_hessian(*_unit_problem(rep.params, target))
         grad_norm = float(np.linalg.norm(g))
     # R4 = sqrt(2 F / L^3)
     return FitResult(params=rep.params,

@@ -31,7 +31,7 @@ Every integral over the target is a dot product with its Simpson weights
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,32 +47,34 @@ from .elastica import (
 from .errors import DomainError
 
 CONSTRAINT_MODES = ("none", "endpoints", "endpoints+tangents")
+_GRAD_TOL = 1e-10  # the stop ||g|| <= _GRAD_TOL, on the unit-length problem
 
 
 @dataclass
 class FitProblem:
+    """Solved on the unit-length problem to ||g|| <= _GRAD_TOL (1e-10)."""
+
     target: CurveSamples
     init: ElasticaParams
     constraints: str = "none"
-    grad_tol: float = 1e-8
     max_iter: int = 1000
 
     def __post_init__(self):
         if self.constraints not in CONSTRAINT_MODES:
             raise DomainError(f"unknown constraint mode {self.constraints!r}")
-        if self.max_iter < 1 or self.grad_tol <= 0:
-            raise DomainError("max_iter >= 1 and grad_tol > 0 required")
+        if self.max_iter < 1:
+            raise DomainError("max_iter >= 1 required")
 
 
 @dataclass
 class FitResult:
-    """The outcome of fit.  grad_norm is ||g|| for a free fit and ||Z^T g||
-    for a pinned one, and constraint_violation is max|c|.  message is one
-    of the loop's four stops:
+    """The outcome of fit.  grad_norm is ||g|| (free) or ||Z^T g|| (pinned)
+    on the unit-length problem; params, objective and constraint_violation
+    (max|c|) are in the target's units.  message is one of four stops:
 
     - "gradient tolerance reached" (converged);
     - "predicted decrease below rounding": the model promises less than
-      1e-15 F, converged if grad_norm <= 1e3 * grad_tol;
+      1e-15 F, converged if grad_norm <= 1e3 * _GRAD_TOL;
     - "trust region collapsed";
     - "max_iter reached";
 
@@ -201,10 +203,10 @@ def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
 # ---------------------------------------------------------------------------
 # optimizer
 
-def _project(pvec, L):
+def _project(pvec):
     q = pvec.copy()
     q[0] = _chart_modulus(q[0], q[0] > 1.0)
-    q[3] = max(q[3], 1e-9 * L)
+    q[3] = max(q[3], 1e-9)
     return q
 
 
@@ -268,10 +270,9 @@ def _restore(q, target: CurveSamples, mode: str):
     Gauss-Newton on c over all seven parameters, each step -J^+ c from
     _row_space capped at length 0.5, until max|c| <= 1e-12 or for 20
     steps."""
-    L = target.length
-    q = _project(q, L)
+    q = _project(q)
     if mode == "none":
-        return _project(_align_similarity(q, target), L), 0.0
+        return _project(_align_similarity(q, target)), 0.0
     c, J = _constraint_values_jacobian(q, target, mode)
     for _ in range(20):
         if np.max(np.abs(c)) <= 1e-12:
@@ -279,7 +280,7 @@ def _restore(q, target: CurveSamples, mode: str):
         U, sv, Y, _ = _row_space(J)
         d = -Y @ ((U.T @ c) / sv)
         size = np.linalg.norm(d)
-        q = _project(q + (d if size <= 0.5 else d * (0.5 / size)), L)
+        q = _project(q + (d if size <= 0.5 else d * (0.5 / size)))
         c, J = _constraint_values_jacobian(q, target, mode)
     return q, float(np.max(np.abs(c)))
 
@@ -305,13 +306,21 @@ def _reduced_model(q, target: CurveSamples, mode: str):
     return float(np.linalg.norm(gz)), gz, Z.T @ W @ Z, Z
 
 
+def _unit_problem(p: ElasticaParams, target: CurveSamples):
+    """(p, target) with the target moved to start at 0 and of length 1."""
+    L, (x, y) = target.length, target.points[0]
+    return replace(p, w=p.w / L, x0=(p.x0 - x) / L, y0=(p.y0 - y) / L), \
+        replace(target, points=(target.points - (x, y)) / L, s=target.s / L,
+                speeds=target.speeds / L, kappa=target.kappa * L)
+
+
 def fit(problem: FitProblem) -> FitResult:
     """Minimize the L2 objective from the initial guess, optionally with
-    endpoint / end-tangent equality constraints, by trust-region steps
-    along the fit's manifold; every trial is restored onto it before F is
-    evaluated, so F alone judges each step."""
-    target, mode = problem.target, problem.constraints
-    p, cviol = _restore(problem.init.as_array(), target, mode)
+    endpoint / end-tangent constraints, by trust-region steps along the
+    fit's manifold; each trial is restored onto it, so F alone judges it."""
+    mode = problem.constraints
+    init, target = _unit_problem(problem.init, problem.target)
+    p, cviol = _restore(init.as_array(), target, mode)
     f = objective(ElasticaParams.from_array(p), target)
     gnorm, gr, A, B = _reduced_model(p, target, mode)
     delta = 1.0
@@ -322,7 +331,7 @@ def fit(problem: FitProblem) -> FitResult:
         if cviol > 1e-10:
             msg = "constraints not restored"
             break
-        if gnorm <= problem.grad_tol:
+        if gnorm <= _GRAD_TOL:
             converged = True
             msg = "gradient tolerance reached"
             break
@@ -334,7 +343,7 @@ def fit(problem: FitProblem) -> FitResult:
         if pred <= 1e-15 * f:
             # no step can lower F measurably: at F's rounding floor unless
             # the gradient says otherwise
-            converged = gnorm <= 1e3 * problem.grad_tol
+            converged = gnorm <= 1e3 * _GRAD_TOL
             msg = "predicted decrease below rounding"
             break
         trial, cv = _restore(p + B @ y, target, mode)
@@ -354,6 +363,12 @@ def fit(problem: FitProblem) -> FitResult:
             if delta <= 1e-13:
                 msg = "trust region collapsed"
                 break
-    return FitResult(params=ElasticaParams.from_array(p), objective=f,
+    L, origin = problem.target.length, problem.target.points[0]
+    p[3] *= L
+    p[5:] = L * p[5:] + origin
+    if mode != "none":
+        cviol = float(np.max(np.abs(
+            _constraint_values_jacobian(p, problem.target, mode)[0])))
+    return FitResult(params=ElasticaParams.from_array(p), objective=f * L ** 3,
                      grad_norm=gnorm, iterations=it, converged=converged,
                      constraint_violation=cviol, message=msg)

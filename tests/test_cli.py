@@ -44,6 +44,21 @@ def test_guess_mode_exact_elastica(elastica_file, tmp_path, capsys):
     assert rep["inflectional"] is True
 
 
+def test_guess_grad_norm_scale_free(tmp_path):
+    """Guess mode reports grad_norm on the unit-length problem, as fit mode
+    does, so a curve and its 10x copy report the same value."""
+    norms = []
+    for c in (1, 10):
+        path = tmp_path / f"s{c}.json"
+        pieces = (c * np.array(S_CURVE["bezier"], dtype=float)).tolist()
+        path.write_text(json.dumps({"bezier": pieces}))
+        out = tmp_path / f"rep{c}.json"
+        assert main([str(path), "--mode", "guess", "--samples", "256",
+                     "--out", str(out)]) == 0
+        norms.append(json.loads(out.read_text())["grad_norm"])
+    assert norms[1] == pytest.approx(norms[0], rel=1e-6)
+
+
 def test_fit_endpoints_gap(s_curve_file, tmp_path):
     out = tmp_path / "rep.json"
     code = main([s_curve_file, "--endpoints", "--samples", "256",

@@ -113,6 +113,21 @@ def test_s_curve_deep_leaves_converge():
     assert pw.threshold_met
 
 
+def test_scaled_loop_same_leaves():
+    """fit_piecewise on loop scaled by 0.5 and 2 makes the same splits and
+    per-leaf iterations as at scale 1, and the same leaf R4."""
+    cur = load_curve(os.path.join(os.path.dirname(__file__), "..", "corpus",
+                                  "loop.json"))
+    runs = [fit_piecewise(BezierChain(c * cur.pieces), 1e-3, 3,
+                          "endpoints+tangents", 256, 200)
+            for c in (1.0, 0.5, 2.0)]
+    for pw in runs[1:]:
+        assert pw.breakpoints == runs[0].breakpoints
+        assert ([s.iterations for s in pw.segments]
+                == [s.iterations for s in runs[0].segments])
+        assert pw.r4 == pytest.approx(runs[0].r4, rel=1e-9)
+
+
 def test_closed_target():
     """A closed cubic (both ends at the origin) splits into four pieces."""
     cur = BezierChain([[[0, 0], [2, 2], [-2, 2], [0, 0]]])
