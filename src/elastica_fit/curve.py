@@ -3,10 +3,10 @@
 Provides point/derivative evaluation on a common [0, 1] parameter domain,
 uniform sampling with arclength, tangent angle and curvature, composite
 Simpson line integrals, and parameter-interval trimming (used by the
-recursive segmentation).  Sampling calls a curve at one scalar t at a
-time and derives everything else with array expressions.  Every line
-integral over the samples is a dot product with one weight vector,
-CurveSamples.weights.
+recursive segmentation).  Sampling passes whole t arrays to a BezierChain
+or Polyline, calls any other curve at one scalar t at a time, and derives
+everything else with array expressions.  Every line integral over the
+samples is a dot product with one weight vector, CurveSamples.weights.
 
 Curve JSON schema (consumed by the CLI):
     {"bezier": [[[x,y],[x,y],[x,y],[x,y]], ...]}   cubic pieces, or
@@ -72,10 +72,15 @@ class CurveSamples:
 
 
 def _locate(t, m):
-    """Piece index and local parameter of global t on m equal pieces."""
-    x = min(max(t, 0.0), 1.0) * m
-    i = min(int(x), m - 1)
-    return i, x - i
+    """Piece indices and local parameters of global t (a scalar or an array)
+    on m equal pieces.  Finite t outside [0, 1] is clamped.  The local
+    parameter gets a trailing unit axis, so it scales (..., 2) points."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise DomainError(f"non-finite curve parameter: {t!r}")
+    x = np.clip(t, 0.0, 1.0) * m
+    i = np.minimum(x.astype(int), m - 1)
+    return i, (x - i)[..., None]
 
 
 class BezierChain:
@@ -93,14 +98,14 @@ class BezierChain:
 
     def point(self, t):
         i, u = _locate(t, self.m)
-        b = self.pieces[i]
+        b = np.moveaxis(self.pieces[i], -2, 0)
         v = 1 - u
         return (v ** 3 * b[0] + 3 * v ** 2 * u * b[1]
                 + 3 * v * u ** 2 * b[2] + u ** 3 * b[3])
 
     def derivative(self, t):
         i, u = _locate(t, self.m)
-        b = self.pieces[i]
+        b = np.moveaxis(self.pieces[i], -2, 0)
         v = 1 - u
         d = 3 * (v ** 2 * (b[1] - b[0]) + 2 * v * u * (b[2] - b[1])
                  + u ** 2 * (b[3] - b[2]))
@@ -108,7 +113,7 @@ class BezierChain:
 
     def second_derivative(self, t):
         i, u = _locate(t, self.m)
-        b = self.pieces[i]
+        b = np.moveaxis(self.pieces[i], -2, 0)
         d = 6 * ((1 - u) * (b[2] - 2 * b[1] + b[0]) + u * (b[3] - 2 * b[2] + b[1]))
         return d * self.m ** 2
 
@@ -173,7 +178,7 @@ class Polyline:
         return (self.points[i + 1] - self.points[i]) * self.m
 
     def second_derivative(self, t):
-        return np.zeros(2)
+        return np.zeros_like(self.derivative(t))
 
     def trimmed(self, t0, t1):
         if not 0.0 <= t0 < t1 <= 1.0:
@@ -199,15 +204,18 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
     """Discretize a curve at n uniform parameter intervals (n rounded up to
     even, n >= 16), computing arclength, tangent angle and curvature.
 
-    The curve is called at scalar t only.  A Polyline gets chord arclength
-    and circumcircle curvature, any other curve 3-point Gauss-Legendre
-    arclength."""
+    A BezierChain or Polyline is called once per method with a t array; any
+    other curve is called at one scalar t at a time.  A Polyline gets chord
+    arclength and circumcircle curvature, any other curve 3-point
+    Gauss-Legendre arclength."""
     if n < 16:
         raise DomainError(f"need at least 16 sample intervals, got {n}")
     if n % 2:
         n += 1
     t = np.linspace(0.0, 1.0, n + 1)
-    pts = _evaluate(curve.point, t)
+    whole = isinstance(curve, (BezierChain, Polyline))
+    evaluate = (lambda f, t: f(t)) if whole else _evaluate
+    pts = evaluate(curve.point, t)
 
     if isinstance(curve, Polyline):
         chords = np.diff(pts, axis=0)
@@ -229,8 +237,8 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
         kap[0] = kap[1]
         kap[-1] = kap[-2]
     else:
-        d = _evaluate(curve.derivative, t)
-        dd = _evaluate(curve.second_derivative, t)
+        d = evaluate(curve.derivative, t)
+        dd = evaluate(curve.second_derivative, t)
         speeds = np.linalg.norm(d, axis=1)
         if np.any(speeds == 0):
             raise DegenerateInputError("curve has a stationary point (cusp)")
@@ -240,7 +248,7 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
         w0, w1, w2 = np.array([5.0, 8.0, 5.0]) / 18.0
         h = 1.0 / n
         tq = (t[:-1] + 0.5 * h)[:, None] + 0.5 * h * g
-        dq = _evaluate(curve.derivative, tq.ravel())
+        dq = evaluate(curve.derivative, tq.ravel())
         sp = np.hypot(dq[:, 0], dq[:, 1]).reshape(n, 3)
         seg = (w0 * sp[:, 0] + w1 * sp[:, 1] + w2 * sp[:, 2]) * h
         s = np.concatenate([[0.0], np.cumsum(seg)])

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from elastica_fit.curve import (
     BezierChain,
@@ -13,7 +15,8 @@ from elastica_fit.curve import (
     load_curve,
     sample,
 )
-from elastica_fit.errors import DomainError
+from elastica_fit.elastica import ElasticaCurve, ElasticaParams
+from elastica_fit.errors import DegenerateInputError, DomainError
 
 # 4-piece cubic Bezier approximation of the unit circle (tangent-matching
 # constant 4/3*tan(pi/8)); its true length, frozen from adaptive quadrature
@@ -193,3 +196,168 @@ def test_reversed_samples():
     assert rev.length == pytest.approx(smp.length, abs=1e-12)
     assert rev.kappa[5] == pytest.approx(-smp.kappa[-6], abs=1e-14)
     assert np.max(np.abs(np.diff(rev.theta))) < math.pi
+
+
+_METHODS = ["point", "derivative", "second_derivative"]
+_TWO_PIECES = BezierChain([[[0, 0], [1, 2], [3, -1], [4, 1]],
+                           [[4, 1], [5, 3], [6, 0], [7, 1]]])
+_ZIGZAG = Polyline([[0, 0], [1, 0], [2, 1], [3, 1]])
+
+
+@pytest.mark.parametrize("method", _METHODS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", ["scalar", "array"])
+@pytest.mark.parametrize("cur", [_TWO_PIECES, _ZIGZAG],
+                         ids=["bezier", "polyline"])
+def test_non_finite_t_raises_domain_error(cur, shape, bad, method):
+    t = bad if shape == "scalar" else np.array([0.0, 0.5, bad, 1.0])
+    with pytest.raises(DomainError, match="non-finite"):
+        getattr(cur, method)(t)
+
+
+@pytest.mark.parametrize("cur", [_TWO_PIECES, _ZIGZAG],
+                         ids=["bezier", "polyline"])
+def test_finite_t_outside_unit_interval_is_clamped(cur):
+    for method in _METHODS:
+        f = getattr(cur, method)
+        assert np.array_equal(f(-3.5), f(0.0))
+        assert np.array_equal(f(1e300), f(1.0))
+        assert np.array_equal(f(np.array([-3.5, 1e300])),
+                              np.array([f(0.0), f(1.0)]))
+
+
+class _Delegate:
+    """Forwards the protocol calls, so sample sees an object outside the
+    package and runs its per-node loop."""
+
+    def __init__(self, cur):
+        self.cur = cur
+
+    def point(self, t):
+        return self.cur.point(t)
+
+    def derivative(self, t):
+        return self.cur.derivative(t)
+
+    def second_derivative(self, t):
+        return self.cur.second_derivative(t)
+
+
+class _PerNodePolyline(Polyline):
+    """A Polyline evaluated one scalar t at a time, stacked with
+    np.fromiter: sample's chord and circumcircle math on the per-node
+    points."""
+
+    def point(self, t):
+        f = super().point
+        return np.fromiter((f(ti) for ti in t), dtype=(float, 2),
+                           count=len(t))
+
+
+_coord = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def _curves_and_ts(draw):
+    """A 1-4-piece chain or a 2-40-vertex polyline, and t values at piece
+    boundaries, at the ends, outside [0, 1], and anywhere in between."""
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 4))
+        ctrl = draw(st.lists(_coord, min_size=8 * m, max_size=8 * m))
+        cur = BezierChain(np.reshape(ctrl, (m, 4, 2)))
+        ref = _Delegate(cur)
+    else:
+        m = draw(st.integers(1, 39))
+        verts = draw(st.lists(_coord, min_size=2 * m + 2,
+                              max_size=2 * m + 2))
+        cur = Polyline(np.reshape(verts, (m + 1, 2)))
+        ref = _PerNodePolyline(cur.points)
+    t = st.one_of(st.integers(0, m).map(lambda i: i / m),
+                  st.sampled_from([0.0, 1.0]),
+                  st.floats(-1e6, 0.0, exclude_max=True),
+                  st.floats(1.0, 1e6, exclude_min=True),
+                  st.floats(0.0, 1.0))
+    ts = draw(st.lists(t, min_size=1, max_size=20))
+    return cur, ref, ts, draw(st.integers(16, 300))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(_curves_and_ts())
+def test_array_evaluation_matches_scalar_calls(case):
+    """An array call equals its scalar calls stacked, bit for bit, and
+    sample equals the per-node loop: bitwise on a BezierChain, to rounding
+    on a Polyline, whose points are also checked against scalar calls at
+    the sample nodes."""
+    cur, ref, ts, n = case
+    for method in _METHODS:
+        f = getattr(cur, method)
+        scalars = [f(ti) for ti in ts]
+        assert all(v.shape == (2,) for v in scalars)
+        arr = f(np.array(ts))
+        assert arr.shape == (len(ts), 2)
+        assert arr.tobytes() == np.stack(scalars).tobytes()
+
+    def sampled(c):
+        try:
+            return sample(c, n)
+        except DegenerateInputError as exc:
+            return str(exc)
+
+    got, want = sampled(cur), sampled(ref)
+    if isinstance(want, str):
+        assert got == want
+        return
+    fields = ["t", "points", "speeds", "s", "theta", "kappa"]
+    if isinstance(cur, BezierChain):
+        for name in fields:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    else:
+        nodes = np.linspace(0.0, 1.0, n + n % 2 + 1)
+        np.testing.assert_allclose(
+            got.points, np.stack([cur.point(ti) for ti in nodes]),
+            rtol=1e-12, atol=0)
+        for name in fields[:-1]:
+            np.testing.assert_allclose(getattr(got, name),
+                                       getattr(want, name), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(got.kappa, want.kappa, rtol=0, atol=1e-8)
+
+
+class _CircularArc:
+    """A curve written to the scalar protocol alone: math.cos and math.sin
+    reject an array t with TypeError."""
+
+    def __init__(self, r, sweep):
+        self.r, self.sweep = r, sweep
+
+    def point(self, t):
+        a = self.sweep * t
+        return np.array([self.r * math.cos(a), self.r * math.sin(a)])
+
+    def derivative(self, t):
+        a = self.sweep * t
+        return self.r * self.sweep * np.array([-math.sin(a), math.cos(a)])
+
+    def second_derivative(self, t):
+        return -self.sweep ** 2 * self.point(t)
+
+    def trimmed(self, t0, t1):
+        raise NotImplementedError
+
+
+def test_scalar_protocol_curve_still_samples():
+    arc = _CircularArc(2.5, 1.75 * math.pi)
+    with pytest.raises(TypeError):
+        arc.point(np.linspace(0.0, 1.0, 5))
+    smp = sample(arc, 256)
+    assert smp.length == pytest.approx(2.5 * 1.75 * math.pi, abs=1e-10)
+    assert np.max(np.abs(smp.kappa - 1 / 2.5)) < 1e-12
+
+
+def test_elastica_curve_samples_on_the_per_node_loop():
+    """ElasticaCurve keeps the scalar protocol: its samples are bitwise
+    those of the per-node loop."""
+    cur = ElasticaCurve(ElasticaParams(0.8, 0.3, 2.0, 1.5, math.pi / 4,
+                                       1.0, -2.0))
+    got, want = sample(cur, 1024), sample(_Delegate(cur), 1024)
+    for name in ["t", "points", "speeds", "s", "theta", "kappa"]:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
