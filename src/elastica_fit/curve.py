@@ -16,6 +16,7 @@ Curve JSON schema (consumed by the CLI):
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -48,15 +49,20 @@ class CurveSamples:
     def n_intervals(self) -> int:
         return len(self.t) - 1
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
         """Composite Simpson weights in t times the speed ||x'(t)||, so that
-        f @ weights is the line integral of per-node values f over ds."""
+        f @ weights is the line integral of per-node values f over ds.
+
+        Computed on first access and kept with this sample set, read-only;
+        a set made by dataclasses.replace computes its own."""
         n = self.n_intervals
         w = np.full(n + 1, 2.0)
         w[1::2] = 4.0
         w[0] = w[-1] = 1.0
-        return w * (1.0 / n) / 3.0 * self.speeds
+        w = w * (1.0 / n) / 3.0 * self.speeds
+        w.flags.writeable = False
+        return w
 
     def reversed(self) -> "CurveSamples":
         """Samples of the same curve traversed in the opposite direction."""
@@ -100,15 +106,15 @@ class BezierChain:
         i, u = _locate(t, self.m)
         b = np.moveaxis(self.pieces[i], -2, 0)
         v = 1 - u
-        return (v ** 3 * b[0] + 3 * v ** 2 * u * b[1]
-                + 3 * v * u ** 2 * b[2] + u ** 3 * b[3])
+        return (v * v * v * b[0] + 3 * v * v * u * b[1]
+                + 3 * v * u * u * b[2] + u * u * u * b[3])
 
     def derivative(self, t):
         i, u = _locate(t, self.m)
         b = np.moveaxis(self.pieces[i], -2, 0)
         v = 1 - u
-        d = 3 * (v ** 2 * (b[1] - b[0]) + 2 * v * u * (b[2] - b[1])
-                 + u ** 2 * (b[3] - b[2]))
+        d = 3 * (v * v * (b[1] - b[0]) + 2 * v * u * (b[2] - b[1])
+                 + u * u * (b[3] - b[2]))
         return d * self.m
 
     def second_derivative(self, t):

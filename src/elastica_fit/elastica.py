@@ -93,11 +93,14 @@ class BasicDerivatives(NamedTuple):
 # ---------------------------------------------------------------------------
 # kernels
 
-def _zeta_blocks(s, k, with_kk):
+def _zeta_blocks(s, k, with_kk, jacobi_E=None):
     """zeta and its five derivative blocks at an array of arclengths s,
     packed as (n, 6, 2): value, d/ds, d2/ds2, d/dk, d2/dsdk, d2/dk2 (the
-    last left zero unless with_kk), and the (sn, cn, dn, E) they came from."""
-    S, C, D, E = jacobi_E = _jacobi_E_arr(s, k)
+    last left zero unless with_kk), and the (sn, cn, dn, E) they came from:
+    jacobi_E, the (4, n) _jacobi_E_arr(s, k), if the caller has it."""
+    if jacobi_E is None:
+        jacobi_E = _jacobi_E_arr(s, k)
+    S, C, D, E = jacobi_E
     kp2 = 1.0 - k * k
     out = np.zeros((len(s), 6, 2))
     out[:, 0, 0] = 2.0 * E - s
@@ -137,31 +140,32 @@ def _rotate(phi, v):
     return out
 
 
-def _segment_eval_arr(p, t):
+def _segment_eval_arr(p, t, jacobi_E=None):
     """Points of the parameterized segment at an array of t values.
 
     p is the 7-vector (k, s0, ell, w, phi, x0, y0); returns an (n, 2) array.
+    jacobi_E is _jacobi_E_arr(s0 + ell*t, k), if the caller has it.
     """
     k, s0, ell, w, phi, x0, y0 = p
     s = s0 + ell * t
-    _, C, _, E = _jacobi_E_arr(s, k)
+    _, C, _, E = _jacobi_E_arr(s, k) if jacobi_E is None else jacobi_E
     z = np.stack([2.0 * E - s, 2.0 * k * (1.0 - C)], axis=-1)
     return w * _rotate(phi, z) + (x0, y0)
 
 
-def _segment_partials_arr(p, t, with_second):
+def _segment_partials_arr(p, t, with_second, jacobi_E=None):
     """Segment points with their first parameter partials, and the zeta
     blocks the second partials are made of.
 
     Returns (y, dy, blocks, jacobi_E): y (n, 2), dy (7, n, 2) indexed by
     parameter first, the (n, 6, 2) blocks of _zeta_blocks at the
-    arclengths s0 + ell*t, and jacobi_E = (sn, cn, dn, E) there.  The k-k
-    block, which divides by k, is left zero unless with_second and
-    k >= K_MIN.
+    arclengths s0 + ell*t, and jacobi_E = (sn, cn, dn, E) there (the one
+    passed in, if any).  The k-k block, which divides by k, is left zero
+    unless with_second and k >= K_MIN.
     """
     k, s0, ell, w, phi, x0, y0 = p
     blocks, jacobi_E = _zeta_blocks(s0 + ell * t, k,
-                                    with_second and k >= K_MIN)
+                                    with_second and k >= K_MIN, jacobi_E)
     rb = _rotate(phi, blocks[:, [0, 1, 3]])     # R_phi @ value, d/ds, d/dk
     y = w * rb[:, 0] + (x0, y0)
     dy = np.zeros((7, len(t), 2))

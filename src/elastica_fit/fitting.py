@@ -16,6 +16,15 @@ one eigendecomposition of A.  Each trial is restored onto the manifold
 before F is evaluated, so F alone judges it: free fits re-solve the
 similarity block, pinned fits run capped Gauss-Newton steps on c.
 
+Each point the loop visits carries one elliptic evaluation: sn, cn, dn and
+E at the arclengths s0 + ell*tau of the target's nodes (_jacobi_E_nodes),
+made when _restore puts it on the manifold.  The free alignment's zeta
+values, the trial's F, the accepted point's gradient and Hessian and, in
+pinned modes, the constraint values, Jacobian and Hessians (its columns at
+tau = 0, 1) all read from it.  Only the Gauss-Newton steps inside
+_restore and the constraint violation of the mapped-back result evaluate
+at the two end nodes on their own.
+
 The Hessian of F is a Gauss-Newton term, one (7, 2n) matrix product of
 the first partials, plus sum_i omega_i diff_i . d2y_i from
 elastica._second_partials_dot, which rotates the weighted residual back by
@@ -23,8 +32,7 @@ elastica._second_partials_dot, which rotates the weighted residual back by
 contraction with unit vectors at t = 0, 1 gives the position constraints'
 Hessians in the Lagrangian Hessian W; no per-node tensor is built.
 
-c, J and the constraint Hessians come from one elliptic evaluation at the
-end nodes.  One SVD of J (_row_space) gives both the null-space basis of
+One SVD of J (_row_space) gives both the null-space basis of
 the model and the Gauss-Newton step -J^+ c, with the same rank cut.
 Every integral over the target is a dot product with its Simpson weights
 (CurveSamples.weights).
@@ -44,6 +52,7 @@ from .elastica import (
     _segment_eval_arr,
     _segment_partials_arr,
 )
+from .elliptic import _jacobi_E_arr
 from .errors import DomainError
 
 CONSTRAINT_MODES = ("none", "endpoints", "endpoints+tangents")
@@ -95,9 +104,17 @@ def _tau(samples: CurveSamples) -> np.ndarray:
     return samples.s / samples.length
 
 
-def objective(p: ElasticaParams, target: CurveSamples) -> float:
-    """F(p): half the squared L2 distance to the target, arclength-matched."""
-    y = _segment_eval_arr(p.as_array(), _tau(target))
+def _jacobi_E_nodes(pvec, target: CurveSamples) -> np.ndarray:
+    """sn, cn, dn and E, as a (4, n) array, at the arclengths s0 + ell*tau
+    of the target's nodes: the one elliptic evaluation of a point of fit."""
+    return _jacobi_E_arr(pvec[1] + pvec[2] * _tau(target), pvec[0])
+
+
+def objective(p: ElasticaParams, target: CurveSamples,
+              _jacobi_E=None) -> float:
+    """F(p): half the squared L2 distance to the target, arclength-matched.
+    fit passes p's _jacobi_E_nodes as _jacobi_E."""
+    y = _segment_eval_arr(p.as_array(), _tau(target), _jacobi_E)
     diff = y - target.points
     f = 0.5 * np.sum(diff * diff, axis=1)
     return float(np.dot(f, target.weights))
@@ -109,12 +126,15 @@ def residual_r4(p: ElasticaParams, target: CurveSamples) -> float:
     return math.sqrt(max(2.0 * objective(p, target), 0.0) / L ** 3)
 
 
-def gradient_hessian(p: ElasticaParams, target: CurveSamples):
-    """Analytic gradient (7,) and symmetric Hessian (7, 7) of the objective."""
+def gradient_hessian(p: ElasticaParams, target: CurveSamples,
+                     _jacobi_E=None):
+    """Analytic gradient (7,) and symmetric Hessian (7, 7) of the objective.
+    fit passes p's _jacobi_E_nodes as _jacobi_E."""
     if p.k < K_MIN:
         raise DomainError(f"Hessian needs k >= {K_MIN}")
     t = _tau(target)
-    y, dy, blocks, _ = _segment_partials_arr(p.as_array(), t, True)
+    y, dy, blocks, _ = _segment_partials_arr(p.as_array(), t, True,
+                                             _jacobi_E)
     wts = target.weights[:, None]
     v = wts * (y - target.points)
     jac = dy.reshape(7, -1)
@@ -156,10 +176,11 @@ def _angle_partials(s, k, S, C, D, E):
 
 
 def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
-                                with_hessians=False):
+                                with_hessians=False, jacobi_E=None):
     """The equality constraints c(p) = 0, their Jacobian (m, 7) and, if
     with_hessians, the Hessian of each constraint (m, 7, 7), from one
-    elliptic evaluation at the end nodes t = 0, 1.
+    elliptic evaluation at the end nodes t = 0, 1: jacobi_E, (4, 2), if
+    the caller has it.
 
     Position rows are y_p(t) - x(t), from the segment partials.  Tangent
     rows are the wrapped difference of tangent angles, the angle of
@@ -167,7 +188,8 @@ def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
     their gradient is (theta_k, theta_s, t*theta_s, 0, 1, 0, 0) and their
     Hessian lives in the (k, s0, ell) block.
     """
-    y, dy, blocks, jacobi_E = _segment_partials_arr(pvec, _ENDS, with_hessians)
+    y, dy, blocks, jacobi_E = _segment_partials_arr(pvec, _ENDS, with_hessians,
+                                                    jacobi_E)
     c = (y - target.points[[0, -1]]).ravel()
     jac = dy.reshape(7, 4).T
     if with_hessians:
@@ -225,12 +247,13 @@ def _shifted_step(A, b, radius):
     return -V @ coef[j], float(mus[j])
 
 
-def _align_similarity(pvec, target: CurveSamples):
+def _align_similarity(pvec, target: CurveSamples, jacobi_E):
     """Optimal (w, phi, x0, y0) for fixed (k, s0, ell), by weighted
-    similarity Procrustes; never increases the objective."""
+    similarity Procrustes, from pvec's _jacobi_E_nodes; never increases
+    the objective."""
     base = pvec.copy()
     base[3:] = (1.0, 0.0, 0.0, 0.0)
-    z = _segment_eval_arr(base, _tau(target))
+    z = _segment_eval_arr(base, _tau(target), jacobi_E)
     wts = target.weights
     tot = float(np.sum(wts))
     if tot <= 0:
@@ -264,15 +287,18 @@ def _row_space(J):
 
 
 def _restore(q, target: CurveSamples, mode: str):
-    """(q moved onto the fit's manifold, its constraint violation).
+    """(q moved onto the fit's manifold, its constraint violation, its
+    _jacobi_E_nodes).
 
-    Free: the similarity block re-solved in closed form.  Pinned:
-    Gauss-Newton on c over all seven parameters, each step -J^+ c from
-    _row_space capped at length 0.5, until max|c| <= 1e-12 or for 20
-    steps."""
+    Free: the similarity block re-solved in closed form, which leaves
+    (k, s0, ell) and so the evaluation as they are.  Pinned: Gauss-Newton
+    on c over all seven parameters, each step -J^+ c from _row_space
+    capped at length 0.5, until max|c| <= 1e-12 or for 20 steps."""
     q = _project(q)
     if mode == "none":
-        return _project(_align_similarity(q, target)), 0.0
+        jacobi_E = _jacobi_E_nodes(q, target)
+        return (_project(_align_similarity(q, target, jacobi_E)), 0.0,
+                jacobi_E)
     c, J = _constraint_values_jacobian(q, target, mode)
     for _ in range(20):
         if np.max(np.abs(c)) <= 1e-12:
@@ -282,24 +308,31 @@ def _restore(q, target: CurveSamples, mode: str):
         size = np.linalg.norm(d)
         q = _project(q + (d if size <= 0.5 else d * (0.5 / size)))
         c, J = _constraint_values_jacobian(q, target, mode)
-    return q, float(np.max(np.abs(c)))
+    return q, float(np.max(np.abs(c))), _jacobi_E_nodes(q, target)
 
 
-def _reduced_model(q, target: CurveSamples, mode: str):
+def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
     """(grad_norm, B^T g, B^T W B, B) at a point q on the fit's manifold,
-    B a basis of the directions along it.
+    B a basis of the directions along it, from q's _jacobi_E_nodes.
 
     Free: W = H and B = [I; -H_ll^-1 H_ln] over the similarity block l.  As
     F is minimal over l at q, B^T g and B^T H B are the gradient and Hessian
-    of (k, s0, ell) -> F(., l*(.)); grad_norm is ||g||.  Pinned: B = Z, the
-    null space of J, and W = H + sum_i lambda_i Hess c_i with the
-    least-squares multipliers lambda = -J^+T g; grad_norm is ||Z^T g||."""
-    g, H = gradient_hessian(ElasticaParams.from_array(q), target)
+    of (k, s0, ell) -> F(., l*(.)); grad_norm is ||g||.  If H_ll is
+    singular, B = [I; 0]: the model along a fixed l, which restoring the
+    trial re-aligns.  Pinned: B = Z, the null space of J, and
+    W = H + sum_i lambda_i Hess c_i with the least-squares multipliers
+    lambda = -J^+T g; grad_norm is ||Z^T g||."""
+    g, H = gradient_hessian(ElasticaParams.from_array(q), target, jacobi_E)
     if mode == "none":
-        lift, *_ = np.linalg.lstsq(H[3:, 3:], H[3:, :3], rcond=None)
+        try:
+            lift = np.linalg.solve(H[3:, 3:], H[3:, :3])
+        except np.linalg.LinAlgError:
+            lift = np.zeros((4, 3))
         B = np.vstack([np.eye(3), -lift])
         return float(np.linalg.norm(g)), B.T @ g, B.T @ H @ B, B
-    _, J, Hc = _constraint_values_jacobian(q, target, mode, True)
+    # tau[0] = 0 and tau[-1] = 1 exactly, so these columns are the end nodes
+    _, J, Hc = _constraint_values_jacobian(q, target, mode, True,
+                                           jacobi_E[:, [0, -1]])
     U, sv, Y, Z = _row_space(J)
     W = H + np.einsum("m,mij->ij", -U @ ((Y.T @ g) / sv), Hc)
     gz = Z.T @ g
@@ -320,9 +353,9 @@ def fit(problem: FitProblem) -> FitResult:
     fit's manifold; each trial is restored onto it, so F alone judges it."""
     mode = problem.constraints
     init, target = _unit_problem(problem.init, problem.target)
-    p, cviol = _restore(init.as_array(), target, mode)
-    f = objective(ElasticaParams.from_array(p), target)
-    gnorm, gr, A, B = _reduced_model(p, target, mode)
+    p, cviol, jacobi_E = _restore(init.as_array(), target, mode)
+    f = objective(ElasticaParams.from_array(p), target, jacobi_E)
+    gnorm, gr, A, B = _reduced_model(p, target, mode, jacobi_E)
     delta = 1.0
     it = 0
     converged = False
@@ -346,16 +379,16 @@ def fit(problem: FitProblem) -> FitResult:
             converged = gnorm <= 1e3 * _GRAD_TOL
             msg = "predicted decrease below rounding"
             break
-        trial, cv = _restore(p + B @ y, target, mode)
+        trial, cv, trial_E = _restore(p + B @ y, target, mode)
         try:
-            f_trial = objective(ElasticaParams.from_array(trial), target) \
-                if cv <= 1e-10 else math.inf
+            f_trial = objective(ElasticaParams.from_array(trial), target,
+                                trial_E) if cv <= 1e-10 else math.inf
         except (DomainError, FloatingPointError, OverflowError):
             f_trial = math.inf
         rho = (f - f_trial) / pred
         if rho > 1e-4:
-            p, f, cviol = trial, f_trial, cv
-            gnorm, gr, A, B = _reduced_model(p, target, mode)
+            p, f, cviol, jacobi_E = trial, f_trial, cv, trial_E
+            gnorm, gr, A, B = _reduced_model(p, target, mode, jacobi_E)
             if rho > 0.75:
                 delta = min(delta * 2.0, 1e3)
         else:

@@ -1,5 +1,6 @@
 """Tests for curve sampling and line integrals."""
 
+import dataclasses
 import math
 import warnings
 
@@ -196,6 +197,52 @@ def test_reversed_samples():
     assert rev.length == pytest.approx(smp.length, abs=1e-12)
     assert rev.kappa[5] == pytest.approx(-smp.kappa[-6], abs=1e-14)
     assert np.max(np.abs(np.diff(rev.theta))) < math.pi
+
+
+def test_weights_are_kept_read_only_and_follow_the_samples():
+    """weights is computed once per sample set and cannot be written; a
+    reversed or replaced set gets weights of its own that agree with it."""
+    smp = sample(BezierChain([[[0, 0], [1, 2], [3, -1], [4, 1]]]), 64)
+    w = smp.weights
+    assert smp.weights is w
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    assert np.array_equal(smp.reversed().weights, w[::-1])
+    doubled = dataclasses.replace(smp, speeds=2.0 * smp.speeds)
+    assert doubled.weights is not w
+    assert np.array_equal(doubled.weights, 2.0 * w)
+
+
+def _bernstein_reference(pieces, t):
+    """point and derivative of a chain at one t, from the Bernstein forms
+    written as products of Python floats."""
+    m = len(pieces)
+    x = min(max(t, 0.0), 1.0) * m
+    i = min(int(x), m - 1)
+    u = x - i
+    v = 1 - u
+    b = pieces[i].tolist()
+    point = [v * v * v * b[0][j] + 3 * v * v * u * b[1][j]
+             + 3 * v * u * u * b[2][j] + u * u * u * b[3][j] for j in (0, 1)]
+    deriv = [3 * (v * v * (b[1][j] - b[0][j]) + 2 * v * u * (b[2][j] - b[1][j])
+                  + u * u * (b[3][j] - b[2][j])) * m for j in (0, 1)]
+    return point, deriv
+
+
+def test_chain_powers_are_products():
+    """At random non-dyadic t, a chain's points and derivatives equal the
+    Bernstein products in Python floats bit for bit, in array and scalar
+    calls, so they do not depend on how numpy raises to a power."""
+    rng = np.random.default_rng(53)
+    pieces = rng.normal(size=(3, 4, 2))
+    cur = BezierChain(pieces)
+    t = rng.uniform(0.0, 1.0, 400)
+    pts, ders = cur.point(t), cur.derivative(t)
+    for ti, pt, d in zip(t.tolist(), pts, ders):
+        point, deriv = _bernstein_reference(pieces, ti)
+        assert pt.tolist() == point and cur.point(ti).tolist() == point
+        assert d.tolist() == deriv and cur.derivative(ti).tolist() == deriv
 
 
 _METHODS = ["point", "derivative", "second_derivative"]

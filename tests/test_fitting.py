@@ -30,9 +30,12 @@ from elastica_fit.fitting import (
     _angle_partials,
     _ENDS,
     _constraint_values_jacobian,
+    _jacobi_E_nodes,
     _reduced_model,
+    _restore,
     _row_space,
     _shifted_step,
+    _unit_problem,
     fit,
     gradient_hessian,
     objective,
@@ -222,7 +225,7 @@ class TestHessianContraction:
             U, sv, Y, Z = _row_space(J)
             lam = -U @ ((Y.T @ g) / sv)
             W = H + np.einsum("m,mij->ij", lam, Hc_ref)
-            _, _, A, B = _reduced_model(q, tgt, mode)
+            _, _, A, B = _reduced_model(q, tgt, mode, _jacobi_E_nodes(q, tgt))
             assert np.array_equal(B, Z)
             assert (np.max(np.abs(A - Z.T @ W @ Z))
                     <= 1e-12 * np.max(np.abs(W)))
@@ -367,6 +370,15 @@ class TestTrustRegionStep:
         assert np.allclose(J @ Z, 0.0, atol=1e-12)
 
 
+def test_unit_problem_weights():
+    """The unit-length target's weights are the target's over its length,
+    to the two roundings each side makes."""
+    tgt = sample(load_curve(os.path.join(CORPUS_DIR, "loop.json")), 256)
+    _, unit = _unit_problem(BASE, tgt)
+    np.testing.assert_allclose(unit.weights, tgt.weights / tgt.length,
+                               rtol=4 * np.finfo(float).eps, atol=0.0)
+
+
 class TestFitProblemValidation:
     def test_bad_mode(self):
         tgt = elastica_target(BASE, 64)
@@ -490,15 +502,17 @@ class TestReducedModel:
         E = h * np.eye(3)
         for _ in range(5):
             tgt = elastica_target(random_params(rng), 256)
-            p = _align_similarity(random_params(rng).as_array(), tgt)
+            p = random_params(rng).as_array()
+            p = _align_similarity(p, tgt, _jacobi_E_nodes(p, tgt))
 
             def F(n):
                 q = p.copy()
                 q[:3] = n
-                q = _align_similarity(q, tgt)
+                q = _align_similarity(q, tgt, _jacobi_E_nodes(q, tgt))
                 return objective(ElasticaParams.from_array(q), tgt)
 
-            _, gr, A, _ = _reduced_model(p, tgt, "none")
+            _, gr, A, _ = _reduced_model(p, tgt, "none",
+                                         _jacobi_E_nodes(p, tgt))
             n0 = p[:3]
             g_fd = np.array([(F(n0 + e) - F(n0 - e)) / (2 * h) for e in E])
             H_fd = np.array([[(F(n0 + a + b) - F(n0 + a - b)
@@ -506,6 +520,69 @@ class TestReducedModel:
                               for b in E] for a in E])
             assert np.linalg.norm(gr - g_fd) <= 1e-5 * np.linalg.norm(g_fd)
             assert np.linalg.norm(A - H_fd) <= 1e-5 * np.linalg.norm(H_fd)
+
+
+    def test_singular_similarity_block(self):
+        """A guess whose shape is one point (s0 = 0, ell = 5e-324) gives w
+        and phi no effect, so the similarity block of H is singular and
+        solve refuses it.  The model then keeps the similarity fixed,
+        B = [I; 0], and the fit still reaches the target."""
+        tgt = elastica_target(BASE, 64)
+        init = dataclasses.replace(BASE, s0=0.0, ell=5e-324)
+        q, _, jacobi_E = _restore(init.as_array(), tgt, "none")
+        _, H = gradient_hessian(ElasticaParams.from_array(q), tgt, jacobi_E)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(H[3:, 3:], H[3:, :3])
+        _, gr, A, B = _reduced_model(q, tgt, "none", jacobi_E)
+        assert np.array_equal(B, np.eye(7, 3))
+        assert np.all(np.isfinite(gr)) and np.all(np.isfinite(A))
+        res = fit(FitProblem(target=tgt, init=init, max_iter=200))
+        assert res.converged
+        assert residual_r4(res.params, tgt) <= 1e-9
+
+
+class TestOneEvaluationPerPoint:
+    @pytest.mark.parametrize("mode", ["none", "endpoints+tangents"])
+    def test_one_node_evaluation_per_restored_point(self, mode, monkeypatch):
+        """Inside fit, sn, cn, dn and E are evaluated at the target's nodes
+        once per restored point (the initial one and every trial) and
+        nowhere else: objective, gradient_hessian, the alignment and the
+        constraint rows read that evaluation.  Two evaluations share
+        (k, s) only where the loop restores the same shape twice.  Outside
+        _restore, a pinned fit evaluates once more, at the end nodes of the
+        mapped-back result."""
+        from elastica_fit.recovery import initial_guess
+        cur = load_curve(os.path.join(CORPUS_DIR, "s_curve.json"))
+        tgt = sample(cur, 256)
+        rep = initial_guess(tgt)
+        if rep.reversed_input:
+            tgt = tgt.reversed()
+        full, shapes, outside, inside = [], [], [], []
+
+        def counted(s, k):
+            if len(s) == len(tgt.t):
+                full.append((float(k), np.asarray(s).tobytes()))
+            if not inside:
+                outside.append(len(s))
+            return _jacobi_E_arr(s, k)
+
+        def restore(q, target, mode):
+            before = len(full)
+            inside.append(True)
+            out = _restore(q, target, mode)
+            inside.pop()
+            assert len(full) == before + 1
+            shapes.append(out[0][:3].tobytes())
+            return out
+
+        for mod in (fitting, elastica):
+            monkeypatch.setattr(mod, "_jacobi_E_arr", counted)
+        monkeypatch.setattr(fitting, "_restore", restore)
+        res = fit(FitProblem(target=tgt, init=rep.params, constraints=mode))
+        assert res.converged and res.iterations >= 3
+        assert len(full) == len(shapes) > res.iterations
+        assert len(set(full)) == len(set(shapes))
+        assert outside == ([] if mode == "none" else [2])
 
 
 class TestFitOnManifold:
@@ -561,11 +638,11 @@ class TestFitOnManifold:
         real = fitting._restore
 
         def restore(q, target, mode):
-            q, cv = real(q, target, mode)
+            q, cv, jacobi_E = real(q, target, mode)
             if len(restored) == 1:
                 q[2] = 0.0
             restored.append(q)
-            return q, cv
+            return q, cv, jacobi_E
 
         monkeypatch.setattr(fitting, "_restore", restore)
         res = fit(FitProblem(target=tgt, init=perturbed(BASE, rng)))
@@ -579,8 +656,8 @@ class TestFitOnManifold:
         init = dataclasses.replace(BASE, x0=BASE.x0 + 0.3)
         real = fitting._constraint_values_jacobian
 
-        def flat(pvec, target, mode, with_hessians=False):
-            out = real(pvec, target, mode, with_hessians)
+        def flat(pvec, target, mode, with_hessians=False, jacobi_E=None):
+            out = real(pvec, target, mode, with_hessians, jacobi_E)
             return (out[0], np.zeros_like(out[1])) + out[2:]
 
         monkeypatch.setattr(fitting, "_constraint_values_jacobian", flat)
