@@ -93,11 +93,13 @@ class BasicDerivatives(NamedTuple):
 # ---------------------------------------------------------------------------
 # kernels
 
-def _zeta_blocks(s, k, with_kk, jacobi_E=None):
+def _zeta_blocks(s, k, second, jacobi_E=None):
     """zeta and its five derivative blocks at an array of arclengths s,
-    packed as (n, 6, 2): value, d/ds, d2/ds2, d/dk, d2/dsdk, d2/dk2 (the
-    last left zero unless with_kk), and the (sn, cn, dn, E) they came from:
-    jacobi_E, the (4, n) _jacobi_E_arr(s, k), if the caller has it."""
+    packed as (n, 6, 2): value, d/ds, d2/ds2, d/dk, d2/dsdk, d2/dk2, and
+    the (sn, cn, dn, E) they came from: jacobi_E, the (4, n)
+    _jacobi_E_arr(s, k), if the caller has it.  The second-derivative
+    blocks are left zero unless second; d2/dk2, which divides by k, also
+    unless k >= K_MIN."""
     if jacobi_E is None:
         jacobi_E = _jacobi_E_arr(s, k)
     S, C, D, E = jacobi_E
@@ -107,14 +109,16 @@ def _zeta_blocks(s, k, with_kk, jacobi_E=None):
     out[:, 0, 1] = 2.0 * k * (1.0 - C)
     out[:, 1, 0] = 2.0 * D * D - 1.0
     out[:, 1, 1] = 2.0 * k * S * D
-    out[:, 2, 0] = 2.0 * k * C * (-2.0 * k * S * D)
-    out[:, 2, 1] = 2.0 * k * C * (2.0 * D * D - 1.0)
     out[:, 3, 0] = (2.0 / kp2) * k * (S * C * D - E * C * C - s * kp2 * S * S)
     out[:, 3, 1] = (2.0 / kp2) * (kp2 + C * (k * k - D * D) - S * D * (E - s * kp2))
+    if not second:
+        return out, jacobi_E
+    out[:, 2, 0] = 2.0 * k * C * (-2.0 * k * S * D)
+    out[:, 2, 1] = 2.0 * k * C * (2.0 * D * D - 1.0)
     f = (2.0 / kp2) * (S * D - C * (E - s * kp2))
     out[:, 4, 0] = f * (-2.0 * k * S * D)
     out[:, 4, 1] = f * (2.0 * D * D - 1.0)
-    if with_kk:
+    if k >= K_MIN:
         a0 = 2.0 * S * D * C * (D * D - k * k * E * E
                                 + kp2 * (s * s * k * k - (E - s) ** 2 - 0.5))
         a1 = (1.0 / k) * ((1.0 - 2.0 * k * k * S * S) * (E - s)
@@ -160,12 +164,11 @@ def _segment_partials_arr(p, t, with_second, jacobi_E=None):
     Returns (y, dy, blocks, jacobi_E): y (n, 2), dy (7, n, 2) indexed by
     parameter first, the (n, 6, 2) blocks of _zeta_blocks at the
     arclengths s0 + ell*t, and jacobi_E = (sn, cn, dn, E) there (the one
-    passed in, if any).  The k-k block, which divides by k, is left zero
-    unless with_second and k >= K_MIN.
+    passed in, if any).  The second-derivative blocks are left zero unless
+    with_second (see _zeta_blocks).
     """
     k, s0, ell, w, phi, x0, y0 = p
-    blocks, jacobi_E = _zeta_blocks(s0 + ell * t, k,
-                                    with_second and k >= K_MIN, jacobi_E)
+    blocks, jacobi_E = _zeta_blocks(s0 + ell * t, k, with_second, jacobi_E)
     rb = _rotate(phi, blocks[:, [0, 1, 3]])     # R_phi @ value, d/ds, d/dk
     y = w * rb[:, 0] + (x0, y0)
     dy = np.zeros((7, len(t), 2))

@@ -19,11 +19,14 @@ similarity block, pinned fits run capped Gauss-Newton steps on c.
 Each point the loop visits carries one elliptic evaluation: sn, cn, dn and
 E at the arclengths s0 + ell*tau of the target's nodes (_jacobi_E_nodes),
 made when _restore puts it on the manifold.  The free alignment's zeta
-values, the trial's F, the accepted point's gradient and Hessian and, in
-pinned modes, the constraint values, Jacobian and Hessians (its columns at
-tau = 0, 1) all read from it.  Only the Gauss-Newton steps inside
-_restore and the constraint violation of the mapped-back result evaluate
-at the two end nodes on their own.
+values, the trial's F and the accepted point's gradient and Hessian read
+from it; in pinned modes the model's constraint Jacobian and Hessians are
+rows tau = 0, 1 of the partials that gradient and Hessian are built from.
+Only the Gauss-Newton iterates inside _restore and the mapped-back result
+evaluate at the two end nodes on their own (_jacobi_E_ends), for c alone;
+J is built from that evaluation only for a step that is taken.  A step
+that a rejection leaves inside the shrunk radius is the same trial again,
+so its F is reused rather than restored and evaluated again.
 
 The Hessian of F is a Gauss-Newton term, one (7, 2n) matrix product of
 the first partials, plus sum_i omega_i diff_i . d2y_i from
@@ -79,11 +82,13 @@ class FitProblem:
 class FitResult:
     """The outcome of fit.  grad_norm is ||g|| (free) or ||Z^T g|| (pinned)
     on the unit-length problem; params, objective and constraint_violation
-    (max|c|) are in the target's units.  message is one of four stops:
+    (max|c|) are in the target's units.  message is one of five stops:
 
     - "gradient tolerance reached" (converged);
     - "predicted decrease below rounding": the model promises less than
       1e-15 F, converged if grad_norm <= 1e3 * _GRAD_TOL;
+    - "model not finite": the gradient or Hessian overflowed, as at a
+      guess whose shape is nearly one point (unconverged);
     - "trust region collapsed";
     - "max_iter reached";
 
@@ -127,20 +132,23 @@ def residual_r4(p: ElasticaParams, target: CurveSamples) -> float:
 
 
 def gradient_hessian(p: ElasticaParams, target: CurveSamples,
-                     _jacobi_E=None):
+                     _jacobi_E=None, _partials=False):
     """Analytic gradient (7,) and symmetric Hessian (7, 7) of the objective.
-    fit passes p's _jacobi_E_nodes as _jacobi_E."""
+    fit passes p's _jacobi_E_nodes as _jacobi_E, and asks with _partials
+    for the _segment_partials_arr at the nodes as a third value."""
     if p.k < K_MIN:
         raise DomainError(f"Hessian needs k >= {K_MIN}")
     t = _tau(target)
-    y, dy, blocks, _ = _segment_partials_arr(p.as_array(), t, True,
-                                             _jacobi_E)
+    partials = _segment_partials_arr(p.as_array(), t, True, _jacobi_E)
+    y, dy, blocks, _ = partials
     wts = target.weights[:, None]
     v = wts * (y - target.points)
     jac = dy.reshape(7, -1)
     grad = jac @ v.ravel()
     hess = ((dy * wts).reshape(7, -1) @ jac.T
             + _second_partials_dot(v, t, blocks, p.w, p.phi))
+    if _partials:
+        return grad, 0.5 * (hess + hess.T), partials
     return grad, 0.5 * (hess + hess.T)
 
 
@@ -154,10 +162,10 @@ def _wrap_angle(a):
 _ENDS = np.array([0.0, 1.0])
 
 
-def _angle_partials(s, k, S, C, D, E):
-    """The basic elastica's tangent angle theta = 2 atan2(k sn, dn) at
-    arclengths s, and its partials: (theta, theta_s, theta_ss, theta_k,
-    theta_sk, theta_kk), from sn, cn, dn and E at s.
+def _angle_partials(s, k, S, C, D, E, second=True):
+    """The partials of the basic elastica's tangent angle
+    theta = 2 atan2(k sn, dn) at arclengths s, from sn, cn, dn and E at s:
+    (theta_s, theta_k) and, if second, theta_ss, theta_sk, theta_kk.
 
     The k-derivatives of sn, cn, dn and E at fixed s are those of Byrd &
     Friedman 710.00; theta_kk divides by k.
@@ -165,32 +173,53 @@ def _angle_partials(s, k, S, C, D, E):
     kp2 = 1.0 - k * k
     G = E - kp2 * s
     Q = S * D - C * G
+    first = (2.0 * k * C, 2.0 * Q / kp2)
+    if not second:
+        return first
     P = k * k * S * C - D * G
     Q_k = P * (C * D + S * G) / (k * kp2) - k * Q / kp2 - k * s * C
-    return (2.0 * np.arctan2(k * S, D),
-            2.0 * k * C,
-            -2.0 * k * S * D,
-            2.0 * Q / kp2,
-            (2.0 / kp2) * (C * (kp2 - k * k * S * S) + S * D * G),
-            2.0 * Q_k / kp2 + 4.0 * k * Q / (kp2 * kp2))
+    return first + (-2.0 * k * S * D,
+                    (2.0 / kp2) * (C * (kp2 - k * k * S * S) + S * D * G),
+                    2.0 * Q_k / kp2 + 4.0 * k * Q / (kp2 * kp2))
+
+
+def _jacobi_E_ends(pvec) -> np.ndarray:
+    """sn, cn, dn and E, (4, 2), at the end nodes t = 0, 1."""
+    return _jacobi_E_arr(pvec[1] + pvec[2] * _ENDS, pvec[0])
+
+
+def _constraint_values(pvec, target: CurveSamples, mode: str, jacobi_E,
+                       y=None):
+    """The constraints c(p) from _jacobi_E_ends (and the points y at the
+    end nodes t = 0, 1, if the caller has them): positions y_p(t) - x(t),
+    then the wrapped tangent-angle differences, the angle of y_s = dy/ds0
+    being phi + theta(s0 + ell*t, k), theta = 2 atan2(k sn, dn), ell > 0."""
+    if y is None:
+        y = _segment_eval_arr(pvec, _ENDS, jacobi_E)
+    c = (y - target.points[[0, -1]]).ravel()
+    if mode == "endpoints+tangents":
+        S, _, D, _ = jacobi_E
+        th = 2.0 * np.arctan2(pvec[0] * S, D)
+        c = np.concatenate(
+            [c, _wrap_angle(pvec[4] + th - target.theta[[0, -1]])])
+    return c
 
 
 def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
-                                with_hessians=False, jacobi_E=None):
+                                with_hessians=False, ends=None):
     """The equality constraints c(p) = 0, their Jacobian (m, 7) and, if
-    with_hessians, the Hessian of each constraint (m, 7, 7), from one
-    elliptic evaluation at the end nodes t = 0, 1: jacobi_E, (4, 2), if
-    the caller has it.
+    with_hessians, the Hessian of each constraint (m, 7, 7), from the
+    _segment_partials_arr (y, dy, blocks, jacobi_E) at the end nodes
+    t = 0, 1: ends, if the caller has them, else one 2-node evaluation.
 
-    Position rows are y_p(t) - x(t), from the segment partials.  Tangent
-    rows are the wrapped difference of tangent angles, the angle of
-    y_s = dy/ds0 being phi + theta(s0 + ell*t, k) (ell > 0 assumed), so
-    their gradient is (theta_k, theta_s, t*theta_s, 0, 1, 0, 0) and their
-    Hessian lives in the (k, s0, ell) block.
+    Position rows come from the segment partials.  The tangent rows'
+    gradient is (theta_k, theta_s, t*theta_s, 0, 1, 0, 0) and their Hessian
+    lives in the (k, s0, ell) block.
     """
-    y, dy, blocks, jacobi_E = _segment_partials_arr(pvec, _ENDS, with_hessians,
-                                                    jacobi_E)
-    c = (y - target.points[[0, -1]]).ravel()
+    if ends is None:
+        ends = _segment_partials_arr(pvec, _ENDS, with_hessians)
+    y, dy, blocks, jacobi_E = ends
+    c = _constraint_values(pvec, target, mode, jacobi_E, y)
     jac = dy.reshape(7, 4).T
     if with_hessians:
         # row 2e + j is coordinate j at end e: the unit vector e_j there
@@ -198,24 +227,23 @@ def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
                                     blocks, pvec[3], pvec[4])
     if mode == "endpoints+tangents":
         t = _ENDS
-        th, th_s, th_ss, th_k, th_sk, th_kk = _angle_partials(
-            pvec[1] + pvec[2] * t, pvec[0], *jacobi_E)
-        c = np.concatenate(
-            [c, _wrap_angle(pvec[4] + th - target.theta[[0, -1]])])
+        th_s, th_k, *second = _angle_partials(
+            pvec[1] + pvec[2] * t, pvec[0], *jacobi_E, with_hessians)
         grad = np.zeros((2, 7))
         grad[:, 0] = th_k
         grad[:, 1] = th_s
         grad[:, 2] = t * th_s
         grad[:, 4] = 1.0
-        h = np.zeros((2, 7, 7))
-        h[:, 0, 0] = th_kk
-        h[:, 0, 1] = h[:, 1, 0] = th_sk
-        h[:, 0, 2] = h[:, 2, 0] = t * th_sk
-        h[:, 1, 1] = th_ss
-        h[:, 1, 2] = h[:, 2, 1] = t * th_ss
-        h[:, 2, 2] = t * t * th_ss
         jac = np.vstack([jac, grad])
         if with_hessians:
+            th_ss, th_sk, th_kk = second
+            h = np.zeros((2, 7, 7))
+            h[:, 0, 0] = th_kk
+            h[:, 0, 1] = h[:, 1, 0] = th_sk
+            h[:, 0, 2] = h[:, 2, 0] = t * th_sk
+            h[:, 1, 1] = th_ss
+            h[:, 1, 2] = h[:, 2, 1] = t * th_ss
+            h[:, 2, 2] = t * t * th_ss
             hess = np.concatenate([hess, h])
     if with_hessians:
         return c, jac, hess
@@ -238,9 +266,9 @@ def _shifted_step(A, b, radius):
     with ||y|| <= radius (else the last).  A shift that leaves A + mu I
     singular to rounding gives an infinite candidate, which never fits."""
     lam, V = np.linalg.eigh(A)
-    mus = np.ldexp(max(0.0, -float(lam[0])) + 1e-12 + 1e-10,
-                   np.arange(100)) - 1e-10
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        mus = np.ldexp(max(0.0, -float(lam[0])) + 1e-12 + 1e-10,
+                       np.arange(100)) - 1e-10
         coef = (V.T @ b) / (lam + mus[:, None])
     fits = np.flatnonzero(np.linalg.norm(coef, axis=1) <= radius)
     j = fits[0] if fits.size else -1
@@ -293,27 +321,33 @@ def _restore(q, target: CurveSamples, mode: str):
     Free: the similarity block re-solved in closed form, which leaves
     (k, s0, ell) and so the evaluation as they are.  Pinned: Gauss-Newton
     on c over all seven parameters, each step -J^+ c from _row_space
-    capped at length 0.5, until max|c| <= 1e-12 or for 20 steps."""
+    capped at length 0.5, until max|c| <= 1e-12 or for 20 steps.  Each
+    iterate evaluates c alone at the end nodes, and builds J from that
+    evaluation only for a step it takes."""
     q = _project(q)
     if mode == "none":
         jacobi_E = _jacobi_E_nodes(q, target)
         return (_project(_align_similarity(q, target, jacobi_E)), 0.0,
                 jacobi_E)
-    c, J = _constraint_values_jacobian(q, target, mode)
-    for _ in range(20):
-        if np.max(np.abs(c)) <= 1e-12:
+    for step in range(21):
+        ends = _jacobi_E_ends(q)
+        c = _constraint_values(q, target, mode, ends)
+        if step == 20 or np.max(np.abs(c)) <= 1e-12:
             break
+        partials = _segment_partials_arr(q, _ENDS, False, ends)
+        _, J = _constraint_values_jacobian(q, target, mode, False, partials)
         U, sv, Y, _ = _row_space(J)
         d = -Y @ ((U.T @ c) / sv)
         size = np.linalg.norm(d)
         q = _project(q + (d if size <= 0.5 else d * (0.5 / size)))
-        c, J = _constraint_values_jacobian(q, target, mode)
     return q, float(np.max(np.abs(c))), _jacobi_E_nodes(q, target)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
     """(grad_norm, B^T g, B^T W B, B) at a point q on the fit's manifold,
-    B a basis of the directions along it, from q's _jacobi_E_nodes.
+    B a basis of the directions along it, from q's _jacobi_E_nodes; one
+    that overflows has infinite or NaN entries, without a warning.
 
     Free: W = H and B = [I; -H_ll^-1 H_ln] over the similarity block l.  As
     F is minimal over l at q, B^T g and B^T H B are the gradient and Hessian
@@ -321,8 +355,10 @@ def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
     singular, B = [I; 0]: the model along a fixed l, which restoring the
     trial re-aligns.  Pinned: B = Z, the null space of J, and
     W = H + sum_i lambda_i Hess c_i with the least-squares multipliers
-    lambda = -J^+T g; grad_norm is ||Z^T g||."""
-    g, H = gradient_hessian(ElasticaParams.from_array(q), target, jacobi_E)
+    lambda = -J^+T g, J and Hess c_i from the partials of g and H at the
+    end nodes; grad_norm is ||Z^T g||."""
+    g, H, (y, dy, blocks, _) = gradient_hessian(
+        ElasticaParams.from_array(q), target, jacobi_E, True)
     if mode == "none":
         try:
             lift = np.linalg.solve(H[3:, 3:], H[3:, :3])
@@ -330,9 +366,11 @@ def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
             lift = np.zeros((4, 3))
         B = np.vstack([np.eye(3), -lift])
         return float(np.linalg.norm(g)), B.T @ g, B.T @ H @ B, B
-    # tau[0] = 0 and tau[-1] = 1 exactly, so these columns are the end nodes
-    _, J, Hc = _constraint_values_jacobian(q, target, mode, True,
-                                           jacobi_E[:, [0, -1]])
+    # tau[0] = 0 and tau[-1] = 1 exactly, so these rows are the end nodes
+    ends = [0, -1]
+    _, J, Hc = _constraint_values_jacobian(
+        q, target, mode, True,
+        (y[ends], dy[:, ends], blocks[ends], jacobi_E[:, ends]))
     U, sv, Y, Z = _row_space(J)
     W = H + np.einsum("m,mij->ij", -U @ ((Y.T @ g) / sv), Hc)
     gz = Z.T @ g
@@ -357,6 +395,7 @@ def fit(problem: FitProblem) -> FitResult:
     f = objective(ElasticaParams.from_array(p), target, jacobi_E)
     gnorm, gr, A, B = _reduced_model(p, target, mode, jacobi_E)
     delta = 1.0
+    rejected = None  # (y, F) of the last trial while it stays rejected
     it = 0
     converged = False
     msg = "max_iter reached"
@@ -367,6 +406,9 @@ def fit(problem: FitProblem) -> FitResult:
         if gnorm <= _GRAD_TOL:
             converged = True
             msg = "gradient tolerance reached"
+            break
+        if not (math.isfinite(gnorm) and np.isfinite(A).all()):
+            msg = "model not finite"
             break
         if it >= problem.max_iter:
             break
@@ -379,19 +421,25 @@ def fit(problem: FitProblem) -> FitResult:
             converged = gnorm <= 1e3 * _GRAD_TOL
             msg = "predicted decrease below rounding"
             break
-        trial, cv, trial_E = _restore(p + B @ y, target, mode)
-        try:
-            f_trial = objective(ElasticaParams.from_array(trial), target,
-                                trial_E) if cv <= 1e-10 else math.inf
-        except (DomainError, FloatingPointError, OverflowError):
-            f_trial = math.inf
+        if rejected is not None and np.array_equal(y, rejected[0]):
+            # the radius shrank, but the rejected step still fits it
+            f_trial = rejected[1]
+        else:
+            trial, cv, trial_E = _restore(p + B @ y, target, mode)
+            try:
+                f_trial = objective(ElasticaParams.from_array(trial), target,
+                                    trial_E) if cv <= 1e-10 else math.inf
+            except (DomainError, FloatingPointError, OverflowError):
+                f_trial = math.inf
         rho = (f - f_trial) / pred
         if rho > 1e-4:
             p, f, cviol, jacobi_E = trial, f_trial, cv, trial_E
             gnorm, gr, A, B = _reduced_model(p, target, mode, jacobi_E)
+            rejected = None
             if rho > 0.75:
                 delta = min(delta * 2.0, 1e3)
         else:
+            rejected = y, f_trial
             delta = max(delta * 0.25, 1e-14)
             if delta <= 1e-13:
                 msg = "trust region collapsed"
@@ -401,7 +449,7 @@ def fit(problem: FitProblem) -> FitResult:
     p[5:] = L * p[5:] + origin
     if mode != "none":
         cviol = float(np.max(np.abs(
-            _constraint_values_jacobian(p, problem.target, mode)[0])))
+            _constraint_values(p, problem.target, mode, _jacobi_E_ends(p)))))
     return FitResult(params=ElasticaParams.from_array(p), objective=f * L ** 3,
                      grad_norm=gnorm, iterations=it, converged=converged,
                      constraint_violation=cviol, message=msg)

@@ -282,12 +282,37 @@ class TestConstraintJacobian:
                                     "endpoints+tangents", True)
         assert calls == [2]
 
+    @pytest.mark.parametrize("mode", ["endpoints", "endpoints+tangents"])
+    def test_model_reads_end_rows(self, mode, monkeypatch):
+        """The pinned model builds c, J and the constraint Hessians from
+        rows [0, -1] of the partials its gradient and Hessian come from;
+        they equal a stand-alone 2-node evaluation bit for bit."""
+        seen = []
+
+        def recorded(pvec, target, mode, with_hessians=False, ends=None):
+            out = _constraint_values_jacobian(pvec, target, mode,
+                                              with_hessians, ends)
+            seen.append((ends, out))
+            return out
+
+        monkeypatch.setattr(fitting, "_constraint_values_jacobian", recorded)
+        for p, tgt in _corpus_guesses():
+            q = p.as_array()
+            _reduced_model(q, tgt, mode, _jacobi_E_nodes(q, tgt))
+            (ends, out), = seen
+            seen.clear()
+            assert ends is not None
+            ref = _constraint_values_jacobian(q, tgt, mode, True)
+            assert len(out) == len(ref) == 3
+            for a, b in zip(out, ref):
+                assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("k", [0.3, 0.9, 1.2, 3.0])
     def test_angle_partials_mpmath(self, k):
         """theta_k, theta_sk and theta_kk against mpmath derivatives of
         2 atan2(k sn, dn)."""
         s = np.array([-0.7, 0.0, 0.4, 1.3, 2.9])
-        _, _, _, th_k, th_sk, th_kk = _angle_partials(
+        _, th_k, _, th_sk, th_kk = _angle_partials(
             s, k, *_jacobi_E_arr(s, k))
 
         def theta(u, kk):
@@ -558,13 +583,31 @@ class TestOneEvaluationPerPoint:
         if rep.reversed_input:
             tgt = tgt.reversed()
         full, shapes, outside, inside = [], [], [], []
+        ends, zeta_ends, steps, angles = [], [], [], []
+        real_blocks = elastica._zeta_blocks
 
         def counted(s, k):
             if len(s) == len(tgt.t):
                 full.append((float(k), np.asarray(s).tobytes()))
+            elif inside:
+                ends.append(len(s))
             if not inside:
                 outside.append(len(s))
             return _jacobi_E_arr(s, k)
+
+        def zeta_blocks(s, k, second, jacobi_E=None):
+            if len(s) == 2:
+                zeta_ends.append((bool(inside), second))
+            return real_blocks(s, k, second, jacobi_E)
+
+        def angle_partials(*args):
+            angles.append((bool(inside), args[-1]))
+            return _angle_partials(*args)
+
+        def row_space(J):
+            if inside:
+                steps.append(True)
+            return _row_space(J)
 
         def restore(q, target, mode):
             before = len(full)
@@ -577,12 +620,24 @@ class TestOneEvaluationPerPoint:
 
         for mod in (fitting, elastica):
             monkeypatch.setattr(mod, "_jacobi_E_arr", counted)
+        monkeypatch.setattr(elastica, "_zeta_blocks", zeta_blocks)
+        monkeypatch.setattr(fitting, "_row_space", row_space)
+        monkeypatch.setattr(fitting, "_angle_partials", angle_partials)
         monkeypatch.setattr(fitting, "_restore", restore)
         res = fit(FitProblem(target=tgt, init=rep.params, constraints=mode))
         assert res.converged and res.iterations >= 3
-        assert len(full) == len(shapes) > res.iterations
+        assert len(full) == len(shapes) > 3
         assert len(set(full)) == len(set(shapes))
         assert outside == ([] if mode == "none" else [2])
+        # Gauss-Newton: one 2-node evaluation per iterate, and first-order
+        # 2-node zeta blocks and angle partials (for J) only for a step
+        # that is taken; the model's second-order ones come from its nodes
+        pinned = mode != "none"
+        assert ends == [2] * (len(shapes) + len(steps) if pinned else 0)
+        assert zeta_ends == [(True, False)] * len(steps)
+        assert len(steps) > 0 if pinned else not steps
+        assert angles.count((True, False)) == len(steps)
+        assert set(angles) <= {(True, False), (False, True)}
 
 
 class TestFitOnManifold:
@@ -656,8 +711,8 @@ class TestFitOnManifold:
         init = dataclasses.replace(BASE, x0=BASE.x0 + 0.3)
         real = fitting._constraint_values_jacobian
 
-        def flat(pvec, target, mode, with_hessians=False, jacobi_E=None):
-            out = real(pvec, target, mode, with_hessians, jacobi_E)
+        def flat(pvec, target, mode, with_hessians=False, ends=None):
+            out = real(pvec, target, mode, with_hessians, ends)
             return (out[0], np.zeros_like(out[1])) + out[2:]
 
         monkeypatch.setattr(fitting, "_constraint_values_jacobian", flat)
@@ -665,6 +720,45 @@ class TestFitOnManifold:
         assert not res.converged and res.iterations == 0
         assert res.message == "constraints not restored"
         assert res.constraint_violation == pytest.approx(0.3, rel=1e-12)
+
+    @pytest.mark.parametrize("name, mode, repeats", [
+        ("hook", "endpoints+tangents", 13), ("shallow_s", "none", 5)])
+    def test_repeated_trial_is_not_restored(self, name, mode, repeats,
+                                            monkeypatch):
+        """After a rejection, a step that still fits the shrunk radius is
+        the same trial: its F is reused, so no two restores in a row get
+        the same point, yet each repeat still counts as an iteration.  The
+        hook's fit tried one point 14 times in a row (13 repeats)."""
+        inputs = []
+        real = fitting._restore
+
+        def restore(q, target, mode):
+            inputs.append(q.tobytes())
+            return real(q, target, mode)
+
+        monkeypatch.setattr(fitting, "_restore", restore)
+        cur = load_curve(os.path.join(CORPUS_DIR, name + ".json"))
+        res, _ = guess_and_fit(cur, mode, max_iter=600)
+        assert res.converged
+        assert all(a != b for a, b in zip(inputs[1:], inputs[2:]))
+        trials = len(inputs) - 1
+        stepless = res.message == "predicted decrease below rounding"
+        assert res.iterations == trials + repeats + stepless
+
+    @pytest.mark.parametrize("ell, message, iterations", [
+        (1e-160, "model not finite", 0),
+        (1e-300, "predicted decrease below rounding", 1)])
+    def test_near_point_guess_returns(self, ell, message, iterations):
+        """A guess whose shape is nearly one point: at ell = 1e-160 the
+        alignment scales it by ~1e160 and the Hessian overflows; fit stops
+        there, unconverged, without a warning.  At 1e-300 the alignment
+        cannot scale it and the fit stops after one step."""
+        tgt = elastica_target(BASE, 64)
+        init = dataclasses.replace(BASE, s0=0.0, ell=ell)
+        res = fit(FitProblem(target=tgt, init=init, max_iter=200))
+        assert res.message == message and not res.converged
+        assert res.iterations == iterations
+        assert math.isfinite(res.objective)
 
 
 @pytest.mark.parametrize("mode", ["none", "endpoints",
