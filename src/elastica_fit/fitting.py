@@ -23,10 +23,13 @@ values, the trial's F and the accepted point's gradient and Hessian read
 from it; in pinned modes the model's constraint Jacobian and Hessians are
 rows tau = 0, 1 of the partials that gradient and Hessian are built from.
 Only the Gauss-Newton iterates inside _restore and the mapped-back result
-evaluate at the two end nodes on their own (_jacobi_E_ends), for c alone;
-J is built from that evaluation only for a step that is taken.  A step
-that a rejection leaves inside the shrunk radius is the same trial again,
-so its F is reused rather than restored and evaluated again.
+evaluate at the two end nodes on their own (_jacobi_E_ends), for c alone
+(_constraint_values, the one place c is computed); J is built from that
+evaluation only for a step that is taken.
+
+The step for a radius that a rejected step still fits is that step again,
+so a rejection quarters the radius until the rejected step no longer fits:
+every iteration restores and evaluates a new trial.
 
 The Hessian of F is a Gauss-Newton term, one (7, 2n) matrix product of
 the first partials, plus sum_i omega_i diff_i . d2y_i from
@@ -82,7 +85,10 @@ class FitProblem:
 class FitResult:
     """The outcome of fit.  grad_norm is ||g|| (free) or ||Z^T g|| (pinned)
     on the unit-length problem; params, objective and constraint_violation
-    (max|c|) are in the target's units.  message is one of five stops:
+    (max|c|) are in the target's units.  iterations counts the trials
+    restored and evaluated (capped by max_iter), plus one for a step that
+    stops at "predicted decrease below rounding".  message is one of five
+    stops:
 
     - "gradient tolerance reached" (converged);
     - "predicted decrease below rounding": the model promises less than
@@ -188,14 +194,12 @@ def _jacobi_E_ends(pvec) -> np.ndarray:
     return _jacobi_E_arr(pvec[1] + pvec[2] * _ENDS, pvec[0])
 
 
-def _constraint_values(pvec, target: CurveSamples, mode: str, jacobi_E,
-                       y=None):
-    """The constraints c(p) from _jacobi_E_ends (and the points y at the
-    end nodes t = 0, 1, if the caller has them): positions y_p(t) - x(t),
-    then the wrapped tangent-angle differences, the angle of y_s = dy/ds0
-    being phi + theta(s0 + ell*t, k), theta = 2 atan2(k sn, dn), ell > 0."""
-    if y is None:
-        y = _segment_eval_arr(pvec, _ENDS, jacobi_E)
+def _constraint_values(pvec, target: CurveSamples, mode: str, jacobi_E):
+    """The constraints c(p) from _jacobi_E_ends: positions y_p(t) - x(t) at
+    the end nodes t = 0, 1, then the wrapped tangent-angle differences, the
+    angle of y_s = dy/ds0 being phi + theta(s0 + ell*t, k),
+    theta = 2 atan2(k sn, dn), ell > 0."""
+    y = _segment_eval_arr(pvec, _ENDS, jacobi_E)
     c = (y - target.points[[0, -1]]).ravel()
     if mode == "endpoints+tangents":
         S, _, D, _ = jacobi_E
@@ -205,9 +209,8 @@ def _constraint_values(pvec, target: CurveSamples, mode: str, jacobi_E,
     return c
 
 
-def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
-                                with_hessians=False, ends=None):
-    """The equality constraints c(p) = 0, their Jacobian (m, 7) and, if
+def _constraint_jacobian(pvec, mode: str, with_hessians=False, ends=None):
+    """The Jacobian (m, 7) of the constraints c(p) = 0 and, if
     with_hessians, the Hessian of each constraint (m, 7, 7), from the
     _segment_partials_arr (y, dy, blocks, jacobi_E) at the end nodes
     t = 0, 1: ends, if the caller has them, else one 2-node evaluation.
@@ -218,8 +221,7 @@ def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
     """
     if ends is None:
         ends = _segment_partials_arr(pvec, _ENDS, with_hessians)
-    y, dy, blocks, jacobi_E = ends
-    c = _constraint_values(pvec, target, mode, jacobi_E, y)
+    _, dy, blocks, jacobi_E = ends
     jac = dy.reshape(7, 4).T
     if with_hessians:
         # row 2e + j is coordinate j at end e: the unit vector e_j there
@@ -246,8 +248,8 @@ def _constraint_values_jacobian(pvec, target: CurveSamples, mode: str,
             h[:, 2, 2] = t * t * th_ss
             hess = np.concatenate([hess, h])
     if with_hessians:
-        return c, jac, hess
-    return c, jac
+        return jac, hess
+    return jac
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +280,8 @@ def _shifted_step(A, b, radius):
 def _align_similarity(pvec, target: CurveSamples, jacobi_E):
     """Optimal (w, phi, x0, y0) for fixed (k, s0, ell), by weighted
     similarity Procrustes, from pvec's _jacobi_E_nodes; never increases
-    the objective."""
+    the objective.  The free fit's restoration and recovery.initial_guess
+    both take their similarity from it."""
     base = pvec.copy()
     base[3:] = (1.0, 0.0, 0.0, 0.0)
     z = _segment_eval_arr(base, _tau(target), jacobi_E)
@@ -334,9 +337,8 @@ def _restore(q, target: CurveSamples, mode: str):
         c = _constraint_values(q, target, mode, ends)
         if step == 20 or np.max(np.abs(c)) <= 1e-12:
             break
-        partials = _segment_partials_arr(q, _ENDS, False, ends)
-        _, J = _constraint_values_jacobian(q, target, mode, False, partials)
-        U, sv, Y, _ = _row_space(J)
+        U, sv, Y, _ = _row_space(_constraint_jacobian(
+            q, mode, False, _segment_partials_arr(q, _ENDS, False, ends)))
         d = -Y @ ((U.T @ c) / sv)
         size = np.linalg.norm(d)
         q = _project(q + (d if size <= 0.5 else d * (0.5 / size)))
@@ -368,9 +370,8 @@ def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
         return float(np.linalg.norm(g)), B.T @ g, B.T @ H @ B, B
     # tau[0] = 0 and tau[-1] = 1 exactly, so these rows are the end nodes
     ends = [0, -1]
-    _, J, Hc = _constraint_values_jacobian(
-        q, target, mode, True,
-        (y[ends], dy[:, ends], blocks[ends], jacobi_E[:, ends]))
+    J, Hc = _constraint_jacobian(
+        q, mode, True, (y[ends], dy[:, ends], blocks[ends], jacobi_E[:, ends]))
     U, sv, Y, Z = _row_space(J)
     W = H + np.einsum("m,mij->ij", -U @ ((Y.T @ g) / sv), Hc)
     gz = Z.T @ g
@@ -395,7 +396,6 @@ def fit(problem: FitProblem) -> FitResult:
     f = objective(ElasticaParams.from_array(p), target, jacobi_E)
     gnorm, gr, A, B = _reduced_model(p, target, mode, jacobi_E)
     delta = 1.0
-    rejected = None  # (y, F) of the last trial while it stays rejected
     it = 0
     converged = False
     msg = "max_iter reached"
@@ -421,26 +421,24 @@ def fit(problem: FitProblem) -> FitResult:
             converged = gnorm <= 1e3 * _GRAD_TOL
             msg = "predicted decrease below rounding"
             break
-        if rejected is not None and np.array_equal(y, rejected[0]):
-            # the radius shrank, but the rejected step still fits it
-            f_trial = rejected[1]
-        else:
-            trial, cv, trial_E = _restore(p + B @ y, target, mode)
-            try:
-                f_trial = objective(ElasticaParams.from_array(trial), target,
-                                    trial_E) if cv <= 1e-10 else math.inf
-            except (DomainError, FloatingPointError, OverflowError):
-                f_trial = math.inf
+        trial, cv, trial_E = _restore(p + B @ y, target, mode)
+        try:
+            f_trial = objective(ElasticaParams.from_array(trial), target,
+                                trial_E) if cv <= 1e-10 else math.inf
+        except (DomainError, FloatingPointError, OverflowError):
+            f_trial = math.inf
         rho = (f - f_trial) / pred
         if rho > 1e-4:
             p, f, cviol, jacobi_E = trial, f_trial, cv, trial_E
             gnorm, gr, A, B = _reduced_model(p, target, mode, jacobi_E)
-            rejected = None
             if rho > 0.75:
                 delta = min(delta * 2.0, 1e3)
         else:
-            rejected = y, f_trial
-            delta = max(delta * 0.25, 1e-14)
+            # a radius that the rejected step still fits gives the same
+            # step again, so quarter past it
+            delta *= 0.25
+            while delta > 1e-13 and np.linalg.norm(y) <= delta:
+                delta *= 0.25
             if delta <= 1e-13:
                 msg = "trust region collapsed"
                 break

@@ -3,8 +3,9 @@ arbitrary sampled plane curve.
 
 Pipeline: least-squares affine-curvature fit (lambda1, lambda2, alpha), the
 parabola offset beta, classification into inflectional / non-inflectional,
-modulus k, amplitude case analysis recovering (s0, ell), least-squares
-translation, and the residuals R1..R4.
+modulus k, amplitude case analysis recovering (s0, ell), then the similarity
+(w, phi, x0, y0) for that shape by the fit's closed-form alignment
+(fitting._align_similarity), and the residuals R1..R4.
 """
 
 import math
@@ -14,10 +15,14 @@ from typing import Optional
 import numpy as np
 
 from .curve import CurveSamples, integrate_ds
-from .elastica import ElasticaParams, _chart_modulus, segment_eval_many
-from .elliptic import incomplete_F, quarter_period
+from .elastica import ElasticaParams, _chart_modulus
+from .elliptic import incomplete_F
 from .errors import DegenerateInputError
-from .fitting import residual_r4
+from .fitting import _align_similarity, _jacobi_E_nodes, residual_r4
+
+# not called here: perfbench's tracer test checks that the tracer patches
+# segment_eval_many in this module's namespace too
+from .elastica import segment_eval_many  # noqa: F401
 
 #: below lambda_min * (1/L^2) the curve is treated as constant-curvature
 LAMBDA_MIN_REL = 1e-8
@@ -215,18 +220,6 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
     return s0, ell, n, increasing, clamped_fraction, R3
 
 
-def recover_translation(samples: CurveSamples, partial: ElasticaParams):
-    """Least-squares translation: the mean of (target - untranslated elastica)
-    over the common normalized-arclength parameter."""
-    tau = samples.s / samples.length
-    y0 = segment_eval_many(partial, tau)
-    diff = samples.points - y0
-    L = samples.length
-    x0 = integrate_ds(samples, diff[:, 0]) / L
-    y0t = integrate_ds(samples, diff[:, 1]) / L
-    return float(x0), float(y0t)
-
-
 def _degenerate_report(samples: CurveSamples, fit: AffineCurvatureFit):
     """Line / circular-arc outcome for lambda below the threshold."""
     L = samples.length
@@ -246,6 +239,12 @@ def _degenerate_report(samples: CurveSamples, fit: AffineCurvatureFit):
 def initial_guess(samples: CurveSamples) -> RecoveryReport:
     """Full parameter recovery producing a canonical initial guess.
 
+    The affine curvature fit and the amplitude case analysis give the shape
+    (k, s0, ell); the similarity (w, phi, x0, y0) is the one that minimizes
+    the L2 objective for that shape, by the weighted similarity Procrustes
+    of fitting._align_similarity.  So w and phi may differ from those of
+    the affine curvature fit, which recover_arc_interval reads.
+
     For non-inflectional curves with negative curvature the input
     parameterization is reversed first (reported via ``reversed_input``);
     the returned parameters then describe the reversed curve.
@@ -263,11 +262,9 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
         inflectional, k = classify_and_modulus(fit)
     s0, ell, n, increasing, clamped, R3 = recover_arc_interval(
         samples, fit, inflectional, k)
-    partial = ElasticaParams(k=k, s0=s0, ell=ell, w=fit.w, phi=fit.phi,
-                             x0=0.0, y0=0.0)
-    x0, y0 = recover_translation(samples, partial)
-    params = ElasticaParams(k=k, s0=s0, ell=ell, w=fit.w, phi=fit.phi,
-                            x0=x0, y0=y0)
+    q = np.array([k, s0, ell, fit.w, fit.phi, 0.0, 0.0])
+    params = ElasticaParams.from_array(
+        _align_similarity(q, samples, _jacobi_E_nodes(q, samples)))
     return RecoveryReport(
         params=params, inflectional=inflectional, n_segments=n,
         u_increasing_at_start=increasing, R1=fit.R1, R2=fit.R2, R3=R3,

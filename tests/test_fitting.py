@@ -29,7 +29,9 @@ from elastica_fit.fitting import (
     _align_similarity,
     _angle_partials,
     _ENDS,
-    _constraint_values_jacobian,
+    _constraint_jacobian,
+    _constraint_values,
+    _jacobi_E_ends,
     _jacobi_E_nodes,
     _reduced_model,
     _restore,
@@ -43,6 +45,14 @@ from elastica_fit.fitting import (
 )
 
 BASE = ElasticaParams(k=0.8, s0=0.2, ell=3.0, w=1.5, phi=0.7, x0=2.0, y0=-1.0)
+
+#: corpus/hook.json's shape guess (256 samples) with (w, phi) from the affine
+#: curvature fit and a least-squares translation: a similarity that is not
+#: the aligned one, from which the tangent fit ends at F's rounding floor
+HOOK_AFFINE_GUESS = ElasticaParams(
+    k=0.8463429304695986, s0=1.1960292140488533, ell=4.2414503453795795,
+    w=0.7731451760376826, phi=-0.5125743558755397, x0=-0.48776688138364693,
+    y0=-0.44943060845849364)
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
 CORPUS_NAMES = sorted(os.path.splitext(f)[0] for f in os.listdir(CORPUS_DIR))
@@ -216,7 +226,7 @@ class TestHessianContraction:
         entries."""
         for p, tgt in _corpus_guesses()[::3]:
             q = p.as_array()
-            _, J, Hc = _constraint_values_jacobian(q, tgt, mode, True)
+            J, Hc = _constraint_jacobian(q, mode, True)
             _, d2y = _tensor_partials(p, _ENDS)
             Hc_ref = np.concatenate(
                 [d2y.transpose(0, 3, 1, 2).reshape(4, 7, 7), Hc[4:]])
@@ -238,38 +248,38 @@ class TestConstraintJacobian:
         p = dataclasses.replace(BASE, k=k)
         tgt = elastica_target(dataclasses.replace(p, s0=0.25, phi=0.72), 64)
         pvec = p.as_array()
-        c, J = _constraint_values_jacobian(pvec, tgt, mode)
-        assert J.shape == (len(c), 7)
+
+        def c(q):
+            return _constraint_values(q, tgt, mode, _jacobi_E_ends(q))
+
+        J = _constraint_jacobian(pvec, mode)
+        assert J.shape == (len(c(pvec)), 7)
         h = 1e-6
         for i in range(7):
             e = np.zeros(7)
             e[i] = h
-            cp, _ = _constraint_values_jacobian(pvec + e, tgt, mode)
-            cm, _ = _constraint_values_jacobian(pvec - e, tgt, mode)
-            assert J[:, i] == pytest.approx((cp - cm) / (2 * h), abs=1e-7)
+            assert J[:, i] == pytest.approx((c(pvec + e) - c(pvec - e))
+                                            / (2 * h), abs=1e-7)
 
     @pytest.mark.parametrize("mode", ["endpoints", "endpoints+tangents"])
     @pytest.mark.parametrize("k", [0.3, 0.8, 1.4, 2.5])
     def test_hessians_central_differences(self, mode, k):
-        p = dataclasses.replace(BASE, k=k)
-        tgt = elastica_target(dataclasses.replace(p, s0=0.25, phi=0.72), 64)
-        pvec = p.as_array()
-        c, J, H = _constraint_values_jacobian(pvec, tgt, mode, True)
-        assert H.shape == (len(c), 7, 7)
+        pvec = dataclasses.replace(BASE, k=k).as_array()
+        J, H = _constraint_jacobian(pvec, mode, True)
+        assert H.shape == (len(J), 7, 7)
         assert np.array_equal(H, np.swapaxes(H, 1, 2))
-        assert np.array_equal(_constraint_values_jacobian(pvec, tgt, mode)[1], J)
+        assert np.array_equal(_constraint_jacobian(pvec, mode), J)
         h = 1e-6
         for i in range(7):
             e = np.zeros(7)
             e[i] = h
-            _, Jp = _constraint_values_jacobian(pvec + e, tgt, mode)
-            _, Jm = _constraint_values_jacobian(pvec - e, tgt, mode)
+            Jp = _constraint_jacobian(pvec + e, mode)
+            Jm = _constraint_jacobian(pvec - e, mode)
             assert H[:, :, i] == pytest.approx((Jp - Jm) / (2 * h), abs=1e-7)
 
     def test_one_elliptic_evaluation(self, monkeypatch):
         """Position and tangent rows, with their Hessians, share one
         evaluation of sn, cn, dn and E at the end nodes."""
-        tgt = elastica_target(BASE, 64)
         calls = []
 
         def counted(s, k):
@@ -278,32 +288,30 @@ class TestConstraintJacobian:
 
         for mod in (fitting, elastica):
             monkeypatch.setattr(mod, "_jacobi_E_arr", counted, raising=False)
-        _constraint_values_jacobian(BASE.as_array(), tgt,
-                                    "endpoints+tangents", True)
+        _constraint_jacobian(BASE.as_array(), "endpoints+tangents", True)
         assert calls == [2]
 
     @pytest.mark.parametrize("mode", ["endpoints", "endpoints+tangents"])
     def test_model_reads_end_rows(self, mode, monkeypatch):
-        """The pinned model builds c, J and the constraint Hessians from
-        rows [0, -1] of the partials its gradient and Hessian come from;
-        they equal a stand-alone 2-node evaluation bit for bit."""
+        """The pinned model builds J and the constraint Hessians from rows
+        [0, -1] of the partials its gradient and Hessian come from; they
+        equal a stand-alone 2-node evaluation bit for bit."""
         seen = []
 
-        def recorded(pvec, target, mode, with_hessians=False, ends=None):
-            out = _constraint_values_jacobian(pvec, target, mode,
-                                              with_hessians, ends)
+        def recorded(pvec, mode, with_hessians=False, ends=None):
+            out = _constraint_jacobian(pvec, mode, with_hessians, ends)
             seen.append((ends, out))
             return out
 
-        monkeypatch.setattr(fitting, "_constraint_values_jacobian", recorded)
+        monkeypatch.setattr(fitting, "_constraint_jacobian", recorded)
         for p, tgt in _corpus_guesses():
             q = p.as_array()
             _reduced_model(q, tgt, mode, _jacobi_E_nodes(q, tgt))
             (ends, out), = seen
             seen.clear()
             assert ends is not None
-            ref = _constraint_values_jacobian(q, tgt, mode, True)
-            assert len(out) == len(ref) == 3
+            ref = _constraint_jacobian(q, mode, True)
+            assert len(out) == len(ref) == 2
             for a, b in zip(out, ref):
                 assert np.array_equal(a, b)
 
@@ -649,11 +657,24 @@ class TestFitOnManifold:
         assert res.constraint_violation <= 1e-10
 
     def test_hook_with_tangents_converges(self):
-        """Near F's rounding floor no step can pass the ratio test; the
+        """From HOOK_AFFINE_GUESS the hook's tangent fit ends near F's
+        rounding floor, where no step can pass the ratio test; the
         predicted-decrease stop ends the fit there as converged."""
+        tgt = sample(load_curve(os.path.join(CORPUS_DIR, "hook.json")), 256)
+        res = fit(FitProblem(target=tgt, init=HOOK_AFFINE_GUESS,
+                             constraints="endpoints+tangents"))
+        assert res.converged
+        assert res.message == "predicted decrease below rounding"
+        assert res.constraint_violation <= 1e-10
+
+    def test_hook_with_tangents_from_guess_is_short(self):
+        """From initial_guess, whose similarity is the closed-form
+        alignment, the hook's tangent fit converges within 6 iterations
+        (it takes 15 from HOOK_AFFINE_GUESS)."""
         cur = load_curve(os.path.join(CORPUS_DIR, "hook.json"))
         res, _ = guess_and_fit(cur, "endpoints+tangents")
         assert res.converged
+        assert res.iterations <= 6
         assert res.constraint_violation <= 1e-10
 
     def test_restores_small_modulus_guess(self):
@@ -709,13 +730,15 @@ class TestFitOnManifold:
         reports the gap instead of raising."""
         tgt = elastica_target(BASE, 256)
         init = dataclasses.replace(BASE, x0=BASE.x0 + 0.3)
-        real = fitting._constraint_values_jacobian
+        real = fitting._constraint_jacobian
 
-        def flat(pvec, target, mode, with_hessians=False, ends=None):
-            out = real(pvec, target, mode, with_hessians, ends)
-            return (out[0], np.zeros_like(out[1])) + out[2:]
+        def flat(pvec, mode, with_hessians=False, ends=None):
+            out = real(pvec, mode, with_hessians, ends)
+            if with_hessians:
+                return np.zeros_like(out[0]), out[1]
+            return np.zeros_like(out)
 
-        monkeypatch.setattr(fitting, "_constraint_values_jacobian", flat)
+        monkeypatch.setattr(fitting, "_constraint_jacobian", flat)
         res = fit(FitProblem(target=tgt, init=init, constraints="endpoints"))
         assert not res.converged and res.iterations == 0
         assert res.message == "constraints not restored"
@@ -725,25 +748,43 @@ class TestFitOnManifold:
         ("hook", "endpoints+tangents", 13), ("shallow_s", "none", 5)])
     def test_repeated_trial_is_not_restored(self, name, mode, repeats,
                                             monkeypatch):
-        """After a rejection, a step that still fits the shrunk radius is
-        the same trial: its F is reused, so no two restores in a row get
-        the same point, yet each repeat still counts as an iteration.  The
-        hook's fit tried one point 14 times in a row (13 repeats)."""
-        inputs = []
+        """A rejection quarters the radius until the rejected step no
+        longer fits it, since the step for a radius it fits is the same
+        trial.  So every iteration restores a new point.  repeats counts
+        the quarterings past the first: under one quarter per rejection,
+        each was an iteration that tried the same point again (the hook's
+        fit tried one point 14 times in a row)."""
+        inputs, steps = [], []
         real = fitting._restore
 
         def restore(q, target, mode):
             inputs.append(q.tobytes())
             return real(q, target, mode)
 
+        def shifted_step(A, b, radius):
+            y, mu = _shifted_step(A, b, radius)
+            steps.append((A.tobytes() + b.tobytes(), radius,
+                          np.linalg.norm(y)))
+            return y, mu
+
         monkeypatch.setattr(fitting, "_restore", restore)
+        monkeypatch.setattr(fitting, "_shifted_step", shifted_step)
         cur = load_curve(os.path.join(CORPUS_DIR, name + ".json"))
-        res, _ = guess_and_fit(cur, mode, max_iter=600)
+        if name == "hook":
+            res = fit(FitProblem(target=sample(cur, 256),
+                                 init=HOOK_AFFINE_GUESS, constraints=mode))
+        else:
+            res, _ = guess_and_fit(cur, mode, max_iter=600)
         assert res.converged
-        assert all(a != b for a, b in zip(inputs[1:], inputs[2:]))
-        trials = len(inputs) - 1
+        assert len(set(inputs)) == len(inputs)
         stepless = res.message == "predicted decrease below rounding"
-        assert res.iterations == trials + repeats + stepless
+        assert res.iterations == len(steps) == len(inputs) - 1 + stepless
+        # a rejection leaves the model as it is
+        rejected = [(r0, n0, r1) for (m0, r0, n0), (m1, r1, _)
+                    in zip(steps, steps[1:]) if m0 == m1]
+        assert all(n0 > r1 for _, n0, r1 in rejected)
+        assert sum(round(math.log(r0 / r1, 4)) - 1
+                   for r0, _, r1 in rejected) == repeats
 
     @pytest.mark.parametrize("ell, message, iterations", [
         (1e-160, "model not finite", 0),

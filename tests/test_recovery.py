@@ -1,24 +1,34 @@
 """Tests for canonical initial-guess recovery."""
 
 import dataclasses
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elastica_fit.curve import BezierChain, Polyline, integrate_ds, sample
+from elastica_fit.curve import (
+    BezierChain,
+    Polyline,
+    integrate_ds,
+    load_curve,
+    sample,
+)
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
 from elastica_fit.elliptic import quarter_period
+from elastica_fit.fitting import _align_similarity, _jacobi_E_nodes
 from elastica_fit.recovery import (
     _monotone_runs,
     affine_curvature_fit,
     classify_and_modulus,
     initial_guess,
     recover_arc_interval,
-    recover_translation,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 REFERENCE = ElasticaParams(k=0.8, s0=0.2, ell=3.0, w=1.5, phi=0.7,
                            x0=2.0, y0=-1.0)
@@ -120,24 +130,6 @@ class TestRecoverArcInterval:
         assert clamped == pytest.approx(m / len(u), abs=1e-12)
 
 
-class TestRecoverTranslation:
-    def test_translation_linearity(self):
-        smp = elastica_samples(REFERENCE)
-        partial = dataclasses.replace(REFERENCE, x0=0.0, y0=0.0)
-        x0, y0 = recover_translation(smp, partial)
-        shifted = transformed(REFERENCE, 0.0, 1.0, shift=(0.3, -0.7))
-        x1, y1 = recover_translation(shifted, partial)
-        assert x1 - x0 == pytest.approx(0.3, abs=1e-12)
-        assert y1 - y0 == pytest.approx(-0.7, abs=1e-12)
-
-    def test_reference_translation(self):
-        smp = elastica_samples(REFERENCE)
-        partial = dataclasses.replace(REFERENCE, x0=0.0, y0=0.0)
-        x0, y0 = recover_translation(smp, partial)
-        assert x0 == pytest.approx(2.0, abs=1e-10)
-        assert y0 == pytest.approx(-1.0, abs=1e-10)
-
-
 ROUNDTRIP_CASES = [
     ElasticaParams(0.8, 0.2, 3.0, 1.5, 0.7, 2.0, -1.0),
     ElasticaParams(0.6, 2.5 * quarter_period(0.6), 5.0, 0.7, -0.4, 0.0, 0.0),
@@ -167,6 +159,18 @@ class TestInitialGuess:
         assert rep.R2 <= 1e-5
         assert rep.R3 == 0.0
         assert rep.R4 <= 1e-4
+
+    def test_translation_linearity(self):
+        q0 = initial_guess(elastica_samples(REFERENCE)).params
+        q1 = initial_guess(transformed(REFERENCE, 0.0, 1.0,
+                                       shift=(0.3, -0.7))).params
+        assert q1.x0 - q0.x0 == pytest.approx(0.3, abs=1e-12)
+        assert q1.y0 - q0.y0 == pytest.approx(-0.7, abs=1e-12)
+
+    def test_reference_translation(self):
+        q = initial_guess(elastica_samples(REFERENCE)).params
+        assert q.x0 == pytest.approx(2.0, abs=1e-10)
+        assert q.y0 == pytest.approx(-1.0, abs=1e-10)
 
     def test_full_similarity_equivariance(self):
         p = ElasticaParams(0.75, 0.4, 2.8, 1.2, 0.5, 0.6, -0.3)
@@ -343,3 +347,43 @@ def test_initial_guess_similarity_equivariance(i, k_frac, f0, f1, w, phi, x0,
     want = c * R @ np.array([q0.x0, q0.y0]) + (vx, vy)
     assert q1.x0 == pytest.approx(want[0], abs=1e-6)
     assert q1.y0 == pytest.approx(want[1], abs=1e-6)
+
+
+def _guess_mix_fixed_set(monkeypatch, seed):
+    """The curves of perfbench's guess_mix fixed input set at seed, without
+    its known defects."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    workloads = importlib.import_module("perfbench.workloads")
+    mix = workloads.GuessMix()
+    blocks = mix.blocks(seed)
+    return [case.curve for _ in range(mix.min_blocks)
+            for case in next(blocks) if case.known_defect is None]
+
+
+def test_guess_similarity_is_aligned(monkeypatch):
+    """initial_guess ends with the fit's closed-form alignment: aligning its
+    guess again moves (w, phi, x0, y0) by at most 1e-12 relative, for every
+    non-degenerate guess of the corpus curves (256 samples) and of
+    guess_mix's fixed set at seed 201 (1024 samples)."""
+    corpus = ROOT / "corpus"
+    curves = [(load_curve(str(path)), 256)
+              for path in sorted(corpus.glob("*.json"))]
+    curves += [(cur, 1024)
+               for cur in _guess_mix_fixed_set(monkeypatch, 201)]
+    aligned = 0
+    for cur, n in curves:
+        smp = sample(cur, n)
+        rep = initial_guess(smp)
+        if rep.degenerate is not None:
+            continue
+        aligned += 1
+        if rep.reversed_input:
+            smp = smp.reversed()
+        q = rep.params.as_array()
+        a = _align_similarity(q, smp, _jacobi_E_nodes(q, smp))
+        assert np.array_equal(a[:3], q[:3])
+        assert abs(a[3] - q[3]) <= 1e-12 * q[3]
+        assert abs((a[4] - q[4] + math.pi) % (2 * math.pi) - math.pi) <= 1e-12
+        assert np.linalg.norm(a[5:] - q[5:]) <= 1e-12 * max(
+            np.linalg.norm(q[5:]), smp.length)
+    assert aligned >= 100
