@@ -1,14 +1,15 @@
 """Command line front end.
 
-Reads a curve JSON file, runs the guess / fit / piecewise pipeline, writes a
-JSON report (stdout or --out) and, under --svg only, an SVG overlay of the
-target, initial guess, and optimized curves.  Guess mode stops after the
-initial guess; fit mode is fit_piecewise on one piece (depth 0, any R4), and
-reports that piece's record; piecewise mode reports every leaf's record with
-the breakpoints and join gaps.
+Parses a curve JSON file and the options, calls the segmentation module and
+writes its report with json.dumps (stdout or --out) and, under --svg only,
+an SVG overlay: the sampled target, then each piece's initial guess and,
+except in guess mode, its fit.  Guess mode reports segmentation's guess step
+as a 0-iteration result; fit mode is fit_piecewise on one piece (depth 0,
+any R4), and reports that piece's record; piecewise mode reports every
+leaf's record with the breakpoints and join gaps.
 
-Exit codes: 0 success, 2 parse error, 3 degenerate input, 4 unconverged fit
-(the report is still written).
+Exit codes: 0 success, 2 parse error, 3 degenerate input or a curve outside
+the numeric range, 4 unconverged fit (the report is still written).
 """
 
 import argparse
@@ -19,11 +20,9 @@ import sys
 import numpy as np
 
 from .curve import DEFAULT_SAMPLES, load_curve, sample
-from .elastica import K_MIN, PARAM_NAMES, segment_eval_many
+from .elastica import PARAM_NAMES, segment_eval_many
 from .errors import DegenerateInputError, DomainError
-from .fitting import FitResult, _unit_problem, gradient_hessian
-from .recovery import initial_guess
-from .segmentation import fit_piecewise
+from .segmentation import _guess, _guess_result, fit_piecewise
 from .svg import write_svg
 
 EXIT_OK = 0
@@ -34,32 +33,9 @@ EXIT_UNCONVERGED = 4
 MODES = ("guess", "fit", "piecewise")
 
 
-def _json_fragment(obj) -> str:
-    """Serialize a report with floats at 17 significant digits."""
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, float):
-        return f"{obj:.17g}"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(k)}: {_json_fragment(v)}"
-                          for k, v in obj.items())
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_json_fragment(v) for v in obj) + "]"
-    return _json_fragment(float(obj))
-
-
-def _params_dict(params):
-    return dict(zip(PARAM_NAMES, (float(v) for v in params.as_array())))
-
-
 def _segment_record(rep, res, r4_opt):
     return {
-        "params": _params_dict(res.params),
+        "params": dict(zip(PARAM_NAMES, map(float, res.params.as_array()))),
         "residuals": {"R1": rep.R1, "R2": rep.R2, "R3": rep.R3,
                       "R4_init": rep.R4, "R4_opt": r4_opt},
         "grad_norm": res.grad_norm,
@@ -72,22 +48,6 @@ def _segment_record(rep, res, r4_opt):
     }
 
 
-def _elastica_polyline(params, n=257):
-    return segment_eval_many(params, np.linspace(0.0, 1.0, n))
-
-
-def _guess_result(rep, target) -> FitResult:
-    """The initial guess as a converged 0-iteration fit; grad_norm as fit's."""
-    grad_norm = 0.0
-    if rep.params.k >= K_MIN:
-        g, _ = gradient_hessian(*_unit_problem(rep.params, target))
-        grad_norm = float(np.linalg.norm(g))
-    # R4 = sqrt(2 F / L^3)
-    return FitResult(params=rep.params,
-                     objective=0.5 * rep.R4 ** 2 * target.length ** 3,
-                     grad_norm=grad_norm, iterations=0, converged=True)
-
-
 def run(config: argparse.Namespace) -> int:
     """Execute one pipeline run with build_parser's options; returns the
     process exit code."""
@@ -98,16 +58,10 @@ def run(config: argparse.Namespace) -> int:
         print(f"error: cannot read curve: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    status = EXIT_OK
     try:
         if config.mode == "guess":
-            smp = sample(curve, config.samples)
-            rep = initial_guess(smp)
-            target = smp.reversed() if rep.reversed_input else smp
-            report = _segment_record(rep, _guess_result(rep, target), rep.R4)
-            if config.svg:
-                layers = [(target.points, "target"),
-                          (_elastica_polyline(rep.params), "guess")]
+            _, rep, target = _guess(curve, config.samples)
+            pieces = [(rep, _guess_result(rep, target), rep.R4)]
         else:
             # fit mode is piecewise mode on one piece that meets any R4
             single = config.mode == "fit"
@@ -120,32 +74,34 @@ def run(config: argparse.Namespace) -> int:
                 max_depth=0 if single else config.max_depth,
                 constraints=constraints, n_samples=config.samples,
                 max_iter=config.max_iter)
-            records = [_segment_record(rep, res, r4) for rep, res, r4
-                       in zip(pw.guesses, pw.segments, pw.r4)]
-            report = records[0] if single else {
-                "breakpoints": list(pw.breakpoints),
-                "segments": records,
-                "join_continuity": [
-                    {"position_gap": j.position_gap,
-                     "tangent_gap": j.tangent_gap}
-                    for j in pw.join_continuity],
-                "threshold_met": pw.threshold_met,
-            }
-            if not all(res.converged for res in pw.segments):
-                status = EXIT_UNCONVERGED
-            if config.svg:
-                layers = [(sample(curve, config.samples).points, "target")]
-                for rep, res in zip(pw.guesses, pw.segments):
-                    layers.append((_elastica_polyline(rep.params), "guess"))
-                    layers.append((_elastica_polyline(res.params), "fit"))
+            pieces = list(zip(pw.guesses, pw.segments, pw.r4))
+        records = [_segment_record(*piece) for piece in pieces]
+        report = records[0] if config.mode != "piecewise" else {
+            "breakpoints": pw.breakpoints,
+            "segments": records,
+            "join_continuity": [
+                {"position_gap": j.position_gap, "tangent_gap": j.tangent_gap}
+                for j in pw.join_continuity],
+            "threshold_met": pw.threshold_met,
+        }
+        if config.svg:
+            ts = np.linspace(0.0, 1.0, 257)
+            layers = [(sample(curve, config.samples).points, "target")]
+            for rep, res, _ in pieces:
+                layers.append((segment_eval_many(rep.params, ts), "guess"))
+                if config.mode != "guess":
+                    layers.append((segment_eval_many(res.params, ts), "fit"))
     except DegenerateInputError as exc:
         print(f"error: degenerate input: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except ArithmeticError as exc:
+        print(f"error: outside the numeric range: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    text = _json_fragment(report) + "\n"
+    text = json.dumps(report) + "\n"
     if config.out:
         with open(config.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -153,7 +109,9 @@ def run(config: argparse.Namespace) -> int:
         sys.stdout.write(text)
     if config.svg:
         write_svg(config.svg, layers)
-    return status
+    if all(res.converged for _, res, _ in pieces):
+        return EXIT_OK
+    return EXIT_UNCONVERGED
 
 
 def build_parser() -> argparse.ArgumentParser:

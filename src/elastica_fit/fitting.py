@@ -124,7 +124,7 @@ def _jacobi_E_nodes(pvec, target: CurveSamples) -> np.ndarray:
 def objective(p: ElasticaParams, target: CurveSamples,
               _jacobi_E=None) -> float:
     """F(p): half the squared L2 distance to the target, arclength-matched.
-    fit passes p's _jacobi_E_nodes as _jacobi_E."""
+    fit and initial_guess pass p's _jacobi_E_nodes as _jacobi_E."""
     y = _segment_eval_arr(p.as_array(), _tau(target), _jacobi_E)
     diff = y - target.points
     f = 0.5 * np.sum(diff * diff, axis=1)

@@ -18,7 +18,8 @@ from .curve import CurveSamples, integrate_ds
 from .elastica import ElasticaParams, _chart_modulus
 from .elliptic import incomplete_F
 from .errors import DegenerateInputError
-from .fitting import _align_similarity, _jacobi_E_nodes, residual_r4
+from .fitting import _align_similarity, _jacobi_E_nodes, objective, \
+    residual_r4
 
 # not called here: perfbench's tracer test checks that the tracer patches
 # segment_eval_many in this module's namespace too
@@ -250,8 +251,7 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
     the returned parameters then describe the reversed curve.
     """
     fit = affine_curvature_fit(samples)
-    L = samples.length
-    if fit.lam <= LAMBDA_MIN_REL / L ** 2 or fit.w is None:
+    if fit.w is None:
         return _degenerate_report(samples, fit)
     inflectional, k = classify_and_modulus(fit)
     reversed_input = False
@@ -263,10 +263,14 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
     s0, ell, n, increasing, clamped, R3 = recover_arc_interval(
         samples, fit, inflectional, k)
     q = np.array([k, s0, ell, fit.w, fit.phi, 0.0, 0.0])
+    # the alignment keeps (k, s0, ell), so its evaluation also gives R4
+    jacobi_E = _jacobi_E_nodes(q, samples)
     params = ElasticaParams.from_array(
-        _align_similarity(q, samples, _jacobi_E_nodes(q, samples)))
+        _align_similarity(q, samples, jacobi_E))
+    F = objective(params, samples, jacobi_E)
     return RecoveryReport(
         params=params, inflectional=inflectional, n_segments=n,
         u_increasing_at_start=increasing, R1=fit.R1, R2=fit.R2, R3=R3,
-        R4=residual_r4(params, samples), clamped_fraction=clamped,
+        R4=math.sqrt(max(2.0 * F, 0.0) / samples.length ** 3),
+        clamped_fraction=clamped,
         reversed_input=reversed_input)

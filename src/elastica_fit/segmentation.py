@@ -1,15 +1,18 @@
 """Recursive split-and-fit driver producing piecewise elastica.
 
-This is the one path from a curve to fitted pieces; the CLI's fit mode is
-the depth-0 case.  Each piece is sampled, gets an initial guess and is fitted
-(a degenerate guess is kept as its own fit).  A piece whose R4 is at or below
-the threshold becomes a leaf; otherwise it is split at the arclength midpoint
-of its samples, mapped linearly back to the curve's parameter, and both
-halves are processed, up to max_depth.  The recursion returns its leaves in
-curve order.  Joins are made continuous by fitting every piece with endpoint
-constraints (the default; end-tangent constraints too when requested); the
-join tangent direction comes from the target curve at the breakpoint, so the
-pieces decouple.
+This is the one path from a curve to reported pieces: the CLI's fit mode is
+the depth-0 case, and its guess mode is the guess step alone.  The guess
+step (_guess) samples a piece and gets its initial guess and the samples
+that the guess's parameters describe.  A degenerate guess is kept as its
+own result (_guess_result, the CLI's guess mode too); any other is fitted.
+A piece's R4 is its guess's R4, or sqrt(2 F / L^3) from its fit's F.
+A piece whose R4 is at or below the threshold becomes a leaf; otherwise it
+is split at the arclength midpoint of its samples, mapped linearly back to
+the curve's parameter, and both halves are processed, up to max_depth.  The
+recursion returns its leaves in curve order.  Joins are made continuous by
+fitting every piece with endpoint constraints (the default; end-tangent
+constraints too when requested); the join tangent direction comes from the
+target curve at the breakpoint, so the pieces decouple.
 """
 
 import math
@@ -19,9 +22,10 @@ from typing import List
 import numpy as np
 
 from .curve import DEFAULT_SAMPLES, sample
-from .elastica import ElasticaCurve
+from .elastica import K_MIN, ElasticaCurve
 from .errors import DomainError
-from .fitting import FitProblem, FitResult, fit, objective, residual_r4
+from .fitting import FitProblem, FitResult, _unit_problem, fit, \
+    gradient_hessian
 from .recovery import RecoveryReport, initial_guess
 
 
@@ -61,6 +65,29 @@ class PiecewiseFit:
         return max(self.r4)
 
 
+def _guess(piece, n_samples):
+    """(samples, guess, target): the piece sampled, its initial guess, and
+    the samples its parameters describe, reversed when reversed_input."""
+    smp = sample(piece, n_samples)
+    rep = initial_guess(smp)
+    return smp, rep, smp.reversed() if rep.reversed_input else smp
+
+
+def _guess_result(rep: RecoveryReport, target) -> FitResult:
+    """A guess as a converged 0-iteration fit of target: F = R4^2 L^3 / 2,
+    grad_norm as fit reports it (0 below K_MIN), and a degenerate guess's
+    kind as the message."""
+    grad_norm = 0.0
+    if rep.params.k >= K_MIN:
+        g, _ = gradient_hessian(*_unit_problem(rep.params, target))
+        grad_norm = float(np.linalg.norm(g))
+    return FitResult(params=rep.params,
+                     objective=0.5 * rep.R4 ** 2 * target.length ** 3,
+                     grad_norm=grad_norm, iterations=0, converged=True,
+                     message=(f"degenerate {rep.degenerate}"
+                              if rep.degenerate else ""))
+
+
 def _arclength_midpoint(smp, t0, t1):
     """Global parameter at which the sampled piece's arclength is halved."""
     t_loc = float(np.interp(0.5 * smp.length, smp.s, smp.t))
@@ -94,18 +121,13 @@ def fit_piecewise(curve, r4_threshold: float, max_depth: int,
     def process(t0, t1, depth):
         """The leaves of [t0, t1] in order, each as (t0, guess, fit, r4)."""
         piece = curve.trimmed(t0, t1) if (t0, t1) != (0.0, 1.0) else curve
-        smp = sample(piece, n_samples)
-        rep = initial_guess(smp)
-        target = smp.reversed() if rep.reversed_input else smp
+        smp, rep, target = _guess(piece, n_samples)
         if rep.degenerate is not None:
-            res = FitResult(params=rep.params,
-                            objective=objective(rep.params, target),
-                            grad_norm=0.0, iterations=0, converged=True,
-                            message=f"degenerate {rep.degenerate}")
+            res, r4 = _guess_result(rep, target), rep.R4
         else:
             res = fit(FitProblem(target=target, init=rep.params,
                                  constraints=constraints, max_iter=max_iter))
-        r4 = residual_r4(res.params, target)
+            r4 = math.sqrt(max(2.0 * res.objective, 0.0) / target.length ** 3)
         if r4 <= r4_threshold or depth >= max_depth:
             return [(t0, rep, res, r4)]
         tm = _arclength_midpoint(smp, t0, t1)

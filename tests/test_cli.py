@@ -3,13 +3,20 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from elastica_fit.cli import main
-from elastica_fit.elastica import ElasticaCurve, ElasticaParams
+from elastica_fit.curve import load_curve, sample
+from elastica_fit.elastica import PARAM_NAMES, ElasticaCurve, ElasticaParams
+from elastica_fit.fitting import FitProblem, _unit_problem, fit, \
+    gradient_hessian, residual_r4
+from elastica_fit.recovery import initial_guess
 from elastica_fit.svg import render_svg
+
+ARC_ASYM = Path(__file__).resolve().parent.parent / "corpus" / "arc_asym.json"
 
 ELASTICA = ElasticaParams(k=0.8, s0=0.2, ell=3.0, w=1.5, phi=0.7,
                           x0=2.0, y0=-1.0)
@@ -114,14 +121,88 @@ def test_report_determinism(s_curve_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
 def test_report_roundtrip_lossless(s_curve_file, tmp_path):
+    """The written report parses back to the library's floats bit for
+    bit."""
     out = tmp_path / "rep.json"
     main([s_curve_file, "--mode", "guess", "--samples", "256",
           "--out", str(out)])
     rep = json.loads(out.read_text())
-    from elastica_fit.cli import _json_fragment
-    again = json.loads(_json_fragment(rep))
-    assert again == rep
+    guess = initial_guess(sample(load_curve(s_curve_file), 256))
+    assert list(rep["params"]) == list(PARAM_NAMES)
+    assert _bits(rep["params"].values()) == _bits(guess.params.as_array())
+    assert _bits(rep["residuals"].values()) == _bits(
+        [guess.R1, guess.R2, guess.R3, guess.R4, guess.R4])
+
+
+@pytest.mark.parametrize("mode", ["guess", "fit"])
+def test_reversed_input_records(mode, tmp_path):
+    """arc_asym is the corpus curve whose guess reverses the input: guess
+    and fit mode report initial_guess and fit on the reversed target."""
+    out = tmp_path / "rep.json"
+    assert main([str(ARC_ASYM), "--mode", mode, "--samples", "256",
+                 "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    smp = sample(load_curve(str(ARC_ASYM)), 256)
+    guess = initial_guess(smp)
+    assert guess.reversed_input and rep["reversed_input"]
+    target = smp.reversed()
+    assert rep["residuals"]["R4_init"] == guess.R4
+    if mode == "guess":
+        g, _ = gradient_hessian(*_unit_problem(guess.params, target))
+        params, r4 = guess.params, guess.R4
+        assert rep["grad_norm"] == float(np.linalg.norm(g))
+        assert (rep["iterations"], rep["converged"]) == (0, True)
+    else:
+        res = fit(FitProblem(target=target, init=guess.params))
+        params, r4 = res.params, residual_r4(res.params, target)
+        assert rep["grad_norm"] == res.grad_norm
+        assert (rep["iterations"], rep["converged"]) == (res.iterations,
+                                                          res.converged)
+    assert _bits(rep["params"].values()) == _bits(params.as_array())
+    assert rep["residuals"]["R4_opt"] == pytest.approx(r4, rel=1e-12)
+
+
+def _scaled_s_curve(tmp_path, scale):
+    path = tmp_path / f"s{scale:g}.json"
+    pieces = (scale * np.array(S_CURVE["bezier"], dtype=float)).tolist()
+    path.write_text(json.dumps({"bezier": pieces}))
+    return str(path)
+
+
+def _fit_r4(path, tmp_path):
+    out = tmp_path / "rep.json"
+    assert main([path, "--samples", "256", "--out", str(out)]) == 0
+    return json.loads(out.read_text())["residuals"]["R4_opt"]
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e100])
+def test_far_scales_fit_as_scale_one(scale, tmp_path):
+    """Copies of S_CURVE at 1e-100 and 1e100 fit to the scale-1 R4."""
+    r4 = _fit_r4(_scaled_s_curve(tmp_path, 1.0), tmp_path)
+    assert r4 == pytest.approx(2.0747e-4, rel=1e-4)
+    assert _fit_r4(_scaled_s_curve(tmp_path, scale), tmp_path) == \
+        pytest.approx(r4, rel=1e-13)
+
+
+# sampling cubes the speeds, which overflow at 1e103 and underflow to 0 at
+# 1e-120: numpy warns on the way to the error that the exit code reports
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("scale, why", [
+    (1e-120, "singular curvature moment system"),
+    (1e103, "outside the numeric range")])
+def test_outside_numeric_range_exit_code(scale, why, tmp_path, capsys):
+    """Beyond the range that fits, the CLI exits 3 with one line."""
+    out = tmp_path / "rep.json"
+    assert main([_scaled_s_curve(tmp_path, scale), "--samples", "256",
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert why in err and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_piecewise_report_schema(tmp_path):

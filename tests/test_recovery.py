@@ -17,9 +17,11 @@ from elastica_fit.curve import (
     load_curve,
     sample,
 )
+from elastica_fit import elastica, fitting
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
-from elastica_fit.elliptic import quarter_period
-from elastica_fit.fitting import _align_similarity, _jacobi_E_nodes
+from elastica_fit.elliptic import _jacobi_E_arr, quarter_period
+from elastica_fit.fitting import _align_similarity, _jacobi_E_nodes, \
+    residual_r4
 from elastica_fit.recovery import (
     _monotone_runs,
     affine_curvature_fit,
@@ -202,6 +204,24 @@ class TestInitialGuess:
         assert rep.params.k == pytest.approx(1.3, abs=1e-4)
         assert rep.params.ell == pytest.approx(1.8, abs=1e-3)
         assert rep.R4 <= 1e-4
+
+    def test_one_node_evaluation(self, monkeypatch):
+        """A non-degenerate guess evaluates sn, cn, dn and E on the nodes
+        once: R4 reads the alignment's evaluation, bitwise as
+        residual_r4 evaluates it again."""
+        smp = elastica_samples(REFERENCE, 256)
+        calls = []
+
+        def counted(s, k):
+            calls.append(np.size(s))
+            return _jacobi_E_arr(s, k)
+
+        for mod in (fitting, elastica):
+            monkeypatch.setattr(mod, "_jacobi_E_arr", counted)
+        rep = initial_guess(smp)
+        assert rep.degenerate is None and not rep.reversed_input
+        assert [n for n in calls if n > 2] == [len(smp.t)]
+        assert rep.R4 == residual_r4(rep.params, smp)
 
     def test_collinear_is_line(self):
         # kappa is identically zero on an axis and at 45 degrees, where the

@@ -128,6 +128,26 @@ def test_scaled_loop_same_leaves():
         assert pw.r4 == pytest.approx(runs[0].r4, rel=1e-9)
 
 
+def test_degenerate_leaf_is_its_guess():
+    """The straight legs of a polyline get a "line" guess, kept as the leaf's
+    result: converged in 0 iterations, grad_norm 0 and the guess's R4."""
+    cur = load_curve('{"polyline": [[0, 0], [1, 0.6], [2, 0.8], [3, 0.5], '
+                     '[4, -0.1]]}')
+    pw = fit_piecewise(cur, r4_threshold=1e-3, max_depth=3,
+                       constraints="endpoints+tangents", n_samples=256,
+                       max_iter=200)
+    leaves = [(g, s, r) for g, s, r in zip(pw.guesses, pw.segments, pw.r4)
+              if g.degenerate is not None]
+    assert len(leaves) == 3
+    for guess, res, r4 in leaves:
+        assert guess.degenerate == "line"
+        assert res.message == "degenerate line"
+        assert (res.iterations, res.converged) == (0, True)
+        assert res.grad_norm == 0.0
+        assert res.params == guess.params
+        assert r4 == guess.R4
+
+
 def test_closed_target():
     """A closed cubic (both ends at the origin) splits into four pieces."""
     cur = BezierChain([[[0, 0], [2, 2], [-2, 2], [0, 0]]])
