@@ -22,7 +22,8 @@ import numpy as np
 from .curve import DEFAULT_SAMPLES, load_curve, sample
 from .elastica import PARAM_NAMES, segment_eval_many
 from .errors import DegenerateInputError, DomainError
-from .segmentation import _guess, _guess_result, fit_piecewise
+from .recovery import initial_guess
+from .segmentation import _guess_result, fit_piecewise
 from .svg import write_svg
 
 EXIT_OK = 0
@@ -43,7 +44,6 @@ def _segment_record(rep, res, r4_opt):
         "converged": res.converged,
         "inflectional": rep.inflectional,
         "n_segments": rep.n_segments,
-        "reversed_input": rep.reversed_input,
         "degenerate": rep.degenerate,
     }
 
@@ -60,8 +60,9 @@ def run(config: argparse.Namespace) -> int:
 
     try:
         if config.mode == "guess":
-            _, rep, target = _guess(curve, config.samples)
-            pieces = [(rep, _guess_result(rep, target), rep.R4)]
+            smp = sample(curve, config.samples)
+            rep = initial_guess(smp)
+            pieces = [(rep, _guess_result(rep, smp), rep.R4)]
         else:
             # fit mode is piecewise mode on one piece that meets any R4
             single = config.mode == "fit"

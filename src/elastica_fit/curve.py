@@ -248,7 +248,10 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
         speeds = np.linalg.norm(d, axis=1)
         if np.any(speeds == 0):
             raise DegenerateInputError("curve has a stationary point (cusp)")
-        kap = (d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]) / speeds ** 3
+        # one division per factor: speeds ** 3 leaves the double range long
+        # before the cross product does
+        cross = d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]
+        kap = cross / speeds / speeds / speeds
         # cumulative arclength by 3-point Gauss-Legendre per interval
         g = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
         w0, w1, w2 = np.array([5.0, 8.0, 5.0]) / 18.0

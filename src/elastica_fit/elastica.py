@@ -47,7 +47,10 @@ def _chart_modulus(k, above_one, k_max=K_MAX):
 
 @dataclass(frozen=True)
 class ElasticaParams:
-    """The seven control parameters of an elastica segment."""
+    """The seven control parameters of an elastica segment.  ell is any
+    nonzero number: ell < 0 runs the segment toward decreasing arclength
+    of the basic elastica, so the same shape traversed backwards is
+    (s0 + ell, -ell)."""
 
     k: float
     s0: float
@@ -254,14 +257,6 @@ def segment_eval(p: ElasticaParams, t: float) -> np.ndarray:
 def segment_eval_many(p: ElasticaParams, t: np.ndarray) -> np.ndarray:
     """Vectorized ``segment_eval`` over an array of parameter values."""
     return _segment_eval_arr(p.as_array(), np.asarray(t, dtype=float))
-
-
-def segment_curvature(p: ElasticaParams, t: float) -> float:
-    """Signed curvature (2k/w) * cn(s0 + ell*t, k)."""
-    if p.k == 0:
-        return 0.0
-    cn = _jacobi_E(p.s0 + p.ell * float(t), p.k)[1]
-    return 2.0 * p.k / p.w * cn
 
 
 class ElasticaCurve:

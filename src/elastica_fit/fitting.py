@@ -196,14 +196,14 @@ def _jacobi_E_ends(pvec) -> np.ndarray:
 
 def _constraint_values(pvec, target: CurveSamples, mode: str, jacobi_E):
     """The constraints c(p) from _jacobi_E_ends: positions y_p(t) - x(t) at
-    the end nodes t = 0, 1, then the wrapped tangent-angle differences, the
-    angle of y_s = dy/ds0 being phi + theta(s0 + ell*t, k),
-    theta = 2 atan2(k sn, dn), ell > 0."""
+    the end nodes t = 0, 1, then the wrapped tangent-angle differences.
+    The angle of y_s = dy/ds0 is phi + theta(s0 + ell*t, k),
+    theta = 2 atan2(k sn, dn), and dy/dt = ell * y_s adds pi when ell < 0."""
     y = _segment_eval_arr(pvec, _ENDS, jacobi_E)
     c = (y - target.points[[0, -1]]).ravel()
     if mode == "endpoints+tangents":
         S, _, D, _ = jacobi_E
-        th = 2.0 * np.arctan2(pvec[0] * S, D)
+        th = 2.0 * np.arctan2(pvec[0] * S, D) + math.pi * (pvec[2] < 0)
         c = np.concatenate(
             [c, _wrap_angle(pvec[4] + th - target.theta[[0, -1]])])
     return c

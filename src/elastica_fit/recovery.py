@@ -52,6 +52,12 @@ class AffineCurvatureFit:
 
 @dataclass(frozen=True)
 class RecoveryReport:
+    """The outcome of initial_guess.  params describe the samples as given;
+    n_segments and u_increasing_at_start describe the traversal whose
+    curvature the shape was recovered on.  reversed_input is always False
+    and kept only for callers that still read it: a curve traversed
+    backwards is described by ell < 0 instead."""
+
     params: ElasticaParams
     inflectional: bool
     n_segments: int
@@ -246,22 +252,24 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
     of fitting._align_similarity.  So w and phi may differ from those of
     the affine curvature fit, which recover_arc_interval reads.
 
-    For non-inflectional curves with negative curvature the input
-    parameterization is reversed first (reported via ``reversed_input``);
-    the returned parameters then describe the reversed curve.
+    The parameters describe the samples as given.  A non-inflectional
+    curve of negative curvature has its shape recovered on the samples
+    traversed the other way, and mapped back by (s0, ell) ->
+    (s0 + ell, -ell): ell < 0 runs the segment toward decreasing arclength.
     """
     fit = affine_curvature_fit(samples)
     if fit.w is None:
         return _degenerate_report(samples, fit)
     inflectional, k = classify_and_modulus(fit)
-    reversed_input = False
+    shape = samples
     if not inflectional and integrate_ds(samples, samples.kappa) < 0:
-        samples = samples.reversed()
-        reversed_input = True
-        fit = affine_curvature_fit(samples)
+        shape = samples.reversed()
+        fit = affine_curvature_fit(shape)
         inflectional, k = classify_and_modulus(fit)
     s0, ell, n, increasing, clamped, R3 = recover_arc_interval(
-        samples, fit, inflectional, k)
+        shape, fit, inflectional, k)
+    if shape is not samples:
+        s0, ell = s0 + ell, -ell
     q = np.array([k, s0, ell, fit.w, fit.phi, 0.0, 0.0])
     # the alignment keeps (k, s0, ell), so its evaluation also gives R4
     jacobi_E = _jacobi_E_nodes(q, samples)
@@ -272,5 +280,4 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
         params=params, inflectional=inflectional, n_segments=n,
         u_increasing_at_start=increasing, R1=fit.R1, R2=fit.R2, R3=R3,
         R4=math.sqrt(max(2.0 * F, 0.0) / samples.length ** 3),
-        clamped_fraction=clamped,
-        reversed_input=reversed_input)
+        clamped_fraction=clamped)

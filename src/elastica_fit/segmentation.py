@@ -1,11 +1,12 @@
 """Recursive split-and-fit driver producing piecewise elastica.
 
 This is the one path from a curve to reported pieces: the CLI's fit mode is
-the depth-0 case, and its guess mode is the guess step alone.  The guess
-step (_guess) samples a piece and gets its initial guess and the samples
-that the guess's parameters describe.  A degenerate guess is kept as its
-own result (_guess_result, the CLI's guess mode too); any other is fitted.
-A piece's R4 is its guess's R4, or sqrt(2 F / L^3) from its fit's F.
+the depth-0 case, and its guess mode is the guess step alone: sample a
+piece and take its initial guess, whose parameters describe the piece as
+sampled (ell < 0 for a piece the guess runs backwards).  A degenerate guess
+is kept as its own result (_guess_result, the CLI's guess mode too); any
+other is fitted.  A piece's R4 is its guess's R4, or sqrt(2 F / L^3) from
+its fit's F.
 A piece whose R4 is at or below the threshold becomes a leaf; otherwise it
 is split at the arclength midpoint of its samples, mapped linearly back to
 the curve's parameter, and both halves are processed, up to max_depth.  The
@@ -43,16 +44,15 @@ class PiecewiseFit:
 
     breakpoints is the increasing list of global parameter values bounding
     the pieces (starting at 0, ending at 1); segments[i] covers
-    [breakpoints[i], breakpoints[i+1]].  reversed_flags marks pieces whose
-    parameters describe the piece traversed backwards.  threshold_met is
-    False when some leaf hit max_depth with R4 above the threshold.
+    [breakpoints[i], breakpoints[i+1]] in the curve's direction.
+    threshold_met is False when some leaf hit max_depth with R4 above the
+    threshold.
     """
 
     breakpoints: List[float]
     segments: List[FitResult]
     guesses: List[RecoveryReport]
     r4: List[float]
-    reversed_flags: List[bool]
     join_continuity: List[JoinContinuity]
     threshold_met: bool
 
@@ -63,14 +63,6 @@ class PiecewiseFit:
     @property
     def max_r4(self) -> float:
         return max(self.r4)
-
-
-def _guess(piece, n_samples):
-    """(samples, guess, target): the piece sampled, its initial guess, and
-    the samples its parameters describe, reversed when reversed_input."""
-    smp = sample(piece, n_samples)
-    rep = initial_guess(smp)
-    return smp, rep, smp.reversed() if rep.reversed_input else smp
 
 
 def _guess_result(rep: RecoveryReport, target) -> FitResult:
@@ -95,16 +87,12 @@ def _arclength_midpoint(smp, t0, t1):
     return t0 + t_loc * (t1 - t0)
 
 
-def _segment_endpoint(res, reversed_flag, end):
-    """Point and unit tangent of a fitted piece at its start (end=0) or
-    finish (end=1), in the orientation of the original curve."""
+def _segment_endpoint(res, end):
+    """Point and tangent angle of a fitted piece at its start (end=0) or
+    finish (end=1)."""
     cur = ElasticaCurve(res.params)
-    t = 1.0 - end if reversed_flag else end
-    pt = cur.point(t)
-    d = cur.derivative(t)
-    if reversed_flag:
-        d = -d
-    return pt, math.atan2(d[1], d[0])
+    d = cur.derivative(end)
+    return cur.point(end), math.atan2(d[1], d[0])
 
 
 def fit_piecewise(curve, r4_threshold: float, max_depth: int,
@@ -121,30 +109,30 @@ def fit_piecewise(curve, r4_threshold: float, max_depth: int,
     def process(t0, t1, depth):
         """The leaves of [t0, t1] in order, each as (t0, guess, fit, r4)."""
         piece = curve.trimmed(t0, t1) if (t0, t1) != (0.0, 1.0) else curve
-        smp, rep, target = _guess(piece, n_samples)
+        smp = sample(piece, n_samples)
+        rep = initial_guess(smp)
         if rep.degenerate is not None:
-            res, r4 = _guess_result(rep, target), rep.R4
+            res, r4 = _guess_result(rep, smp), rep.R4
         else:
-            res = fit(FitProblem(target=target, init=rep.params,
+            res = fit(FitProblem(target=smp, init=rep.params,
                                  constraints=constraints, max_iter=max_iter))
-            r4 = math.sqrt(max(2.0 * res.objective, 0.0) / target.length ** 3)
+            r4 = math.sqrt(max(2.0 * res.objective, 0.0) / smp.length ** 3)
         if r4 <= r4_threshold or depth >= max_depth:
             return [(t0, rep, res, r4)]
         tm = _arclength_midpoint(smp, t0, t1)
         return process(t0, tm, depth + 1) + process(tm, t1, depth + 1)
 
     starts, guesses, segments, r4s = map(list, zip(*process(0.0, 1.0, 0)))
-    rev = [rep.reversed_input for rep in guesses]
 
     joins = []
     for i in range(len(segments) - 1):
-        p_left, a_left = _segment_endpoint(segments[i], rev[i], 1)
-        p_right, a_right = _segment_endpoint(segments[i + 1], rev[i + 1], 0)
+        p_left, a_left = _segment_endpoint(segments[i], 1)
+        p_right, a_right = _segment_endpoint(segments[i + 1], 0)
         gap = float(np.linalg.norm(p_left - p_right))
         dth = (a_left - a_right + math.pi) % (2 * math.pi) - math.pi
         joins.append(JoinContinuity(position_gap=gap, tangent_gap=abs(dth)))
 
     return PiecewiseFit(
         breakpoints=starts + [1.0], segments=segments, guesses=guesses,
-        r4=r4s, reversed_flags=rev, join_continuity=joins,
+        r4=r4s, join_continuity=joins,
         threshold_met=all(r <= r4_threshold for r in r4s))

@@ -284,9 +284,8 @@ def test_criterion_6_paper_pattern_corpus():
     details = []
     for path in paths:
         name = os.path.basename(path)[:-5]
-        smp = sample(load_curve(path), 1024)
-        rep = initial_guess(smp)
-        tgt = smp.reversed() if rep.reversed_input else smp
+        tgt = sample(load_curve(path), 1024)
+        rep = initial_guess(tgt)
         free = fit(FitProblem(target=tgt, init=rep.params, max_iter=600))
         con = fit(FitProblem(target=tgt, init=rep.params,
                              constraints="endpoints", max_iter=600))

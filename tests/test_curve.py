@@ -98,6 +98,16 @@ def test_kappa_vs_dtheta_ds():
     assert np.max(np.abs(dtheta[interior] - smp.kappa[interior])) < 1e-5
 
 
+@pytest.mark.parametrize("scale", [1e-105, 1e103])
+def test_kappa_scales_over_the_double_range(scale):
+    """kappa of a copy scaled by c is kappa / c, also where the cubed speed
+    would go subnormal (1e-105) or overflow (1e103)."""
+    pieces = np.array([[[0, 0], [1, 2], [3, -1], [4, 1]]], dtype=float)
+    ref = sample(BezierChain(pieces), 64).kappa
+    got = sample(BezierChain(scale * pieces), 64).kappa
+    assert got * scale == pytest.approx(ref, rel=1e-12)
+
+
 def test_polyline_circle_curvature():
     # vertices exactly on a circle and sample nodes on the vertices, so the
     # three-point circumcircle estimator is exact up to roundoff

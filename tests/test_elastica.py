@@ -9,14 +9,15 @@ import math
 import numpy as np
 import pytest
 
+from elastica_fit.curve import sample
 from elastica_fit.elastica import (
     K_MAX,
     K_MIN,
+    ElasticaCurve,
     ElasticaParams,
     _chart_modulus,
     basic_derivatives,
     basic_point,
-    segment_curvature,
     segment_eval,
     segment_eval_many,
     segment_partials,
@@ -154,19 +155,26 @@ class TestSegmentEval:
 
 
 class TestSegmentCurvature:
+    """The sampled curvature of a segment is (2k/w) cn(s0 + ell*t, k), with
+    the sign of ell: a segment run backwards turns the other way."""
+
     def test_k0(self):
         p = ElasticaParams(0.0, 0.0, 2.0, 1.0, 0.3, 0.0, 0.0)
-        assert segment_curvature(p, 0.5) == 0.0
+        assert np.all(sample(ElasticaCurve(p), 16).kappa == 0.0)
 
     def test_at_cn_one(self):
-        p = ElasticaParams(0.7, -1.0, 2.0, 1.5, 0.0, 0.0, 0.0)
-        # s0 + ell*t = 0 at t = 0.5
-        assert segment_curvature(p, 0.5) == pytest.approx(2 * 0.7 / 1.5, abs=1e-12)
+        # s0 + ell*t = 0 at t = 0.5, the middle node
+        for s0, ell in ((-1.0, 2.0), (1.0, -2.0)):
+            p = ElasticaParams(0.7, s0, ell, 1.5, 0.0, 0.0, 0.0)
+            kappa = sample(ElasticaCurve(p), 16).kappa[8]
+            assert kappa == pytest.approx(math.copysign(2 * 0.7 / 1.5, ell),
+                                          abs=1e-12)
 
     def test_finite_difference_oracle(self):
         p = ElasticaParams(0.8, 0.3, 2.0, 1.5, 0.7, 1.0, -2.0)
         h = 1e-4
-        for t in (0.2, 0.6, 0.85):
+        kappas = sample(ElasticaCurve(p), 20).kappa
+        for i, t in ((4, 0.2), (12, 0.6), (17, 0.85)):
             pm = segment_eval(p, t - h)
             p0 = segment_eval(p, t)
             pp = segment_eval(p, t + h)
@@ -174,7 +182,7 @@ class TestSegmentCurvature:
             d2 = (pp - 2 * p0 + pm) / h ** 2
             speed = np.hypot(d1[0], d1[1])
             kappa = (d1[0] * d2[1] - d1[1] * d2[0]) / speed ** 3
-            assert segment_curvature(p, t) == pytest.approx(kappa, abs=1e-6)
+            assert kappas[i] == pytest.approx(kappa, abs=1e-6)
 
 
 class TestSegmentPartials:

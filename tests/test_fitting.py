@@ -178,14 +178,13 @@ def _rel_gap(a, ref):
 
 
 def _corpus_guesses(n=256):
-    """(guess, target) for each corpus curve, the target in the guess's
-    direction."""
+    """(guess, target) for each corpus curve."""
     from elastica_fit.recovery import initial_guess
     out = []
     for name in CORPUS_NAMES:
         tgt = sample(load_curve(os.path.join(CORPUS_DIR, name + ".json")), n)
         rep = initial_guess(tgt)
-        out.append((rep.params, tgt.reversed() if rep.reversed_input else tgt))
+        out.append((rep.params, tgt))
     return out
 
 
@@ -260,6 +259,18 @@ class TestConstraintJacobian:
             e[i] = h
             assert J[:, i] == pytest.approx((c(pvec + e) - c(pvec - e))
                                             / (2 * h), abs=1e-7)
+
+    @pytest.mark.parametrize("mode", ["endpoints", "endpoints+tangents"])
+    def test_backward_segment_meets_its_samples(self, mode):
+        """At the exact parameters of a segment run backwards (ell < 0), c
+        vanishes on the segment's own samples: dy/dt = ell * y_s points
+        against y_s, so the tangent angle gains pi."""
+        for k in (0.8, 1.3):
+            p = dataclasses.replace(BASE, k=k, s0=3.2, ell=-3.0)
+            q = p.as_array()
+            c = _constraint_values(q, elastica_target(p), mode,
+                                   _jacobi_E_ends(q))
+            assert np.max(np.abs(c)) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["endpoints", "endpoints+tangents"])
     @pytest.mark.parametrize("k", [0.3, 0.8, 1.4, 2.5])
@@ -519,11 +530,21 @@ def guess_and_fit(cur, constraints, n=256, **kw):
     from elastica_fit.recovery import initial_guess
     tgt = sample(cur, n)
     rep = initial_guess(tgt)
-    if rep.reversed_input:
-        tgt = tgt.reversed()
     res = fit(FitProblem(target=tgt, init=rep.params,
                          constraints=constraints, **kw))
     return res, tgt
+
+
+@pytest.mark.parametrize("mode", ["none", "endpoints", "endpoints+tangents"])
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_guess_fits_the_samples_as_given(name, mode):
+    """initial_guess describes the samples it was given, so a fit of those
+    samples from it converges in every mode, on arc_asym too, whose guess
+    runs its segment backwards."""
+    cur = load_curve(os.path.join(CORPUS_DIR, name + ".json"))
+    res, _ = guess_and_fit(cur, mode, max_iter=600)
+    assert res.converged
+    assert res.constraint_violation <= 1e-10
 
 
 class TestReducedModel:
@@ -588,8 +609,6 @@ class TestOneEvaluationPerPoint:
         cur = load_curve(os.path.join(CORPUS_DIR, "s_curve.json"))
         tgt = sample(cur, 256)
         rep = initial_guess(tgt)
-        if rep.reversed_input:
-            tgt = tgt.reversed()
         full, shapes, outside, inside = [], [], [], []
         ends, zeta_ends, steps, angles = [], [], [], []
         real_blocks = elastica._zeta_blocks

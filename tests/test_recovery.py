@@ -194,16 +194,16 @@ class TestInitialGuess:
 
     def test_negatively_curved_reversal(self):
         # a non-inflectional arc traversed so its curvature is negative is
-        # recovered after internal reversal, still with ell > 0
+        # the same segment run backwards: s0 + ell = 2.2, ell = -1.8
         p = ElasticaParams(1.3, 0.4, 1.8, 1.0, 0.2, 0.0, 0.0)
         rev = elastica_samples(p).reversed()
         rep = initial_guess(rev)
-        assert rep.reversed_input
         assert not rep.inflectional
-        assert rep.params.ell > 0
         assert rep.params.k == pytest.approx(1.3, abs=1e-4)
-        assert rep.params.ell == pytest.approx(1.8, abs=1e-3)
+        assert rep.params.ell == pytest.approx(-1.8, abs=1e-3)
+        assert rep.params.s0 == pytest.approx(2.2, abs=1e-3)
         assert rep.R4 <= 1e-4
+        assert residual_r4(rep.params, rev) <= 1e-4
 
     def test_one_node_evaluation(self, monkeypatch):
         """A non-degenerate guess evaluates sn, cn, dn and E on the nodes
@@ -219,7 +219,7 @@ class TestInitialGuess:
         for mod in (fitting, elastica):
             monkeypatch.setattr(mod, "_jacobi_E_arr", counted)
         rep = initial_guess(smp)
-        assert rep.degenerate is None and not rep.reversed_input
+        assert rep.degenerate is None
         assert [n for n in calls if n > 2] == [len(smp.t)]
         assert rep.R4 == residual_r4(rep.params, smp)
 
@@ -355,8 +355,8 @@ def test_initial_guess_similarity_equivariance(i, k_frac, f0, f1, w, phi, x0,
     base = initial_guess(sample(ElasticaCurve(p), 512))
     rep = initial_guess(sample(ElasticaCurve(posed), 512))
     assert rep.degenerate is base.degenerate is None
-    assert (rep.inflectional, rep.n_segments, rep.reversed_input) == \
-        (base.inflectional, base.n_segments, base.reversed_input)
+    assert (rep.inflectional, rep.n_segments) == \
+        (base.inflectional, base.n_segments)
     q0, q1 = base.params, rep.params
     assert q1.k == pytest.approx(q0.k, abs=1e-6)
     assert q1.s0 == pytest.approx(q0.s0, abs=1e-6)
@@ -397,8 +397,7 @@ def test_guess_similarity_is_aligned(monkeypatch):
         if rep.degenerate is not None:
             continue
         aligned += 1
-        if rep.reversed_input:
-            smp = smp.reversed()
+        assert rep.R4 == residual_r4(rep.params, smp)
         q = rep.params.as_array()
         a = _align_similarity(q, smp, _jacobi_E_nodes(q, smp))
         assert np.array_equal(a[:3], q[:3])

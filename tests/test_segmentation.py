@@ -74,13 +74,20 @@ def test_max_r4_monotone_in_depth():
 
 
 def test_join_continuity_gaps():
-    pw = fit_piecewise(WAVY, r4_threshold=1e-12, max_depth=2,
-                       n_samples=256, max_iter=200,
-                       constraints="endpoints+tangents")
-    assert len(pw.join_continuity) == pw.n_segments - 1
-    for j in pw.join_continuity:
-        assert j.position_gap <= 1e-8
-        assert j.tangent_gap <= 1e-6
+    """G1 joins close, also between pieces whose segments run backwards
+    (ell < 0): two of arc_asym's four leaves."""
+    arc_asym = load_curve(os.path.join(os.path.dirname(__file__), "..",
+                                       "corpus", "arc_asym.json"))
+    for cur, r4_threshold in ((WAVY, 1e-12), (arc_asym, 5e-5)):
+        pw = fit_piecewise(cur, r4_threshold=r4_threshold, max_depth=2,
+                           n_samples=256, max_iter=200,
+                           constraints="endpoints+tangents")
+        assert len(pw.join_continuity) == pw.n_segments - 1
+        for j in pw.join_continuity:
+            assert j.position_gap <= 1e-8
+            assert j.tangent_gap <= 1e-6
+    assert pw.n_segments == 4
+    assert sum(res.params.ell < 0 for res in pw.segments) == 2
 
 
 def test_validation():
