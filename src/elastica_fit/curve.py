@@ -163,7 +163,10 @@ def _decasteljau_sub(b, lo, hi):
 
 
 class Polyline:
-    """Ordered point list, parameterized uniformly over the vertex index."""
+    """Ordered point list, parameterized uniformly over the index of its
+    kept vertices: one within 1e-14 of the extent (the bounding box's larger
+    side) of the previous kept vertex is dropped, but a polyline whose
+    points all coincide keeps two, and sample reports its zero length."""
 
     def __init__(self, points):
         points = np.asarray(points, dtype=float)
@@ -172,8 +175,13 @@ class Polyline:
                 f"polyline must have shape (n>=2, 2), got {points.shape}")
         if not np.all(np.isfinite(points)):
             raise DomainError("non-finite polyline point")
-        self.points = points
-        self.m = len(points) - 1
+        tol = 1e-14 * float(np.max(np.ptp(points, axis=0)))
+        kept = [0]
+        for i in range(1, len(points)):
+            if math.dist(points[i], points[kept[-1]]) > tol:
+                kept.append(i)
+        self.points = points[kept if len(kept) > 1 else [0, -1]]
+        self.m = len(self.points) - 1
 
     def point(self, t):
         i, u = _locate(t, self.m)
@@ -191,14 +199,8 @@ class Polyline:
             raise DomainError(f"invalid trim interval [{t0}, {t1}]")
         i0, _ = _locate(t0, self.m)
         i1, _ = _locate(t1, self.m)
-        pts = [self.point(t0)]
-        for i in range(i0 + 1, i1 + 1):
-            pts.append(self.points[i])
-        pts.append(self.point(t1))
-        pts = np.array(pts)
-        keep = np.ones(len(pts), dtype=bool)
-        keep[1:] = np.linalg.norm(np.diff(pts, axis=0), axis=1) > 1e-14
-        return Polyline(pts[keep])
+        return Polyline([self.point(t0), *self.points[i0 + 1:i1 + 1],
+                         self.point(t1)])
 
 
 def _evaluate(f, t):

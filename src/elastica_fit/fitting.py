@@ -23,9 +23,10 @@ values, the trial's F and the accepted point's gradient and Hessian read
 from it; in pinned modes the model's constraint Jacobian and Hessians are
 rows tau = 0, 1 of the partials that gradient and Hessian are built from.
 Only the Gauss-Newton iterates inside _restore and the mapped-back result
-evaluate at the two end nodes on their own (_jacobi_E_ends), for c alone
-(_constraint_values, the one place c is computed); J is built from that
-evaluation only for a step that is taken.
+evaluate at the two end nodes on their own (_jacobi_E_ends), for c alone:
+the end points and tangent angles of _end_pose, which segmentation's join
+gaps read too, minus the target's (_constraint_values, the one place c is
+computed).  J is built from that evaluation only for a step that is taken.
 
 The step for a radius that a rejected step still fits is that step again,
 so a rejection quarters the radius until the rejected step no longer fits:
@@ -194,18 +195,24 @@ def _jacobi_E_ends(pvec) -> np.ndarray:
     return _jacobi_E_arr(pvec[1] + pvec[2] * _ENDS, pvec[0])
 
 
+def _end_pose(pvec, jacobi_E):
+    """The segment's points (2, 2) and unwrapped tangent angles (2,) at the
+    end nodes t = 0, 1, from its _jacobi_E_ends.  The angle of
+    y_s = dy/ds0 is phi + theta(s0 + ell*t, k), theta = 2 atan2(k sn, dn),
+    and dy/dt = ell * y_s adds pi when ell < 0."""
+    S, _, D, _ = jacobi_E
+    th = 2.0 * np.arctan2(pvec[0] * S, D) + math.pi * (pvec[2] < 0)
+    return _segment_eval_arr(pvec, _ENDS, jacobi_E), pvec[4] + th
+
+
 def _constraint_values(pvec, target: CurveSamples, mode: str, jacobi_E):
-    """The constraints c(p) from _jacobi_E_ends: positions y_p(t) - x(t) at
-    the end nodes t = 0, 1, then the wrapped tangent-angle differences.
-    The angle of y_s = dy/ds0 is phi + theta(s0 + ell*t, k),
-    theta = 2 atan2(k sn, dn), and dy/dt = ell * y_s adds pi when ell < 0."""
-    y = _segment_eval_arr(pvec, _ENDS, jacobi_E)
+    """The constraints c(p) from _jacobi_E_ends: the _end_pose points minus
+    the target's at t = 0, 1, then the wrapped tangent-angle differences."""
+    y, angles = _end_pose(pvec, jacobi_E)
     c = (y - target.points[[0, -1]]).ravel()
     if mode == "endpoints+tangents":
-        S, _, D, _ = jacobi_E
-        th = 2.0 * np.arctan2(pvec[0] * S, D) + math.pi * (pvec[2] < 0)
         c = np.concatenate(
-            [c, _wrap_angle(pvec[4] + th - target.theta[[0, -1]])])
+            [c, _wrap_angle(angles - target.theta[[0, -1]])])
     return c
 
 

@@ -46,7 +46,6 @@ class AffineCurvatureFit:
     R1: float
     R2: float
     u: np.ndarray
-    sin_theta_u: np.ndarray
     cos_theta_u: np.ndarray
 
 
@@ -82,7 +81,7 @@ def affine_curvature_fit(samples: CurveSamples) -> AffineCurvatureFit:
     def I(f):
         return integrate_ds(samples, f)
 
-    if np.any(kap):
+    if np.max(np.abs(kap)) * L > LAMBDA_MIN_REL:
         # normal equations M^T diag(w) M (lambda1, lambda2, alpha) =
         # M^T diag(w) kappa for kappa = -lambda1 y + lambda2 x + alpha
         M = np.stack([-y, x, np.ones_like(x)], axis=1)
@@ -93,8 +92,8 @@ def affine_curvature_fit(samples: CurveSamples) -> AffineCurvatureFit:
             raise DegenerateInputError(
                 f"singular curvature moment system: {exc}")
     else:
-        # straight: kappa = 0 is fitted exactly, and the moment matrix is
-        # singular when the points are collinear
+        # straight, at any scale: kappa = 0 is fitted to rounding, and the
+        # moment matrix is singular when the points are collinear
         lam1 = lam2 = alpha = 0.0
     lam = math.hypot(lam1, lam2)
 
@@ -115,7 +114,6 @@ def affine_curvature_fit(samples: CurveSamples) -> AffineCurvatureFit:
         phi = math.atan2(lam2, lam1)
     else:
         u = np.zeros_like(x)
-        sin_tu = np.zeros_like(x)
         cos_tu = np.zeros_like(x)
         beta, R2, w, phi = 0.0, 0.0, None, None
     if lam <= LAMBDA_MIN_REL / L ** 2:
@@ -123,7 +121,7 @@ def affine_curvature_fit(samples: CurveSamples) -> AffineCurvatureFit:
     return AffineCurvatureFit(lambda1=float(lam1), lambda2=float(lam2),
                               alpha=float(alpha), beta=float(beta),
                               lam=float(lam), w=w, phi=phi, R1=R1, R2=R2,
-                              u=u, sin_theta_u=sin_tu, cos_theta_u=cos_tu)
+                              u=u, cos_theta_u=cos_tu)
 
 
 def classify_and_modulus(fit: AffineCurvatureFit):

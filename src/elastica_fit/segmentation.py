@@ -13,7 +13,8 @@ the curve's parameter, and both halves are processed, up to max_depth.  The
 recursion returns its leaves in curve order.  Joins are made continuous by
 fitting every piece with endpoint constraints (the default; end-tangent
 constraints too when requested); the join tangent direction comes from the
-target curve at the breakpoint, so the pieces decouple.
+target curve at the breakpoint, so the pieces decouple.  Join gaps are
+read from each leaf's fitting._end_pose, as its pinned constraints are.
 """
 
 import math
@@ -23,16 +24,16 @@ from typing import List
 import numpy as np
 
 from .curve import DEFAULT_SAMPLES, sample
-from .elastica import K_MIN, ElasticaCurve
 from .errors import DomainError
-from .fitting import FitProblem, FitResult, _unit_problem, fit, \
-    gradient_hessian
+from .fitting import FitProblem, FitResult, _end_pose, _jacobi_E_ends, \
+    _unit_problem, _wrap_angle, fit, gradient_hessian
 from .recovery import RecoveryReport, initial_guess
 
 
 @dataclass(frozen=True)
 class JoinContinuity:
-    """Measured gaps at one interior breakpoint."""
+    """Gaps at one interior breakpoint between the two pieces' _end_pose:
+    point distance and wrapped tangent-angle difference."""
 
     position_gap: float
     tangent_gap: float
@@ -67,10 +68,10 @@ class PiecewiseFit:
 
 def _guess_result(rep: RecoveryReport, target) -> FitResult:
     """A guess as a converged 0-iteration fit of target: F = R4^2 L^3 / 2,
-    grad_norm as fit reports it (0 below K_MIN), and a degenerate guess's
-    kind as the message."""
+    grad_norm as fit reports it (0 for a degenerate guess, whose k is 0),
+    and a degenerate guess's kind as the message."""
     grad_norm = 0.0
-    if rep.params.k >= K_MIN:
+    if rep.degenerate is None:
         g, _ = gradient_hessian(*_unit_problem(rep.params, target))
         grad_norm = float(np.linalg.norm(g))
     return FitResult(params=rep.params,
@@ -85,14 +86,6 @@ def _arclength_midpoint(smp, t0, t1):
     t_loc = float(np.interp(0.5 * smp.length, smp.s, smp.t))
     t_loc = min(max(t_loc, 1e-6), 1.0 - 1e-6)
     return t0 + t_loc * (t1 - t0)
-
-
-def _segment_endpoint(res, end):
-    """Point and tangent angle of a fitted piece at its start (end=0) or
-    finish (end=1)."""
-    cur = ElasticaCurve(res.params)
-    d = cur.derivative(end)
-    return cur.point(end), math.atan2(d[1], d[0])
 
 
 def fit_piecewise(curve, r4_threshold: float, max_depth: int,
@@ -124,13 +117,12 @@ def fit_piecewise(curve, r4_threshold: float, max_depth: int,
 
     starts, guesses, segments, r4s = map(list, zip(*process(0.0, 1.0, 0)))
 
-    joins = []
-    for i in range(len(segments) - 1):
-        p_left, a_left = _segment_endpoint(segments[i], 1)
-        p_right, a_right = _segment_endpoint(segments[i + 1], 0)
-        gap = float(np.linalg.norm(p_left - p_right))
-        dth = (a_left - a_right + math.pi) % (2 * math.pi) - math.pi
-        joins.append(JoinContinuity(position_gap=gap, tangent_gap=abs(dth)))
+    poses = [_end_pose(q, _jacobi_E_ends(q))
+             for q in (res.params.as_array() for res in segments)]
+    joins = [JoinContinuity(
+        position_gap=float(np.linalg.norm(y_l[1] - y_r[0])),
+        tangent_gap=float(abs(_wrap_angle(a_l[1] - a_r[0]))))
+        for (y_l, a_l), (y_r, a_r) in zip(poses, poses[1:])]
 
     return PiecewiseFit(
         breakpoints=starts + [1.0], segments=segments, guesses=guesses,

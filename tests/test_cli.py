@@ -102,6 +102,17 @@ def test_degenerate_input_exit_code(tmp_path, capsys):
     assert main([str(path), "--mode", "guess"]) == 3
 
 
+@pytest.mark.parametrize("mode", ["guess", "fit", "piecewise"])
+@pytest.mark.parametrize("n", [2, 5])
+def test_coincident_polyline_exit_code(n, mode, tmp_path, capsys):
+    """A polyline whose points all coincide keeps two of them, so it is
+    sampled and reported as zero length, not as a malformed polyline."""
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"polyline": [[1.5, -2.0]] * n}))
+    assert main([str(path), "--mode", mode, "--samples", "64"]) == 3
+    assert "zero length" in capsys.readouterr().err
+
+
 def test_straight_input_is_line(tmp_path, capsys):
     path = tmp_path / "line.json"
     path.write_text(json.dumps({"polyline": [[0, 0], [1, 0], [2, 0]]}))

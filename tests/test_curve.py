@@ -18,6 +18,8 @@ from elastica_fit.curve import (
 )
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
 from elastica_fit.errors import DegenerateInputError, DomainError
+from elastica_fit.fitting import FitProblem, fit, residual_r4
+from elastica_fit.recovery import initial_guess
 
 # 4-piece cubic Bezier approximation of the unit circle (tangent-matching
 # constant 4/3*tan(pi/8)); its true length, frozen from adaptive quadrature
@@ -159,9 +161,45 @@ def test_polyline_curvature_matches_loop(verts, n):
 def test_polyline_degenerate_curvature_is_zero():
     smp = sample(Polyline([[0, 0], [1, 0.5], [3, 1.5], [4, 2]]), 32)
     assert np.all(np.abs(smp.kappa) < 1e-12)
-    # nodes 10..20 sit on the repeated vertex: a zero chord on either side
-    smp = sample(Polyline([[0, 0], [1, 0], [1, 0], [2, 1]]), 30)
-    assert np.all(smp.kappa[10:21] == 0.0)
+    # a hairpin: nodes 15 and 17 coincide on either side of the turn at
+    # node 16, so node 16's circumcircle has a zero chord
+    smp = sample(Polyline([[0, 0], [1, 0], [0, 0]]), 32)
+    assert np.array_equal(smp.points[15], smp.points[17])
+    assert np.all(smp.kappa == 0.0)
+
+
+PLAIN = [[0, 0], [1, 1], [2, 0]]
+REPEATS = {"leading": [[0, 0], [0, 0], [1, 1], [2, 0]],
+           "interior": [[0, 0], [1, 1], [1, 1], [2, 0]],
+           "trailing": [[0, 0], [1, 1], [2, 0], [2, 0]]}
+
+
+@pytest.mark.parametrize("where", REPEATS)
+def test_repeated_vertex_samples_like_plain(where):
+    """Polyline drops a repeated vertex, so the nodes, theta and kappa are
+    those of the polyline without it, bit for bit, and every fit mode
+    reaches the same R4 in as many iterations."""
+    a = sample(Polyline(REPEATS[where]), 256)
+    b = sample(Polyline(PLAIN), 256)
+    for f in dataclasses.fields(a):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name))
+    for mode in ("none", "endpoints", "endpoints+tangents"):
+        res_a, res_b = [fit(FitProblem(target=smp,
+                                       init=initial_guess(smp).params,
+                                       constraints=mode, max_iter=200))
+                        for smp in (a, b)]
+        assert res_a.converged and res_b.converged
+        assert res_a.iterations == res_b.iterations
+        assert residual_r4(res_a.params, a) == residual_r4(res_b.params, b)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-16, 1.0, 1e16, 1e300])
+def test_polyline_repeat_tolerance_is_relative(scale):
+    """A vertex within 1e-14 of the extent of the previous kept one is a
+    repeat at every scale; one 1e-13 away is kept."""
+    pts = np.array([[0, 0], [1e-15, 0], [1, 1], [1, 1 + 1e-13], [2, 0]])
+    poly = Polyline(scale * pts)
+    assert np.array_equal(poly.points, scale * pts[[0, 2, 3, 4]])
 
 
 def test_trim_bezier_exact():

@@ -31,6 +31,7 @@ from elastica_fit.fitting import (
     _ENDS,
     _constraint_jacobian,
     _constraint_values,
+    _end_pose,
     _jacobi_E_ends,
     _jacobi_E_nodes,
     _reduced_model,
@@ -38,6 +39,7 @@ from elastica_fit.fitting import (
     _row_space,
     _shifted_step,
     _unit_problem,
+    _wrap_angle,
     fit,
     gradient_hessian,
     objective,
@@ -519,6 +521,24 @@ class TestFitConstrained:
         assert res.converged
         assert res.objective <= 1e-10
         assert res.constraint_violation <= 1e-10
+
+
+class TestEndPose:
+    @pytest.mark.parametrize("ell", [3.0, -3.0])
+    @pytest.mark.parametrize("k", [0.3, 0.8, 1.3, 3.0])
+    def test_matches_scalar_curve(self, k, ell):
+        """The end points and tangent angles against ElasticaCurve's scalar
+        point and the angle of its derivative, also for a segment run
+        backwards (ell < 0)."""
+        p = dataclasses.replace(BASE, k=k, ell=ell)
+        q = p.as_array()
+        points, angles = _end_pose(q, _jacobi_E_ends(q))
+        cur = ElasticaCurve(p)
+        for t, y, a in zip((0.0, 1.0), points, angles):
+            ref = cur.point(t)
+            assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+            d = cur.derivative(t)
+            assert abs(_wrap_angle(a - math.atan2(d[1], d[0]))) <= 1e-13
 
 
 #: a closed cubic: both ends at the origin

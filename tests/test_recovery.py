@@ -225,8 +225,8 @@ class TestInitialGuess:
 
     def test_collinear_is_line(self):
         # kappa is identically zero on an axis and at 45 degrees, where the
-        # moment system is exactly singular; at 30 degrees rounding leaves
-        # it solvable and lambda is negligible
+        # moment system is exactly singular; at 30 degrees it is rounding
+        # noise, max|kappa| L <= LAMBDA_MIN_REL, and kappa = 0 is fitted
         curves = [Polyline([[0.0, 0.0], [2.0, 1.0], [4.0, 2.0]])]
         ts = np.array([0.0, 0.3, 1.1, 2.0, 3.0])
         for d in ([1.0, 0.0], [0.0, -1.0], [1.0, 1.0], [-1.0, 1.0],
@@ -241,12 +241,34 @@ class TestInitialGuess:
             assert rep.R4 <= 1e-6
 
     def test_degenerate_line(self):
-        # nearly straight: the moment system solves but lambda is negligible
+        # nearly straight: max|kappa| L = 2e-9 <= LAMBDA_MIN_REL, so
+        # kappa = 0 is fitted
         cur = BezierChain([[[0, 0], [1, 1e-9], [2, 1e-9], [3, 0]]])
         rep = initial_guess(sample(cur, 256))
         assert rep.degenerate == "line"
         assert rep.params.k == 0.0
         assert rep.R4 <= 1e-6
+
+    def test_degenerate_line_after_solve(self):
+        # max|kappa| L = 2e-7: the moment system solves, and lambda is
+        # negligible
+        cur = BezierChain([[[0, 0], [1, 1e-7], [2, 1e-7], [3, 0]]])
+        smp = sample(cur, 256)
+        assert affine_curvature_fit(smp).lam > 0
+        rep = initial_guess(smp)
+        assert rep.degenerate == "line"
+        assert rep.R4 <= 1e-6
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-20, 1.0, 1e20, 1e100])
+    def test_straight_is_line_at_every_scale(self, scale):
+        """A straight polyline off the axes and diagonals, whose
+        circumcircle kappa is rounding noise, is a line at every scale."""
+        pts = scale * np.array([[0, 0], [1, 0.6], [3, 1.8], [3.5, 2.1]])
+        smp = sample(Polyline(pts), 256)
+        assert np.any(smp.kappa)
+        rep = initial_guess(smp)
+        assert rep.degenerate == "line"
+        assert rep.R4 <= 1e-14
 
     def test_degenerate_circle(self):
         ang = np.linspace(0.0, 2 * math.pi, 1025)

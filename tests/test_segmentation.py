@@ -1,17 +1,25 @@
 """Tests for recursive piecewise elastica fitting."""
 
+import math
 import os
 
 import numpy as np
 import pytest
 
-from elastica_fit.curve import BezierChain, load_curve, sample
+from elastica_fit.curve import BezierChain, Polyline, load_curve, sample
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
 from elastica_fit.errors import DomainError
 from elastica_fit.segmentation import fit_piecewise
 
 ELASTICA = ElasticaParams(k=0.8, s0=0.2, ell=3.0, w=1.5, phi=0.7,
                           x0=2.0, y0=-1.0)
+
+ARC_ASYM = os.path.join(os.path.dirname(__file__), "..", "corpus",
+                        "arc_asym.json")
+
+#: the polyline of ROADMAP item 4's exit-4 command: two straight legs and a
+#: bend between them
+EXIT4_POLYLINE = np.array([[0, 0], [1, 0.6], [2, 0.8], [3, 0.5], [4, -0.1]])
 
 # a wavy multi-lobe curve that a single elastica cannot match well
 WAVY = BezierChain([
@@ -88,6 +96,56 @@ def test_join_continuity_gaps():
             assert j.tangent_gap <= 1e-6
     assert pw.n_segments == 4
     assert sum(res.params.ell < 0 for res in pw.segments) == 2
+
+
+def test_join_gaps_match_scalar_curve():
+    """The join gaps equal those measured through ElasticaCurve's scalar
+    point and derivative, also where a backward piece (ell < 0) meets a
+    forward one."""
+    pw = fit_piecewise(load_curve(ARC_ASYM), r4_threshold=5e-5,
+                       max_depth=2, n_samples=256, max_iter=200,
+                       constraints="endpoints+tangents")
+    assert sum(res.params.ell < 0 for res in pw.segments) == 2
+    for left, right, j in zip(pw.segments, pw.segments[1:],
+                              pw.join_continuity):
+        a, b = ElasticaCurve(left.params), ElasticaCurve(right.params)
+        da, db = a.derivative(1.0), b.derivative(0.0)
+        dth = (math.atan2(da[1], da[0]) - math.atan2(db[1], db[0])
+               + math.pi) % (2 * math.pi) - math.pi
+        gap = np.linalg.norm(a.point(1.0) - b.point(0.0))
+        assert abs(j.position_gap - gap) <= 1e-14
+        assert abs(j.tangent_gap - abs(dth)) <= 1e-14
+
+
+@pytest.mark.parametrize("mode", ["endpoints", "endpoints+tangents"])
+def test_polyline_pieces_at_every_scale(mode):
+    """The exit-4 polyline scaled by 10^e, e = -100, -95, ..., 100, splits
+    and fits as at scale 1: the same breakpoints (to 1e-12), leaf kinds and
+    convergence, and in endpoints mode every converged fitted leaf's R4 to
+    1e-12 relative; the line leaves' R4 is rounding noise, below 1e-13.
+    Trimmed pieces keep their bends at small scales, as repeated vertices
+    are judged against the piece's extent, and straight pieces are lines at
+    large ones."""
+    def run(scale):
+        return fit_piecewise(Polyline(scale * EXIT4_POLYLINE), 1e-3, 2, mode,
+                             256, 200)
+
+    ref = run(1.0)
+    for e in range(-100, 101, 5):
+        pw = run(10.0 ** e)
+        assert pw.breakpoints == pytest.approx(ref.breakpoints, abs=1e-12)
+        assert ([g.degenerate for g in pw.guesses]
+                == [g.degenerate for g in ref.guesses])
+        assert ([s.converged for s in pw.segments]
+                == [s.converged for s in ref.segments])
+        if mode != "endpoints":
+            continue
+        for r4, r4_ref, guess, res in zip(pw.r4, ref.r4, ref.guesses,
+                                          ref.segments):
+            if guess.degenerate is not None:
+                assert r4 <= 1e-13
+            elif res.converged:
+                assert r4 == pytest.approx(r4_ref, rel=1e-12)
 
 
 def test_validation():
