@@ -1,22 +1,24 @@
 """Closed-form evaluation of elastica segments and their derivatives.
 
 The basic elastica through the origin with tangent angle 0 and initial
-curvature 2k is
+curvature 2k is zeta_k(s) = (2*E(s,k) - s) + i*2*k*(1 - cn(s,k)), a point
+x + iy of the complex plane, and every elastica segment is a similarity of
+it, one complex multiply-add:
 
-    zeta_k(s) = (2*E(s,k) - s,  2*k*(1 - cn(s,k))),
+    y(t) = w e^(i phi) zeta_k(s0 + ell*t) + x0 + i y0,   t in [0, 1].
 
-and every elastica segment is a scaled, rotated, translated piece of it:
-
-    y(t) = w * R_phi * zeta_k(s0 + ell*t) + (x0, y0),   t in [0, 1].
-
-All first and second derivatives with respect to arclength and the seven
-parameters (k, s0, ell, w, phi, x0, y0) are available in closed form; the
-second k-derivative divides by k and is undefined at k = 0.  Second
-parameter partials are used only contracted with vectors at the nodes
-(_second_partials_dot); the (7, 7, 2) tensor is assembled only by the
-one-node oracle segment_partials.
+The kernels keep points and vectors complex, so a quarter turn is a
+multiply by i; the public functions return float (..., 2) pairs.  All
+first and second derivatives with respect to arclength and the seven
+parameters (k, s0, ell, w, phi, x0, y0) are in closed form; the second
+k-derivative divides by k and is undefined at k = 0.  Second parameter
+partials are used only contracted with vectors at the nodes
+(_second_partials_dot), as the real and imaginary parts of one product;
+the (7, 7, 2) tensor is assembled only by the one-node oracle
+segment_partials.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -98,129 +100,106 @@ class BasicDerivatives(NamedTuple):
 
 def _zeta_blocks(s, k, second, jacobi_E=None):
     """zeta and its five derivative blocks at an array of arclengths s,
-    packed as (n, 6, 2): value, d/ds, d2/ds2, d/dk, d2/dsdk, d2/dk2, and
-    the (sn, cn, dn, E) they came from: jacobi_E, the (4, n)
+    complex (n, 6), as float (n, 6, 2): value, d/ds, d2/ds2, d/dk, d2/dsdk,
+    d2/dk2, and the (sn, cn, dn, E) they came from: jacobi_E, the (4, n)
     _jacobi_E_arr(s, k), if the caller has it.  The second-derivative
     blocks are left zero unless second; d2/dk2, which divides by k, also
     unless k >= K_MIN."""
     if jacobi_E is None:
         jacobi_E = _jacobi_E_arr(s, k)
     S, C, D, E = jacobi_E
-    kp2 = 1.0 - k * k
-    out = np.zeros((len(s), 6, 2))
-    out[:, 0, 0] = 2.0 * E - s
-    out[:, 0, 1] = 2.0 * k * (1.0 - C)
-    out[:, 1, 0] = 2.0 * D * D - 1.0
-    out[:, 1, 1] = 2.0 * k * S * D
-    out[:, 3, 0] = (2.0 / kp2) * k * (S * C * D - E * C * C - s * kp2 * S * S)
-    out[:, 3, 1] = (2.0 / kp2) * (kp2 + C * (k * k - D * D) - S * D * (E - s * kp2))
+    k2, kp2 = k * k, 1.0 - k * k
+    SD, CC, DD, SS, Es, G = S * D, C * C, D * D, S * S, E - s, E - s * kp2
+    out = np.zeros((len(s), 6), complex)
+    v = out.view(float)     # column 2m is block m's x, 2m + 1 its y
+    v[:, 0] = 2.0 * E - s
+    v[:, 1] = (2.0 * k) * (1.0 - C)
+    v[:, 2] = 2.0 * DD - 1.0
+    v[:, 3] = (2.0 * k) * SD
+    v[:, 6] = (2.0 * k / kp2) * (SD * C - E * CC - (s * kp2) * SS)
+    v[:, 7] = (2.0 / kp2) * (kp2 + C * (k2 - DD) - SD * G)
     if not second:
         return out, jacobi_E
-    out[:, 2, 0] = 2.0 * k * C * (-2.0 * k * S * D)
-    out[:, 2, 1] = 2.0 * k * C * (2.0 * D * D - 1.0)
-    f = (2.0 / kp2) * (S * D - C * (E - s * kp2))
-    out[:, 4, 0] = f * (-2.0 * k * S * D)
-    out[:, 4, 1] = f * (2.0 * D * D - 1.0)
+    # the tangent zeta_s turns at rate 2k cn along s and f along k
+    out[:, 2] = (2j * k) * C * out[:, 1]
+    out[:, 4] = (2j / kp2) * (SD - C * G) * out[:, 1]
     if k >= K_MIN:
-        a0 = 2.0 * S * D * C * (D * D - k * k * E * E
-                                + kp2 * (s * s * k * k - (E - s) ** 2 - 0.5))
-        a1 = (1.0 / k) * ((1.0 - 2.0 * k * k * S * S) * (E - s)
-                          * (2.0 * s * k * k + E - s) * C
-                          + D * S * (s * kp2 - E) * (4.0 * k * k * C * C + kp2))
-        b0 = ((E - s) * (C * C + D * D - 4.0 * C * C * D * D)
-              + 2.0 * s * k * k * (2.0 * S * S - 1.0) * D * D - s * kp2)
-        b1 = (-s * k * kp2 * D * S + s * s * k ** 3 * C
-              + k * C * S * S * (2.0 - 2.0 * s * s * k ** 4
-                                 - 2.0 * k * k * S * S + k * k))
-        out[:, 5, 0] = (2.0 / (kp2 * kp2)) * (a0 + b0)
-        out[:, 5, 1] = (2.0 / (kp2 * kp2)) * (a1 + b1)
+        ss = s * s
+        a0 = (2.0 * SD * C) * (DD - k2 * E * E
+                               + kp2 * (k2 * ss - Es * Es - 0.5))
+        a1 = (1.0 / k) * ((1.0 - 2.0 * k2 * SS) * Es * (2.0 * k2 * s + Es) * C
+                          - SD * G * (4.0 * k2 * CC + kp2))
+        b0 = (Es * (CC + DD - 4.0 * CC * DD)
+              + (2.0 * k2) * s * (2.0 * SS - 1.0) * DD - s * kp2)
+        b1 = k * (C * (k2 * ss + SS * (2.0 + k2 - (2.0 * k2 * k2) * ss
+                                       - (2.0 * k2) * SS))
+                  - kp2 * s * SD)
+        v[:, 10] = (2.0 / (kp2 * kp2)) * (a0 + b0)
+        v[:, 11] = (2.0 / (kp2 * kp2)) * (a1 + b1)
     return out, jacobi_E
 
 
-def _rotate(phi, v):
-    """R_phi applied to the last axis of v (vectors as (..., 2))."""
-    c = math.cos(phi)
-    s = math.sin(phi)
-    out = np.empty_like(v)
-    out[..., 0] = c * v[..., 0] - s * v[..., 1]
-    out[..., 1] = s * v[..., 0] + c * v[..., 1]
-    return out
-
-
 def _segment_eval_arr(p, t, jacobi_E=None):
-    """Points of the parameterized segment at an array of t values.
-
-    p is the 7-vector (k, s0, ell, w, phi, x0, y0); returns an (n, 2) array.
-    jacobi_E is _jacobi_E_arr(s0 + ell*t, k), if the caller has it.
-    """
+    """Points x + iy, (n,), of the segment p = (k, s0, ell, w, phi, x0, y0)
+    at an array of t values, from jacobi_E = _jacobi_E_arr(s0 + ell*t, k)
+    if the caller has it."""
     k, s0, ell, w, phi, x0, y0 = p
     s = s0 + ell * t
     _, C, _, E = _jacobi_E_arr(s, k) if jacobi_E is None else jacobi_E
-    z = np.stack([2.0 * E - s, 2.0 * k * (1.0 - C)], axis=-1)
-    return w * _rotate(phi, z) + (x0, y0)
+    z = (2.0 * E - s) + 2j * k * (1.0 - C)
+    return cmath.rect(w, phi) * z + complex(x0, y0)
 
 
 def _segment_partials_arr(p, t, with_second, jacobi_E=None):
-    """Segment points with their first parameter partials, and the zeta
-    blocks the second partials are made of.
-
-    Returns (y, dy, blocks, jacobi_E): y (n, 2), dy (7, n, 2) indexed by
-    parameter first, the (n, 6, 2) blocks of _zeta_blocks at the
-    arclengths s0 + ell*t, and jacobi_E = (sn, cn, dn, E) there (the one
-    passed in, if any).  The second-derivative blocks are left zero unless
-    with_second (see _zeta_blocks).
-    """
+    """(y, dy, blocks, jacobi_E): the segment points y (n,) and their first
+    parameter partials dy (7, n), complex, the (n, 6) _zeta_blocks at the
+    arclengths s0 + ell*t, and (sn, cn, dn, E) there (jacobi_E, if passed).
+    Viewed as float, dy is the (7, 2n) Jacobian of x_0, y_0, x_1, ...  The
+    second-derivative blocks are left zero unless with_second."""
     k, s0, ell, w, phi, x0, y0 = p
     blocks, jacobi_E = _zeta_blocks(s0 + ell * t, k, with_second, jacobi_E)
-    rb = _rotate(phi, blocks[:, [0, 1, 3]])     # R_phi @ value, d/ds, d/dk
-    y = w * rb[:, 0] + (x0, y0)
-    dy = np.zeros((7, len(t), 2))
-    dy[0] = w * rb[:, 2]                        # k
-    dy[1] = w * rb[:, 1]                        # s0
-    dy[2] = t[:, None] * w * rb[:, 1]           # ell
-    dy[3] = rb[:, 0]                            # w
-    dy[4, :, 0] = -w * rb[:, 0, 1]              # phi: R_(phi + pi/2) @ zeta
-    dy[4, :, 1] = w * rb[:, 0, 0]
-    dy[5, :, 0] = 1.0                           # x0
-    dy[6, :, 1] = 1.0                           # y0
-    return y, dy, blocks, jacobi_E
+    rot, wrot = cmath.rect(1.0, phi), cmath.rect(w, phi)
+    wz = wrot * blocks[:, 0]
+    dy = np.empty((7, len(t)), complex)
+    dy[0] = wrot * blocks[:, 3]                 # k
+    dy[1] = wrot * blocks[:, 1]                 # s0
+    dy[2] = t * dy[1]                           # ell
+    dy[3] = rot * blocks[:, 0]                  # w
+    dy[4] = 1j * wz                             # phi: the quarter turn
+    dy[5] = 1.0                                 # x0
+    dy[6] = 1j                                  # y0
+    return wz + complex(x0, y0), dy, blocks, jacobi_E
+
+
+#: The second partial d2y/dp_i dp_j of y = w e^(i phi) zeta(s0 + ell t, k)
+#: + x0 + i y0 is w e^(i phi) zeta differentiated along k for each k and
+#: along s for each s0 or ell, times t per ell and i per phi, and without w
+#: if p_i or p_j is w: rows (i, j, power of t, zeta block, power of i,
+#: factor w) for i <= j, the only statement of the second partials.
+_SECOND_PARTIALS = np.array([
+    (i, j, (i, j).count(2),
+     (0, 3, 5)[(i, j).count(0)] + (i, j).count(1) + (i, j).count(2),
+     (i, j).count(4), 3 not in (i, j))
+    for i in range(5) for j in range(i, 5) if (i, j) != (3, 3)]).T
 
 
 def _second_partials_dot(v, t, blocks, w, phi):
-    """sum_i v_i . d2y_i / dp dp': the second parameter partials of the
-    segment at the nodes t, contracted with vectors v of shape (..., n, 2),
-    as a symmetric (..., 7, 7) array; blocks are _zeta_blocks at the nodes.
-
-    Every second partial is w * R_phi or w * R_(phi + pi/2) applied to one
-    zeta block, times 1, t or t^2 (w-partials drop the factor w), so the
-    sum takes v back by R_-phi once and needs only the dot products of the
-    blocks with it and its quarter turn, summed against 1, t and t^2.  This
-    table is the only statement of the second partials.
+    """sum_i v_i . d2y_i / dp dp', the second parameter partials at the
+    nodes t contracted with complex vectors v (..., n), as a symmetric
+    (..., 7, 7) array; blocks are _zeta_blocks at the nodes.  As
+    v . z = Re(conj(v) z), each row of _SECOND_PARTIALS is the real part
+    of i^q (w) P[..., a, m] from one product P[..., a, m] = sum_i t_i^a
+    conj(v_i) e^(i phi) block_m(i): the real and minus the imaginary part.
     """
-    u = _rotate(-phi, v)
-    ub = u[..., None, 0] * blocks[..., 0] + u[..., None, 1] * blocks[..., 1]
-    qb = u[..., None, 1] * blocks[..., 0] - u[..., None, 0] * blocks[..., 1]
-    powers = np.stack([np.ones_like(t), t, t * t])
-    D = powers @ ub     # D[..., j, m] = sum_i t_i^j u_i . block_m
-    Q = powers @ qb     # the same for R_(phi + pi/2)
-    h = np.zeros(D.shape[:-2] + (7, 7))
-    for (i, j), val in {
-        (0, 0): w * D[..., 0, 5],       # k k
-        (0, 1): w * D[..., 0, 4],       # k s0
-        (0, 2): w * D[..., 1, 4],       # k ell
-        (0, 3): D[..., 0, 3],           # k w
-        (0, 4): w * Q[..., 0, 3],       # k phi
-        (1, 1): w * D[..., 0, 2],       # s0 s0
-        (1, 2): w * D[..., 1, 2],       # s0 ell
-        (1, 3): D[..., 0, 1],           # s0 w
-        (1, 4): w * Q[..., 0, 1],       # s0 phi
-        (2, 2): w * D[..., 2, 2],       # ell ell
-        (2, 3): D[..., 1, 1],           # ell w
-        (2, 4): w * Q[..., 1, 1],       # ell phi
-        (3, 4): Q[..., 0, 0],           # w phi
-        (4, 4): -w * D[..., 0, 0],      # phi phi
-    }.items():
-        h[..., i, j] = h[..., j, i] = val
+    i, j, a, m, q, wf = _SECOND_PARTIALS
+    u = np.conj(v) * cmath.rect(1.0, phi)
+    X = u[..., None] * blocks           # (..., n, 6)
+    P = (t ** np.arange(3.0)[:, None] @ X.view(float)).view(complex)
+    vals = (P[..., a, m] * np.array([1.0, 1j, -1.0])[q]).real \
+        * np.where(wf, w, 1.0)
+    h = np.zeros(P.shape[:-2] + (7, 7))
+    h[..., i, j] = vals
+    h[..., j, i] = vals
     return h
 
 
@@ -242,7 +221,7 @@ def basic_derivatives(s: float, k: float) -> BasicDerivatives:
     if k < K_MIN:
         raise DomainError(
             f"second k-derivative undefined for k < {K_MIN} (got {k})")
-    b = _zeta_blocks(np.array([float(s)]), k, True)[0][0]
+    b = _zeta_blocks(np.array([s], float), k, True)[0].view(float).reshape(6, 2)
     return BasicDerivatives(ds=b[1], dss=b[2], dk=b[3], dsk=b[4], dkk=b[5])
 
 
@@ -250,13 +229,14 @@ def segment_eval(p: ElasticaParams, t: float) -> np.ndarray:
     """Point of the transformed segment at parameter t (constant speed |ell|*w)."""
     s = p.s0 + p.ell * float(t)
     _, cn, _, e = _jacobi_E(s, p.k)
-    z = np.array([2.0 * e - s, 2.0 * p.k * (1.0 - cn)])
-    return p.w * _rotate(p.phi, z) + (p.x0, p.y0)
+    y = cmath.rect(p.w, p.phi) * complex(2.0 * e - s, 2.0 * p.k * (1.0 - cn))
+    return np.array([y.real + p.x0, y.imag + p.y0])
 
 
 def segment_eval_many(p: ElasticaParams, t: np.ndarray) -> np.ndarray:
     """Vectorized ``segment_eval`` over an array of parameter values."""
-    return _segment_eval_arr(p.as_array(), np.asarray(t, dtype=float))
+    return _segment_eval_arr(p.as_array(), np.asarray(t, dtype=float)) \
+        .view(float).reshape(-1, 2)
 
 
 class ElasticaCurve:
@@ -272,14 +252,16 @@ class ElasticaCurve:
     def derivative(self, t):
         p = self.params
         S, _, D, _ = _jacobi_E(p.s0 + p.ell * t, p.k)
-        zs = np.array([2.0 * D * D - 1.0, 2.0 * p.k * S * D])
-        return p.ell * p.w * _rotate(p.phi, zs)
+        y = cmath.rect(p.ell * p.w, p.phi) * complex(2.0 * D * D - 1.0,
+                                                     2.0 * p.k * S * D)
+        return np.array([y.real, y.imag])
 
     def second_derivative(self, t):
         p = self.params
         S, C, D, _ = _jacobi_E(p.s0 + p.ell * t, p.k)
-        zss = 2.0 * p.k * C * np.array([-2.0 * p.k * S * D, 2.0 * D * D - 1.0])
-        return p.ell ** 2 * p.w * _rotate(p.phi, zss)
+        y = cmath.rect(p.ell ** 2 * p.w, p.phi) * 2j * p.k * C * complex(
+            2.0 * D * D - 1.0, 2.0 * p.k * S * D)   # i 2k cn zeta_s
+        return np.array([y.real, y.imag])
 
     def trimmed(self, t0, t1):
         p = self.params
@@ -292,12 +274,13 @@ def segment_partials(p: ElasticaParams, t: float, second: bool = True):
     """First (and second) partials of segment_eval with respect to the seven
     parameters: arrays of shape (7, 2) and (7, 7, 2).  The (7, 7, 2)
     tensor is assembled only here, for this one-node oracle, by contracting
-    the second partials with the two unit vectors."""
+    the second partials with the two unit vectors 1 and i."""
     if second and p.k < K_MIN:
         raise DomainError(f"second partials need k >= {K_MIN} (got {p.k})")
     t = np.array([float(t)])
     _, dy, blocks, _ = _segment_partials_arr(p.as_array(), t, second)
     if second:
-        d2y = _second_partials_dot(np.eye(2)[:, None], t, blocks, p.w, p.phi)
-        return dy[:, 0], np.moveaxis(d2y, 0, -1)
-    return dy[:, 0], None
+        d2y = _second_partials_dot(np.eye(2).view(complex), t, blocks,
+                                   p.w, p.phi)
+        return dy.view(float), np.moveaxis(d2y, 0, -1)
+    return dy.view(float), None

@@ -14,37 +14,33 @@ of the constraint Jacobian J.  The step -(A + mu I)^-1 b takes the first
 shift mu of a doubling sequence that fits the radius, in closed form from
 one eigendecomposition of A.  Each trial is restored onto the manifold
 before F is evaluated, so F alone judges it: free fits re-solve the
-similarity block, pinned fits run capped Gauss-Newton steps on c.
+similarity block, pinned fits run capped Gauss-Newton steps on c.  A
+rejection quarters the radius until the rejected step no longer fits, so
+every iteration restores and evaluates a new trial.
 
-Each point the loop visits carries one elliptic evaluation: sn, cn, dn and
+Each point the loop visits carries one elliptic evaluation, sn, cn, dn and
 E at the arclengths s0 + ell*tau of the target's nodes (_jacobi_E_nodes),
-made when _restore puts it on the manifold.  The free alignment's zeta
-values, the trial's F and the accepted point's gradient and Hessian read
-from it; in pinned modes the model's constraint Jacobian and Hessians are
-rows tau = 0, 1 of the partials that gradient and Hessian are built from.
-Only the Gauss-Newton iterates inside _restore and the mapped-back result
-evaluate at the two end nodes on their own (_jacobi_E_ends), for c alone:
-the end points and tangent angles of _end_pose, which segmentation's join
+made when _restore puts it on the manifold; the alignment, F, gradient and
+Hessian, and in pinned modes the model's constraint rows (tau = 0, 1 of
+the same partials) read from it.  Only the Gauss-Newton iterates inside
+_restore and the mapped-back result evaluate at the two end nodes on their
+own (_jacobi_E_ends), for c alone: the _end_pose that segmentation's join
 gaps read too, minus the target's (_constraint_values, the one place c is
 computed).  J is built from that evaluation only for a step that is taken.
 
-The step for a radius that a rejected step still fits is that step again,
-so a rejection quarters the radius until the rejected step no longer fits:
-every iteration restores and evaluates a new trial.
-
-The Hessian of F is a Gauss-Newton term, one (7, 2n) matrix product of
-the first partials, plus sum_i omega_i diff_i . d2y_i from
-elastica._second_partials_dot, which rotates the weighted residual back by
--phi once and dots it with the zeta blocks against 1, t and t^2.  The same
-contraction with unit vectors at t = 0, 1 gives the position constraints'
-Hessians in the Lagrangian Hessian W; no per-node tensor is built.
-
-One SVD of J (_row_space) gives both the null-space basis of
-the model and the Gauss-Newton step -J^+ c, with the same rank cut.
+Points, residuals and partials are complex x + iy, as in elastica, and
+the free alignment is one complex weighted ratio.  The Hessian of F is a
+Gauss-Newton term, one real matrix product of the (7, n) complex partials
+viewed as (7, 2n) floats, plus sum_i omega_i diff_i . d2y_i from
+elastica._second_partials_dot: the real and imaginary parts of one product
+of the weighted residual with the zeta blocks against 1, t and t^2.  The
+same contraction with the unit vectors 1 and i at t = 0, 1 gives the
+position constraints' Hessians in W; no per-node tensor is built.
 Every integral over the target is a dot product with its Simpson weights
 (CurveSamples.weights).
 """
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -122,20 +118,27 @@ def _jacobi_E_nodes(pvec, target: CurveSamples) -> np.ndarray:
     return _jacobi_E_arr(pvec[1] + pvec[2] * _tau(target), pvec[0])
 
 
+def _points(target: CurveSamples) -> np.ndarray:
+    """The target's points as complex x + iy, a view where it can be."""
+    return np.ascontiguousarray(target.points, dtype=float).view(complex)[:, 0]
+
+
 def objective(p: ElasticaParams, target: CurveSamples,
               _jacobi_E=None) -> float:
     """F(p): half the squared L2 distance to the target, arclength-matched.
     fit and initial_guess pass p's _jacobi_E_nodes as _jacobi_E."""
-    y = _segment_eval_arr(p.as_array(), _tau(target), _jacobi_E)
-    diff = y - target.points
-    f = 0.5 * np.sum(diff * diff, axis=1)
+    diff = (_segment_eval_arr(p.as_array(), _tau(target), _jacobi_E)
+            - _points(target))
+    f = 0.5 * (diff.real * diff.real + diff.imag * diff.imag)
     return float(np.dot(f, target.weights))
 
 
-def residual_r4(p: ElasticaParams, target: CurveSamples) -> float:
-    """Normalized L2 distance sqrt(2 F(p) / L^3)."""
-    L = target.length
-    return math.sqrt(max(2.0 * objective(p, target), 0.0) / L ** 3)
+def residual_r4(p: ElasticaParams, target: CurveSamples,
+                _jacobi_E=None) -> float:
+    """Normalized L2 distance sqrt(2 F(p) / L^3), at any scale: evaluated
+    on the _unit_problem, where L = 1.  initial_guess passes _jacobi_E."""
+    return math.sqrt(max(
+        2.0 * objective(*_unit_problem(p, target), _jacobi_E), 0.0))
 
 
 def gradient_hessian(p: ElasticaParams, target: CurveSamples,
@@ -148,11 +151,11 @@ def gradient_hessian(p: ElasticaParams, target: CurveSamples,
     t = _tau(target)
     partials = _segment_partials_arr(p.as_array(), t, True, _jacobi_E)
     y, dy, blocks, _ = partials
-    wts = target.weights[:, None]
-    v = wts * (y - target.points)
-    jac = dy.reshape(7, -1)
-    grad = jac @ v.ravel()
-    hess = ((dy * wts).reshape(7, -1) @ jac.T
+    wts = target.weights
+    v = wts * (y - _points(target))
+    jac = dy.view(float)    # the real (7, 2n) Jacobian
+    grad = jac @ v.view(float)
+    hess = ((dy * wts).view(float) @ jac.T
             + _second_partials_dot(v, t, blocks, p.w, p.phi))
     if _partials:
         return grad, 0.5 * (hess + hess.T), partials
@@ -202,7 +205,8 @@ def _end_pose(pvec, jacobi_E):
     and dy/dt = ell * y_s adds pi when ell < 0."""
     S, _, D, _ = jacobi_E
     th = 2.0 * np.arctan2(pvec[0] * S, D) + math.pi * (pvec[2] < 0)
-    return _segment_eval_arr(pvec, _ENDS, jacobi_E), pvec[4] + th
+    return (_segment_eval_arr(pvec, _ENDS, jacobi_E).view(float)
+            .reshape(2, 2), pvec[4] + th)
 
 
 def _constraint_values(pvec, target: CurveSamples, mode: str, jacobi_E):
@@ -229,10 +233,10 @@ def _constraint_jacobian(pvec, mode: str, with_hessians=False, ends=None):
     if ends is None:
         ends = _segment_partials_arr(pvec, _ENDS, with_hessians)
     _, dy, blocks, jacobi_E = ends
-    jac = dy.reshape(7, 4).T
+    jac = np.ascontiguousarray(dy).view(float).T
     if with_hessians:
-        # row 2e + j is coordinate j at end e: the unit vector e_j there
-        hess = _second_partials_dot(np.eye(4).reshape(4, 2, 2), _ENDS,
+        # row 2e + j is coordinate j at end e: the unit vector 1 or i there
+        hess = _second_partials_dot(np.eye(4).view(complex), _ENDS,
                                     blocks, pvec[3], pvec[4])
     if mode == "endpoints+tangents":
         t = _ENDS
@@ -288,32 +292,29 @@ def _align_similarity(pvec, target: CurveSamples, jacobi_E):
     """Optimal (w, phi, x0, y0) for fixed (k, s0, ell), by weighted
     similarity Procrustes, from pvec's _jacobi_E_nodes; never increases
     the objective.  The free fit's restoration and recovery.initial_guess
-    both take their similarity from it."""
-    base = pvec.copy()
-    base[3:] = (1.0, 0.0, 0.0, 0.0)
-    z = _segment_eval_arr(base, _tau(target), jacobi_E)
+    both take their similarity from it: with z the basic zeta values and x
+    the target's points, complex and centred by their weighted means,
+    w e^(i phi) = m = sum omega conj(z) x / sum omega |z|^2 and
+    x0 + i y0 = xbar - m zbar."""
     wts = target.weights
     tot = float(np.sum(wts))
     if tot <= 0:
         return pvec
-    zbar = wts @ z / tot
-    xbar = wts @ target.points / tot
+    z = _segment_eval_arr(np.concatenate([pvec[:3], (1.0, 0.0, 0.0, 0.0)]),
+                          _tau(target), jacobi_E)
+    x = _points(target)
+    zbar = complex(wts @ z) / tot
+    xbar = complex(wts @ x) / tot
     zc = z - zbar
-    xc = target.points - xbar
-    denom = float(wts @ np.sum(zc * zc, axis=1))
+    wzc = wts * zc.conj()
+    denom = float((wzc @ zc).real)
     if denom <= 0:
         return pvec
-    a = float(wts @ np.sum(xc * zc, axis=1)) / denom
-    b = float(wts @ (zc[:, 0] * xc[:, 1] - zc[:, 1] * xc[:, 0])) / denom
-    scale = math.hypot(a, b)
-    if scale <= 0:
+    m = complex(wzc @ (x - xbar)) / denom
+    if m == 0:
         return pvec
-    q = pvec.copy()
-    q[3] = scale
-    q[4] = math.atan2(b, a)
-    q[5] = xbar[0] - (a * zbar[0] - b * zbar[1])
-    q[6] = xbar[1] - (b * zbar[0] + a * zbar[1])
-    return q
+    c = xbar - m * zbar
+    return np.concatenate([pvec[:3], (abs(m), cmath.phase(m), c.real, c.imag)])
 
 
 def _row_space(J):
@@ -385,12 +386,27 @@ def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
     return float(np.linalg.norm(gz)), gz, Z.T @ W @ Z, Z
 
 
+def _unit_target(target: CurveSamples) -> CurveSamples:
+    """The target moved to start at 0 and scaled to length 1."""
+    L, o = target.length, target.points[0]
+    return replace(target, points=(target.points - o) / L, s=target.s / L,
+                   speeds=target.speeds / L, kappa=target.kappa * L)
+
+
+def _unit_map(pvec, target: CurveSamples, inverse=False) -> np.ndarray:
+    """pvec moved onto _unit_target(target), w / L and ((x0, y0) - origin)
+    / L with origin its first point; or with inverse back from it."""
+    L, origin = target.length, target.points[0]
+    q = np.array(pvec, dtype=float)
+    q[3], q[5:] = ((q[3] * L, L * q[5:] + origin) if inverse
+                   else (q[3] / L, (q[5:] - origin) / L))
+    return q
+
+
 def _unit_problem(p: ElasticaParams, target: CurveSamples):
-    """(p, target) with the target moved to start at 0 and of length 1."""
-    L, (x, y) = target.length, target.points[0]
-    return replace(p, w=p.w / L, x0=(p.x0 - x) / L, y0=(p.y0 - y) / L), \
-        replace(target, points=(target.points - (x, y)) / L, s=target.s / L,
-                speeds=target.speeds / L, kappa=target.kappa * L)
+    """(p, target) on the unit-length problem."""
+    return (ElasticaParams.from_array(_unit_map(p.as_array(), target)),
+            _unit_target(target))
 
 
 def fit(problem: FitProblem) -> FitResult:
@@ -449,12 +465,11 @@ def fit(problem: FitProblem) -> FitResult:
             if delta <= 1e-13:
                 msg = "trust region collapsed"
                 break
-    L, origin = problem.target.length, problem.target.points[0]
-    p[3] *= L
-    p[5:] = L * p[5:] + origin
+    p = _unit_map(p, problem.target, inverse=True)
     if mode != "none":
         cviol = float(np.max(np.abs(
             _constraint_values(p, problem.target, mode, _jacobi_E_ends(p)))))
-    return FitResult(params=ElasticaParams.from_array(p), objective=f * L ** 3,
+    return FitResult(params=ElasticaParams.from_array(p),
+                     objective=f * problem.target.length ** 3,
                      grad_norm=gnorm, iterations=it, converged=converged,
                      constraint_violation=cviol, message=msg)

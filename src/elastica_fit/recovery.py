@@ -18,8 +18,8 @@ from .curve import CurveSamples, integrate_ds
 from .elastica import ElasticaParams, _chart_modulus
 from .elliptic import incomplete_F
 from .errors import DegenerateInputError
-from .fitting import _align_similarity, _jacobi_E_nodes, objective, \
-    residual_r4
+from .fitting import _align_similarity, _jacobi_E_nodes, _unit_map, \
+    _unit_target, residual_r4
 
 # not called here: perfbench's tracer test checks that the tracer patches
 # segment_eval_many in this module's namespace too
@@ -254,28 +254,30 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
     curve of negative curvature has its shape recovered on the samples
     traversed the other way, and mapped back by (s0, ell) ->
     (s0 + ell, -ell): ell < 0 runs the segment toward decreasing arclength.
+
+    It runs on fit's unit-length copy of the samples, mapped back by
+    fitting._unit_map, so the guess is the same at any scale and place.
     """
-    fit = affine_curvature_fit(samples)
+    unit = _unit_target(samples)
+    fit = affine_curvature_fit(unit)
     if fit.w is None:
         return _degenerate_report(samples, fit)
     inflectional, k = classify_and_modulus(fit)
-    shape = samples
-    if not inflectional and integrate_ds(samples, samples.kappa) < 0:
-        shape = samples.reversed()
+    shape = unit
+    if not inflectional and integrate_ds(unit, unit.kappa) < 0:
+        shape = unit.reversed()
         fit = affine_curvature_fit(shape)
         inflectional, k = classify_and_modulus(fit)
     s0, ell, n, increasing, clamped, R3 = recover_arc_interval(
         shape, fit, inflectional, k)
-    if shape is not samples:
+    if shape is not unit:
         s0, ell = s0 + ell, -ell
     q = np.array([k, s0, ell, fit.w, fit.phi, 0.0, 0.0])
     # the alignment keeps (k, s0, ell), so its evaluation also gives R4
-    jacobi_E = _jacobi_E_nodes(q, samples)
+    jacobi_E = _jacobi_E_nodes(q, unit)
     params = ElasticaParams.from_array(
-        _align_similarity(q, samples, jacobi_E))
-    F = objective(params, samples, jacobi_E)
+        _unit_map(_align_similarity(q, unit, jacobi_E), samples, inverse=True))
     return RecoveryReport(
         params=params, inflectional=inflectional, n_segments=n,
         u_increasing_at_start=increasing, R1=fit.R1, R2=fit.R2, R3=R3,
-        R4=math.sqrt(max(2.0 * F, 0.0) / samples.length ** 3),
-        clamped_fraction=clamped)
+        R4=residual_r4(params, samples, jacobi_E), clamped_fraction=clamped)

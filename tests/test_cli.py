@@ -201,12 +201,12 @@ def test_far_scales_fit_as_scale_one(scale, tmp_path):
         pytest.approx(r4, rel=1e-13)
 
 
-# the curvature moment matrix, whose entries scale with the size cubed,
-# overflows at 1e103: numpy warns on the way to the error that the exit code
-# reports
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+# the guess holds at any scale, but the report's objective and R4 take the
+# cube of the length, which overflows at 1e103 and is 0 at 1e-120; no numpy
+# warning comes before the error that the exit code reports
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("scale, why", [
-    (1e-120, "singular curvature moment system"),
+    (1e-120, "float division by zero"),
     (1e103, "outside the numeric range")])
 def test_outside_numeric_range_exit_code(scale, why, tmp_path, capsys):
     """Beyond the range that fits, the CLI exits 3 with one line."""
@@ -216,6 +216,20 @@ def test_outside_numeric_range_exit_code(scale, why, tmp_path, capsys):
     err = capsys.readouterr().err
     assert why in err and err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_guess_mode_far_below_scale_one(tmp_path):
+    """Guess mode reports S_CURVE scaled by 1e-110, where fit mode exits 3,
+    with the scale-1 residuals."""
+    out = tmp_path / "rep.json"
+    ref = tmp_path / "ref.json"
+    for scale, path in ((1e-110, out), (1.0, ref)):
+        assert main([_scaled_s_curve(tmp_path, scale), "--mode", "guess",
+                     "--samples", "256", "--out", str(path)]) == 0
+    got = json.loads(out.read_text())["residuals"]
+    want = json.loads(ref.read_text())["residuals"]
+    assert got == pytest.approx(want, rel=1e-13)
 
 
 def test_piecewise_report_schema(tmp_path):

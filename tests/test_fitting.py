@@ -615,6 +615,36 @@ class TestReducedModel:
         assert residual_r4(res.params, tgt) <= 1e-9
 
 
+@pytest.mark.parametrize("layout", ["fortran", "column_strided",
+                                    "row_strided"])
+def test_target_points_in_any_layout(layout):
+    """The kernels read the target's points as complex numbers.  Points
+    that are Fortran-ordered, or a view into a larger array, give bitwise
+    the objective, gradient, Hessian, guess and free and pinned fits of
+    their C-ordered copy."""
+    from elastica_fit.recovery import initial_guess
+    tgt = sample(load_curve(os.path.join(CORPUS_DIR, "s_curve.json")), 128)
+    if layout == "fortran":
+        pts = np.asfortranarray(tgt.points)
+    elif layout == "column_strided":
+        pts = np.zeros((len(tgt.t), 4))[:, ::2]
+        pts[...] = tgt.points
+    else:
+        pts = np.repeat(tgt.points, 2, axis=0)[::2]
+    assert not pts.flags.c_contiguous and np.array_equal(pts, tgt.points)
+    odd = dataclasses.replace(tgt, points=pts)
+    guess = initial_guess(tgt)
+    assert initial_guess(odd) == guess
+    p = guess.params
+    assert objective(p, odd) == objective(p, tgt)
+    for a, b in zip(gradient_hessian(p, odd), gradient_hessian(p, tgt)):
+        assert np.array_equal(a, b)
+    for mode in ("none", "endpoints+tangents"):
+        res = fit(FitProblem(target=odd, init=p, constraints=mode))
+        assert res == fit(FitProblem(target=tgt, init=p, constraints=mode))
+        assert res.converged
+
+
 class TestOneEvaluationPerPoint:
     @pytest.mark.parametrize("mode", ["none", "endpoints+tangents"])
     def test_one_node_evaluation_per_restored_point(self, mode, monkeypatch):

@@ -270,6 +270,43 @@ class TestInitialGuess:
         assert rep.degenerate == "line"
         assert rep.R4 <= 1e-14
 
+    @pytest.mark.parametrize("e", [-150, -110, -103, 0, 103, 150])
+    def test_guess_at_every_scale(self, e):
+        """The CLI tests' S_CURVE scaled by 10^e gets the scale-1 guess:
+        the recovery runs on the unit-length copy, so its curvature moments
+        neither go subnormal nor overflow.  No floating-point exception is
+        raised on the way, not even an underflow."""
+        pts = np.array([[[0, 0], [1, 1.2], [2.2, 1.1], [3, 0.2]]], float)
+        ref = initial_guess(sample(BezierChain(pts), 256))
+        c = 10.0 ** e
+        with np.errstate(all="raise"):
+            rep = initial_guess(sample(BezierChain(c * pts), 256))
+        for name in ("R1", "R2", "R3", "R4"):
+            assert getattr(rep, name) == pytest.approx(
+                getattr(ref, name), rel=6e-14)
+        q, q0 = rep.params, ref.params
+        for name in ("k", "s0", "ell"):
+            assert getattr(q, name) == pytest.approx(getattr(q0, name),
+                                                     rel=6e-14)
+        assert q.w / c == pytest.approx(q0.w, rel=6e-14)
+        assert q.phi == pytest.approx(q0.phi, abs=6e-14)
+        assert (q.x0 / c, q.y0 / c) == pytest.approx((q0.x0, q0.y0),
+                                                     abs=6e-14)
+
+    @pytest.mark.parametrize("name", ["wave_multi_lobe", "s_curve_deep"])
+    @pytest.mark.parametrize("v", [(2.6, -3.0), (1e3, 1e3)])
+    def test_guess_does_not_depend_on_position(self, name, v):
+        """The same samples moved by v get the same shape and similarity,
+        moved by v: the recovery's moments are taken about the first
+        sample, not about the origin of the coordinates."""
+        smp = sample(load_curve(str(ROOT / "corpus" / f"{name}.json")), 256)
+        ref = initial_guess(smp)
+        rep = initial_guess(dataclasses.replace(smp, points=smp.points + v))
+        assert rep.R4 == pytest.approx(ref.R4, rel=1e-12)
+        q, q0 = rep.params.as_array(), ref.params.as_array()
+        assert q[:5] == pytest.approx(q0[:5], rel=1e-12, abs=1e-12)
+        assert q[5:] - v == pytest.approx(q0[5:], abs=1e-12 * max(v))
+
     def test_degenerate_circle(self):
         ang = np.linspace(0.0, 2 * math.pi, 1025)
         pts = np.column_stack([3 * np.cos(ang), 3 * np.sin(ang)])
