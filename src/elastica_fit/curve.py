@@ -5,8 +5,10 @@ uniform sampling with arclength, tangent angle and curvature, composite
 Simpson line integrals, and parameter-interval trimming (used by the
 recursive segmentation).  Sampling passes whole t arrays to a BezierChain
 or Polyline, calls any other curve at one scalar t at a time, and derives
-everything else with array expressions.  Every line integral over the
-samples is a dot product with one weight vector, CurveSamples.weights.
+everything else with array expressions.  An exact elastica (ElasticaCurve)
+runs at the constant speed |ell|*w, so it is sampled at its exact
+arclength |ell|*w*t.  Every line integral over the samples is a dot product
+with one weight vector, CurveSamples.weights.
 
 Curve JSON schema (consumed by the CLI):
     {"bezier": [[[x,y],[x,y],[x,y],[x,y]], ...]}   cubic pieces, or
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .elastica import ElasticaCurve
 from .errors import DegenerateInputError, DomainError
 
 DEFAULT_SAMPLES = 1024
@@ -214,8 +217,8 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
 
     A BezierChain or Polyline is called once per method with a t array; any
     other curve is called at one scalar t at a time.  A Polyline gets chord
-    arclength and circumcircle curvature, any other curve 3-point
-    Gauss-Legendre arclength."""
+    arclength and circumcircle curvature, an ElasticaCurve its exact
+    arclength |ell|*w*t, any other curve 3-point Gauss-Legendre arclength."""
     if n < 16:
         raise DomainError(f"need at least 16 sample intervals, got {n}")
     if n % 2:
@@ -254,15 +257,18 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
         # before the cross product does
         cross = d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]
         kap = cross / speeds / speeds / speeds
-        # cumulative arclength by 3-point Gauss-Legendre per interval
-        g = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
-        w0, w1, w2 = np.array([5.0, 8.0, 5.0]) / 18.0
-        h = 1.0 / n
-        tq = (t[:-1] + 0.5 * h)[:, None] + 0.5 * h * g
-        dq = evaluate(curve.derivative, tq.ravel())
-        sp = np.hypot(dq[:, 0], dq[:, 1]).reshape(n, 3)
-        seg = (w0 * sp[:, 0] + w1 * sp[:, 1] + w2 * sp[:, 2]) * h
-        s = np.concatenate([[0.0], np.cumsum(seg)])
+        if isinstance(curve, ElasticaCurve):
+            s = curve.params.length * t
+        else:
+            # cumulative arclength by 3-point Gauss-Legendre per interval
+            g = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
+            w0, w1, w2 = np.array([5.0, 8.0, 5.0]) / 18.0
+            h = 1.0 / n
+            tq = (t[:-1] + 0.5 * h)[:, None] + 0.5 * h * g
+            dq = evaluate(curve.derivative, tq.ravel())
+            sp = np.hypot(dq[:, 0], dq[:, 1]).reshape(n, 3)
+            seg = (w0 * sp[:, 0] + w1 * sp[:, 1] + w2 * sp[:, 2]) * h
+            s = np.concatenate([[0.0], np.cumsum(seg)])
 
     if s[-1] <= 0:
         raise DegenerateInputError("curve has zero length")

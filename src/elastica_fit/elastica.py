@@ -239,31 +239,41 @@ def segment_eval_many(p: ElasticaParams, t: np.ndarray) -> np.ndarray:
         .view(float).reshape(-1, 2)
 
 
+def _finite_t(t) -> float:
+    if not math.isfinite(t):
+        raise DomainError(f"non-finite curve parameter: {t!r}")
+    return t
+
+
 class ElasticaCurve:
     """Curve-protocol adapter exposing an elastica segment as a plane curve,
-    so exact elastica can be sampled, fitted, and used as test targets."""
+    so exact elastica can be sampled, fitted, and used as test targets.
+    Its methods take one scalar t, and its speed is the constant |ell|*w,
+    so sample takes its exact arclength |ell|*w*t."""
 
     def __init__(self, params: ElasticaParams):
         self.params = params
 
     def point(self, t):
-        return segment_eval(self.params, t)
+        return segment_eval(self.params, _finite_t(t))
 
     def derivative(self, t):
         p = self.params
-        S, _, D, _ = _jacobi_E(p.s0 + p.ell * t, p.k)
+        S, _, D, _ = _jacobi_E(p.s0 + p.ell * _finite_t(t), p.k)
         y = cmath.rect(p.ell * p.w, p.phi) * complex(2.0 * D * D - 1.0,
                                                      2.0 * p.k * S * D)
         return np.array([y.real, y.imag])
 
     def second_derivative(self, t):
         p = self.params
-        S, C, D, _ = _jacobi_E(p.s0 + p.ell * t, p.k)
+        S, C, D, _ = _jacobi_E(p.s0 + p.ell * _finite_t(t), p.k)
         y = cmath.rect(p.ell ** 2 * p.w, p.phi) * 2j * p.k * C * complex(
             2.0 * D * D - 1.0, 2.0 * p.k * S * D)   # i 2k cn zeta_s
         return np.array([y.real, y.imag])
 
     def trimmed(self, t0, t1):
+        if not 0.0 <= t0 < t1 <= 1.0:
+            raise DomainError(f"invalid trim interval [{t0}, {t1}]")
         p = self.params
         return ElasticaCurve(ElasticaParams(
             k=p.k, s0=p.s0 + p.ell * t0, ell=p.ell * (t1 - t0),

@@ -297,17 +297,37 @@ _METHODS = ["point", "derivative", "second_derivative"]
 _TWO_PIECES = BezierChain([[[0, 0], [1, 2], [3, -1], [4, 1]],
                            [[4, 1], [5, 3], [6, 0], [7, 1]]])
 _ZIGZAG = Polyline([[0, 0], [1, 0], [2, 1], [3, 1]])
+_ARC = ElasticaCurve(ElasticaParams(0.8, 0.3, 2.0, 1.5, math.pi / 4,
+                                    1.0, -2.0))
 
 
 @pytest.mark.parametrize("method", _METHODS)
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("shape", ["scalar", "array"])
-@pytest.mark.parametrize("cur", [_TWO_PIECES, _ZIGZAG],
-                         ids=["bezier", "polyline"])
+@pytest.mark.parametrize(
+    "cur, shape",
+    [(_TWO_PIECES, "scalar"), (_TWO_PIECES, "array"), (_ZIGZAG, "scalar"),
+     (_ZIGZAG, "array"), (_ARC, "scalar")],
+    ids=["bezier-scalar", "bezier-array", "polyline-scalar",
+         "polyline-array", "elastica-scalar"])
 def test_non_finite_t_raises_domain_error(cur, shape, bad, method):
     t = bad if shape == "scalar" else np.array([0.0, 0.5, bad, 1.0])
     with pytest.raises(DomainError, match="non-finite"):
         getattr(cur, method)(t)
+
+
+@pytest.mark.parametrize("cur", [_TWO_PIECES, _ZIGZAG, _ARC],
+                         ids=["bezier", "polyline", "elastica"])
+def test_trim_interval_is_validated(cur):
+    """Every curve kind trims only 0 <= t0 < t1 <= 1: a backwards, empty,
+    overhanging or non-finite interval raises instead of returning a
+    reversed or extended piece."""
+    for t0, t1 in [(0.7, 0.2), (0.4, 0.4), (-0.5, 2.0), (-0.1, 0.5),
+                   (0.5, 1.5), (math.nan, 0.5), (0.0, math.inf)]:
+        with pytest.raises(DomainError, match="invalid trim interval"):
+            cur.trimmed(t0, t1)
+    sub = cur.trimmed(0.25, 1.0)
+    assert sub.point(0.0) == pytest.approx(cur.point(0.25), abs=1e-12)
+    assert sub.point(1.0) == pytest.approx(cur.point(1.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("cur", [_TWO_PIECES, _ZIGZAG],
@@ -449,10 +469,36 @@ def test_scalar_protocol_curve_still_samples():
 
 
 def test_elastica_curve_samples_on_the_per_node_loop():
-    """ElasticaCurve keeps the scalar protocol: its samples are bitwise
-    those of the per-node loop."""
-    cur = ElasticaCurve(ElasticaParams(0.8, 0.3, 2.0, 1.5, math.pi / 4,
-                                       1.0, -2.0))
-    got, want = sample(cur, 1024), sample(_Delegate(cur), 1024)
-    for name in ["t", "points", "speeds", "s", "theta", "kappa"]:
+    """ElasticaCurve keeps the scalar protocol: its points, speeds, theta and
+    kappa are bitwise those of the per-node loop, and its arclength is the
+    exact L t, within 2e-13 L of the loop's Gauss-Legendre sum.  At these
+    parameters the two arclengths differ, so the test tells them apart."""
+    p = ElasticaParams(1.4, -0.3, -1.7, 0.9, 2.0, 0.5, 0.25)
+    cur = ElasticaCurve(p)
+    got, want = sample(cur, 256), sample(_Delegate(cur), 256)
+    for name in ["t", "points", "speeds", "theta", "kappa"]:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert np.array_equal(got.s, p.length * got.t)
+    assert not np.array_equal(got.s, want.s)
+    assert np.max(np.abs(got.s - want.s)) <= 2e-13 * p.length
+
+
+class _CountingElastica(ElasticaCurve):
+    calls = 0
+
+    def derivative(self, t):
+        self.calls += 1
+        return super().derivative(t)
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_elastica_curve_derivative_calls(n):
+    """sample calls an ElasticaCurve's derivative once per node; a curve
+    outside the package still gets three more per interval for its
+    Gauss-Legendre arclength."""
+    cur = _CountingElastica(_ARC.params)
+    sample(cur, n)
+    assert cur.calls == n + 1
+    cur.calls = 0
+    sample(_Delegate(cur), n)
+    assert cur.calls == 4 * n + 1
