@@ -34,11 +34,11 @@ EXIT_UNCONVERGED = 4
 MODES = ("guess", "fit", "piecewise")
 
 
-def _segment_record(rep, res, r4_opt):
+def _segment_record(rep, res):
     return {
         "params": dict(zip(PARAM_NAMES, map(float, res.params.as_array()))),
         "residuals": {"R1": rep.R1, "R2": rep.R2, "R3": rep.R3,
-                      "R4_init": rep.R4, "R4_opt": r4_opt},
+                      "R4_init": rep.R4, "R4_opt": res.r4},
         "grad_norm": res.grad_norm,
         "iterations": res.iterations,
         "converged": res.converged,
@@ -62,7 +62,7 @@ def run(config: argparse.Namespace) -> int:
         if config.mode == "guess":
             smp = sample(curve, config.samples)
             rep = initial_guess(smp)
-            pieces = [(rep, _guess_result(rep, smp), rep.R4)]
+            pieces = [(rep, _guess_result(rep, smp))]
         else:
             # fit mode is piecewise mode on one piece that meets any R4
             single = config.mode == "fit"
@@ -75,7 +75,7 @@ def run(config: argparse.Namespace) -> int:
                 max_depth=0 if single else config.max_depth,
                 constraints=constraints, n_samples=config.samples,
                 max_iter=config.max_iter)
-            pieces = list(zip(pw.guesses, pw.segments, pw.r4))
+            pieces = list(zip(pw.guesses, pw.segments))
         records = [_segment_record(*piece) for piece in pieces]
         report = records[0] if config.mode != "piecewise" else {
             "breakpoints": pw.breakpoints,
@@ -88,7 +88,7 @@ def run(config: argparse.Namespace) -> int:
         if config.svg:
             ts = np.linspace(0.0, 1.0, 257)
             layers = [(sample(curve, config.samples).points, "target")]
-            for rep, res, _ in pieces:
+            for rep, res in pieces:
                 layers.append((segment_eval_many(rep.params, ts), "guess"))
                 if config.mode != "guess":
                     layers.append((segment_eval_many(res.params, ts), "fit"))
@@ -110,7 +110,7 @@ def run(config: argparse.Namespace) -> int:
         sys.stdout.write(text)
     if config.svg:
         write_svg(config.svg, layers)
-    if all(res.converged for _, res, _ in pieces):
+    if all(res.converged for _, res in pieces):
         return EXIT_OK
     return EXIT_UNCONVERGED
 

@@ -17,6 +17,7 @@ Curve JSON schema (consumed by the CLI):
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -178,7 +179,7 @@ class Polyline:
                 f"polyline must have shape (n>=2, 2), got {points.shape}")
         if not np.all(np.isfinite(points)):
             raise DomainError("non-finite polyline point")
-        tol = 1e-14 * float(np.max(np.ptp(points, axis=0)))
+        tol = 1e-14 * _extent(points)
         kept = [0]
         for i in range(1, len(points)):
             if math.dist(points[i], points[kept[-1]]) > tol:
@@ -206,11 +207,20 @@ class Polyline:
                          self.point(t1)])
 
 
+def _extent(points) -> float:
+    """The larger side of the points' bounding box: inf if it overflows."""
+    x, y = points.T
+    with np.errstate(over="ignore"):
+        return float(max(x.max() - x.min(), y.max() - y.min()))
+
+
 def _evaluate(f, t):
-    """(len(t), 2) array of the scalar protocol call f at every t."""
-    return np.fromiter((f(ti) for ti in t), dtype=(float, 2), count=len(t))
+    """(len(t), 2) array of the scalar protocol call f at every t, passed
+    as a Python float."""
+    return np.fromiter(map(f, t.tolist()), dtype=(float, 2), count=len(t))
 
 
+@np.errstate(over="raise")
 def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
     """Discretize a curve at n uniform parameter intervals (n rounded up to
     even, n >= 16), computing arclength, tangent angle and curvature.
@@ -218,7 +228,12 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
     A BezierChain or Polyline is called once per method with a t array; any
     other curve is called at one scalar t at a time.  A Polyline gets chord
     arclength and circumcircle curvature, an ElasticaCurve its exact
-    arclength |ell|*w*t, any other curve 3-point Gauss-Legendre arclength."""
+    arclength |ell|*w*t, any other curve 3-point Gauss-Legendre arclength.
+
+    Its arithmetic runs on values scaled exactly by 2^-e, 2^e the points'
+    extent within a factor 2, so no power of a length leaves the double
+    range.  A subnormal or infinite extent, or an overflow, raises
+    FloatingPointError."""
     if n < 16:
         raise DomainError(f"need at least 16 sample intervals, got {n}")
     if n % 2:
@@ -227,13 +242,19 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
     whole = isinstance(curve, (BezierChain, Polyline))
     evaluate = (lambda f, t: f(t)) if whole else _evaluate
     pts = evaluate(curve.point, t)
+    extent = _extent(pts)
+    if extent and not sys.float_info.min <= extent <= sys.float_info.max:
+        raise FloatingPointError(
+            f"curve extent {extent!r} is not a normal double")
+    e = math.frexp(extent)[1]
+    x = np.ldexp(pts, -e)
 
     if isinstance(curve, Polyline):
-        chords = np.diff(pts, axis=0)
+        chords = np.diff(x, axis=0)
         seglen = np.linalg.norm(chords, axis=1)
         s = np.concatenate([[0.0], np.cumsum(seglen)])
         d = np.empty_like(pts)
-        d[1:-1] = (pts[2:] - pts[:-2]) * 0.5 * n
+        d[1:-1] = (x[2:] - x[:-2]) * 0.5 * n
         d[0] = chords[0] * n
         d[-1] = chords[-1] * n
         speeds = np.linalg.norm(d, axis=1)
@@ -242,30 +263,29 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
         ab, bc = chords[:-1], chords[1:]
         cross = ab[:, 0] * bc[:, 1] - ab[:, 1] * bc[:, 0]
         denom = (seglen[:-1] * seglen[1:]
-                 * np.linalg.norm(pts[2:] - pts[:-2], axis=1))
+                 * np.linalg.norm(x[2:] - x[:-2], axis=1))
         kap = np.zeros(n + 1)
         np.divide(2.0 * cross, denom, out=kap[1:-1], where=denom != 0)
         kap[0] = kap[1]
         kap[-1] = kap[-2]
     else:
-        d = evaluate(curve.derivative, t)
-        dd = evaluate(curve.second_derivative, t)
+        d = np.ldexp(evaluate(curve.derivative, t), -e)
+        dd = np.ldexp(evaluate(curve.second_derivative, t), -e)
         speeds = np.linalg.norm(d, axis=1)
         if np.any(speeds == 0):
             raise DegenerateInputError("curve has a stationary point (cusp)")
-        # one division per factor: speeds ** 3 leaves the double range long
-        # before the cross product does
+        # cross / speeds^3, one division per factor
         cross = d[:, 0] * dd[:, 1] - d[:, 1] * dd[:, 0]
         kap = cross / speeds / speeds / speeds
         if isinstance(curve, ElasticaCurve):
-            s = curve.params.length * t
+            s = math.ldexp(curve.params.length, -e) * t
         else:
             # cumulative arclength by 3-point Gauss-Legendre per interval
             g = np.array([-math.sqrt(3.0 / 5.0), 0.0, math.sqrt(3.0 / 5.0)])
             w0, w1, w2 = np.array([5.0, 8.0, 5.0]) / 18.0
             h = 1.0 / n
             tq = (t[:-1] + 0.5 * h)[:, None] + 0.5 * h * g
-            dq = evaluate(curve.derivative, tq.ravel())
+            dq = np.ldexp(evaluate(curve.derivative, tq.ravel()), -e)
             sp = np.hypot(dq[:, 0], dq[:, 1]).reshape(n, 3)
             seg = (w0 * sp[:, 0] + w1 * sp[:, 1] + w2 * sp[:, 2]) * h
             s = np.concatenate([[0.0], np.cumsum(seg)])
@@ -273,8 +293,9 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
     if s[-1] <= 0:
         raise DegenerateInputError("curve has zero length")
     theta = np.unwrap(np.arctan2(d[:, 1], d[:, 0]))
-    return CurveSamples(t=t, points=pts, speeds=speeds, s=s, theta=theta,
-                        kappa=kap)
+    return CurveSamples(t=t, points=pts, speeds=np.ldexp(speeds, e),
+                        s=np.ldexp(s, e), theta=theta,
+                        kappa=np.ldexp(kap, -e))
 
 
 def integrate_ds(samples: CurveSamples, f) -> float:

@@ -240,16 +240,17 @@ def segment_eval_many(p: ElasticaParams, t: np.ndarray) -> np.ndarray:
 
 
 def _finite_t(t) -> float:
+    """t clamped to [0, 1], as curve._locate does; non-finite t raises."""
     if not math.isfinite(t):
         raise DomainError(f"non-finite curve parameter: {t!r}")
-    return t
+    return t if 0.0 <= t <= 1.0 else min(max(t, 0.0), 1.0)
 
 
 class ElasticaCurve:
     """Curve-protocol adapter exposing an elastica segment as a plane curve,
     so exact elastica can be sampled, fitted, and used as test targets.
-    Its methods take one scalar t, and its speed is the constant |ell|*w,
-    so sample takes its exact arclength |ell|*w*t."""
+    Its methods take one scalar t, clamped to [0, 1], and its speed is the
+    constant |ell|*w, so sample takes its exact arclength |ell|*w*t."""
 
     def __init__(self, params: ElasticaParams):
         self.params = params

@@ -80,12 +80,14 @@ class FitProblem:
 
 @dataclass
 class FitResult:
-    """The outcome of fit.  grad_norm is ||g|| (free) or ||Z^T g|| (pinned)
-    on the unit-length problem; params, objective and constraint_violation
-    (max|c|) are in the target's units.  iterations counts the trials
-    restored and evaluated (capped by max_iter), plus one for a step that
-    stops at "predicted decrease below rounding".  message is one of five
-    stops:
+    """The outcome of fit.  r4 = sqrt(2 f) and grad_norm, ||g|| (free) or
+    ||Z^T g|| (pinned), are taken on the unit-length problem, where F is f,
+    so they hold at any scale.  params, objective and constraint_violation
+    (max|c|) are in the target's units; objective is F = f L^3, and reads
+    inf or 0 where that leaves the double range.  iterations counts the
+    trials restored and evaluated (capped by max_iter), plus one for a step
+    that stops at "predicted decrease below rounding".  message is one of
+    five stops:
 
     - "gradient tolerance reached" (converged);
     - "predicted decrease below rounding": the model promises less than
@@ -101,6 +103,7 @@ class FitResult:
 
     params: ElasticaParams
     objective: float
+    r4: float
     grad_norm: float
     iterations: int
     converged: bool
@@ -409,6 +412,13 @@ def _unit_problem(p: ElasticaParams, target: CurveSamples):
             _unit_target(target))
 
 
+def _target_objective(f: float, target: CurveSamples) -> float:
+    """The unit problem's F, f, in the target's units: f L^3, one factor of
+    L at a time, so inf or 0 where it leaves the double range."""
+    L = target.length
+    return f * L * L * L
+
+
 def fit(problem: FitProblem) -> FitResult:
     """Minimize the L2 objective from the initial guess, optionally with
     endpoint / end-tangent constraints, by trust-region steps along the
@@ -470,6 +480,7 @@ def fit(problem: FitProblem) -> FitResult:
         cviol = float(np.max(np.abs(
             _constraint_values(p, problem.target, mode, _jacobi_E_ends(p)))))
     return FitResult(params=ElasticaParams.from_array(p),
-                     objective=f * problem.target.length ** 3,
-                     grad_norm=gnorm, iterations=it, converged=converged,
+                     objective=_target_objective(f, problem.target),
+                     r4=math.sqrt(max(2.0 * f, 0.0)), grad_norm=gnorm,
+                     iterations=it, converged=converged,
                      constraint_violation=cviol, message=msg)

@@ -5,8 +5,8 @@ the depth-0 case, and its guess mode is the guess step alone: sample a
 piece and take its initial guess, whose parameters describe the piece as
 sampled (ell < 0 for a piece the guess runs backwards).  A degenerate guess
 is kept as its own result (_guess_result, the CLI's guess mode too); any
-other is fitted.  A piece's R4 is its guess's R4, or sqrt(2 F / L^3) from
-its fit's F.
+other is fitted.  A piece's R4 is its result's r4, which fitting states
+on the unit-length problem: its guess's R4, or its fit's.
 A piece whose R4 is at or below the threshold becomes a leaf; otherwise it
 is split at the arclength midpoint of its samples, mapped linearly back to
 the curve's parameter, and both halves are processed, up to max_depth.  The
@@ -26,7 +26,7 @@ import numpy as np
 from .curve import DEFAULT_SAMPLES, sample
 from .errors import DomainError
 from .fitting import FitProblem, FitResult, _end_pose, _jacobi_E_ends, \
-    _unit_problem, _wrap_angle, fit, gradient_hessian
+    _target_objective, _unit_problem, _wrap_angle, fit, gradient_hessian
 from .recovery import RecoveryReport, initial_guess
 
 
@@ -53,7 +53,6 @@ class PiecewiseFit:
     breakpoints: List[float]
     segments: List[FitResult]
     guesses: List[RecoveryReport]
-    r4: List[float]
     join_continuity: List[JoinContinuity]
     threshold_met: bool
 
@@ -62,21 +61,28 @@ class PiecewiseFit:
         return len(self.segments)
 
     @property
+    def r4(self) -> List[float]:
+        return [res.r4 for res in self.segments]
+
+    @property
     def max_r4(self) -> float:
         return max(self.r4)
 
 
 def _guess_result(rep: RecoveryReport, target) -> FitResult:
-    """A guess as a converged 0-iteration fit of target: F = R4^2 L^3 / 2,
-    grad_norm as fit reports it (0 for a degenerate guess, whose k is 0),
-    and a degenerate guess's kind as the message."""
+    """A guess as a converged 0-iteration fit of target: r4 its R4, F from
+    the unit problem's R4^2 / 2, grad_norm as fit reports it (0 for a
+    degenerate guess, whose k is 0), and a degenerate guess's kind as the
+    message."""
     grad_norm = 0.0
     if rep.degenerate is None:
         g, _ = gradient_hessian(*_unit_problem(rep.params, target))
         grad_norm = float(np.linalg.norm(g))
     return FitResult(params=rep.params,
-                     objective=0.5 * rep.R4 ** 2 * target.length ** 3,
-                     grad_norm=grad_norm, iterations=0, converged=True,
+                     objective=_target_objective(0.5 * rep.R4 * rep.R4,
+                                                 target),
+                     r4=rep.R4, grad_norm=grad_norm, iterations=0,
+                     converged=True,
                      message=(f"degenerate {rep.degenerate}"
                               if rep.degenerate else ""))
 
@@ -100,31 +106,30 @@ def fit_piecewise(curve, r4_threshold: float, max_depth: int,
         raise DomainError("max_depth must be nonnegative")
 
     def process(t0, t1, depth):
-        """The leaves of [t0, t1] in order, each as (t0, guess, fit, r4)."""
+        """The leaves of [t0, t1] in order, each as (t0, guess, fit)."""
         piece = curve.trimmed(t0, t1) if (t0, t1) != (0.0, 1.0) else curve
         smp = sample(piece, n_samples)
         rep = initial_guess(smp)
         if rep.degenerate is not None:
-            res, r4 = _guess_result(rep, smp), rep.R4
+            res = _guess_result(rep, smp)
         else:
             res = fit(FitProblem(target=smp, init=rep.params,
                                  constraints=constraints, max_iter=max_iter))
-            r4 = math.sqrt(max(2.0 * res.objective, 0.0) / smp.length ** 3)
-        if r4 <= r4_threshold or depth >= max_depth:
-            return [(t0, rep, res, r4)]
+        if res.r4 <= r4_threshold or depth >= max_depth:
+            return [(t0, rep, res)]
         tm = _arclength_midpoint(smp, t0, t1)
         return process(t0, tm, depth + 1) + process(tm, t1, depth + 1)
 
-    starts, guesses, segments, r4s = map(list, zip(*process(0.0, 1.0, 0)))
+    starts, guesses, segments = map(list, zip(*process(0.0, 1.0, 0)))
 
     poses = [_end_pose(q, _jacobi_E_ends(q))
              for q in (res.params.as_array() for res in segments)]
     joins = [JoinContinuity(
-        position_gap=float(np.linalg.norm(y_l[1] - y_r[0])),
+        position_gap=math.hypot(*(y_l[1] - y_r[0])),
         tangent_gap=float(abs(_wrap_angle(a_l[1] - a_r[0]))))
         for (y_l, a_l), (y_r, a_r) in zip(poses, poses[1:])]
 
     return PiecewiseFit(
         breakpoints=starts + [1.0], segments=segments, guesses=guesses,
-        r4=r4s, join_continuity=joins,
-        threshold_met=all(r <= r4_threshold for r in r4s))
+        join_continuity=joins,
+        threshold_met=all(res.r4 <= r4_threshold for res in segments))

@@ -192,36 +192,67 @@ def _fit_r4(path, tmp_path):
     return json.loads(out.read_text())["residuals"]["R4_opt"]
 
 
-@pytest.mark.parametrize("scale", [1e-100, 1e100])
+@pytest.mark.parametrize("scale", [1e-120, 1e-100, 1e100, 1e103])
 def test_far_scales_fit_as_scale_one(scale, tmp_path):
-    """Copies of S_CURVE at 1e-100 and 1e100 fit to the scale-1 R4."""
+    """Copies of S_CURVE from 1e-120 to 1e103 fit to the scale-1 R4: it is
+    taken on the unit-length problem, and no length is cubed on the way."""
     r4 = _fit_r4(_scaled_s_curve(tmp_path, 1.0), tmp_path)
     assert r4 == pytest.approx(2.0747e-4, rel=1e-4)
     assert _fit_r4(_scaled_s_curve(tmp_path, scale), tmp_path) == \
         pytest.approx(r4, rel=1e-13)
 
 
-# the guess holds at any scale, but the report's objective and R4 take the
-# cube of the length, which overflows at 1e103 and is 0 at 1e-120; no numpy
-# warning comes before the error that the exit code reports
+_MODE_ARGS = {"guess": ["--mode", "guess"], "fit": [],
+              "tangents": ["--tangents"],
+              "piecewise": ["--mode", "piecewise", "--max-iter", "200"]}
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("scale, why", [
-    (1e-120, "float division by zero"),
-    (1e103, "outside the numeric range")])
-def test_outside_numeric_range_exit_code(scale, why, tmp_path, capsys):
+@pytest.mark.parametrize("mode", list(_MODE_ARGS))
+def test_every_mode_at_far_scales(mode, tmp_path):
+    """Every mode reports S_CURVE scaled by 1e-300, 1e-200, 1e154 and
+    1e300 with the scale-1 R4 and no floating-point warning: sample's
+    arithmetic runs on the points scaled to unit extent, and the fit's on
+    the unit-length problem."""
+    def r4s(scale):
+        out = tmp_path / "rep.json"
+        assert main([_scaled_s_curve(tmp_path, scale), "--samples", "256",
+                     *_MODE_ARGS[mode], "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        return [seg["residuals"]["R4_opt"]
+                for seg in rep.get("segments", [rep])]
+
+    ref = r4s(1.0)
+    for scale in (1e-300, 1e-200, 1e154, 1e300):
+        assert r4s(scale) == pytest.approx(ref, rel=1e-12)
+
+
+# a curve whose extent (the larger side of its bounding box) is subnormal
+# or overflows is outside the numeric range; no numpy warning comes before
+# the error that the exit code reports
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("doc", [
+    {"bezier": (1e-310 * np.array(S_CURVE["bezier"])).tolist()},
+    {"bezier": [[[-1e308, 0], [-0.3e308, 1e307], [0.3e308, 1e307],
+                 [1e308, 0]]]},
+    {"polyline": [[-1e308, 0], [1e308, 0], [1e308, 1]]}],
+    ids=["subnormal", "overflow", "overflow-polyline"])
+@pytest.mark.parametrize("mode", ["guess", "fit"])
+def test_outside_numeric_range_exit_code(doc, mode, tmp_path, capsys):
     """Beyond the range that fits, the CLI exits 3 with one line."""
     out = tmp_path / "rep.json"
-    assert main([_scaled_s_curve(tmp_path, scale), "--samples", "256",
+    assert main([json.dumps(doc), "--mode", mode, "--samples", "256",
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert why in err and err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: outside the numeric range: curve extent ")
+    assert err.endswith(" is not a normal double\n") and err.count("\n") == 1
     assert not out.exists()
 
 
 @pytest.mark.filterwarnings("error")
 def test_guess_mode_far_below_scale_one(tmp_path):
-    """Guess mode reports S_CURVE scaled by 1e-110, where fit mode exits 3,
-    with the scale-1 residuals."""
+    """Guess mode reports S_CURVE scaled by 1e-110 with the scale-1
+    residuals."""
     out = tmp_path / "rep.json"
     ref = tmp_path / "ref.json"
     for scale, path in ((1e-110, out), (1.0, ref)):

@@ -330,15 +330,18 @@ def test_trim_interval_is_validated(cur):
     assert sub.point(1.0) == pytest.approx(cur.point(1.0), abs=1e-12)
 
 
-@pytest.mark.parametrize("cur", [_TWO_PIECES, _ZIGZAG],
-                         ids=["bezier", "polyline"])
+@pytest.mark.parametrize("cur", [_TWO_PIECES, _ZIGZAG, _ARC],
+                         ids=["bezier", "polyline", "elastica"])
 def test_finite_t_outside_unit_interval_is_clamped(cur):
+    """Every curve kind clamps a finite t to its end; BezierChain and
+    Polyline also take t arrays."""
     for method in _METHODS:
         f = getattr(cur, method)
         assert np.array_equal(f(-3.5), f(0.0))
         assert np.array_equal(f(1e300), f(1.0))
-        assert np.array_equal(f(np.array([-3.5, 1e300])),
-                              np.array([f(0.0), f(1.0)]))
+        if cur is not _ARC:
+            assert np.array_equal(f(np.array([-3.5, 1e300])),
+                                  np.array([f(0.0), f(1.0)]))
 
 
 class _Delegate:

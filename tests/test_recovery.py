@@ -270,28 +270,38 @@ class TestInitialGuess:
         assert rep.degenerate == "line"
         assert rep.R4 <= 1e-14
 
-    @pytest.mark.parametrize("e", [-150, -110, -103, 0, 103, 150])
+    @pytest.mark.parametrize("e", [-200, -150, -110, -103, 0, 103, 150,
+                                   200])
     def test_guess_at_every_scale(self, e):
-        """The CLI tests' S_CURVE scaled by 10^e gets the scale-1 guess:
-        the recovery runs on the unit-length copy, so its curvature moments
-        neither go subnormal nor overflow.  No floating-point exception is
-        raised on the way, not even an underflow."""
-        pts = np.array([[[0, 0], [1, 1.2], [2.2, 1.1], [3, 0.2]]], float)
-        ref = initial_guess(sample(BezierChain(pts), 256))
-        c = 10.0 ** e
-        with np.errstate(all="raise"):
-            rep = initial_guess(sample(BezierChain(c * pts), 256))
-        for name in ("R1", "R2", "R3", "R4"):
-            assert getattr(rep, name) == pytest.approx(
-                getattr(ref, name), rel=6e-14)
-        q, q0 = rep.params, ref.params
-        for name in ("k", "s0", "ell"):
-            assert getattr(q, name) == pytest.approx(getattr(q0, name),
-                                                     rel=6e-14)
-        assert q.w / c == pytest.approx(q0.w, rel=6e-14)
-        assert q.phi == pytest.approx(q0.phi, abs=6e-14)
-        assert (q.x0 / c, q.y0 / c) == pytest.approx((q0.x0, q0.y0),
-                                                     abs=6e-14)
+        """The CLI tests' S_CURVE and a curved polyline scaled by 10^e get
+        the scale-1 guess: sample works on the points scaled to unit
+        extent, and the recovery on the unit-length copy, so neither the
+        polyline's circumcircle curvature nor the curvature moments go
+        subnormal or overflow.  No floating-point exception is raised on
+        the way, not even an underflow.  The polyline's curvature spikes at
+        its vertices, so its guess moves more with rounding."""
+        for cls, pts, tol in (
+                (BezierChain, [[[0, 0], [1, 1.2], [2.2, 1.1], [3, 0.2]]],
+                 6e-14),
+                (Polyline, [[0, 0], [1, 0.6], [2, 0.8], [3, 0.5], [4, -0.1]],
+                 1e-12)):
+            pts = np.array(pts, float)
+            ref = initial_guess(sample(cls(pts), 256))
+            c = 10.0 ** e
+            with np.errstate(all="raise"):
+                rep = initial_guess(sample(cls(c * pts), 256))
+            assert rep.degenerate is None
+            for name in ("R1", "R2", "R3", "R4"):
+                assert getattr(rep, name) == pytest.approx(
+                    getattr(ref, name), rel=tol)
+            q, q0 = rep.params, ref.params
+            for name in ("k", "s0", "ell"):
+                assert getattr(q, name) == pytest.approx(getattr(q0, name),
+                                                         rel=tol)
+            assert q.w / c == pytest.approx(q0.w, rel=tol)
+            assert q.phi == pytest.approx(q0.phi, abs=tol)
+            assert (q.x0 / c, q.y0 / c) == pytest.approx((q0.x0, q0.y0),
+                                                         abs=tol)
 
     @pytest.mark.parametrize("name", ["wave_multi_lobe", "s_curve_deep"])
     @pytest.mark.parametrize("v", [(2.6, -3.0), (1e3, 1e3)])
