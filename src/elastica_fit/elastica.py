@@ -8,14 +8,15 @@ it, one complex multiply-add:
     y(t) = w e^(i phi) zeta_k(s0 + ell*t) + x0 + i y0,   t in [0, 1].
 
 The kernels keep points and vectors complex, so a quarter turn is a
-multiply by i; the public functions return float (..., 2) pairs.  All
-first and second derivatives with respect to arclength and the seven
-parameters (k, s0, ell, w, phi, x0, y0) are in closed form; the second
-k-derivative divides by k and is undefined at k = 0.  Second parameter
-partials are used only contracted with vectors at the nodes
-(_second_partials_dot), as the real and imaginary parts of one product;
-the (7, 7, 2) tensor is assembled only by the one-node oracle
-segment_partials.
+multiply by i; the public functions return float (..., 2) pairs.  Only
+this module differentiates the elastica: the partials in s and k of zeta
+(_zeta_blocks) and of its tangent angle theta (_angle_partials), whose
+theta_s and theta_k turn zeta_s into zeta_ss and zeta_sk.  The second
+k-derivative divides by k; _zeta_blocks alone rejects k < K_MIN for it.
+Second partials in the seven parameters (k, s0, ell, w, phi, x0, y0) come
+from one table (_SECOND_PARTIALS), contracted with vectors at the nodes
+(_second_partials_dot); only the one-node oracle segment_partials
+assembles the (7, 7, 2) tensor.
 """
 
 import cmath
@@ -98,13 +99,44 @@ class BasicDerivatives(NamedTuple):
 # ---------------------------------------------------------------------------
 # kernels
 
+def _tangent_angle(k, jacobi_E):
+    """theta = 2 atan2(k sn, dn), the angle of zeta_s, from jacobi_E."""
+    S, _, D, _ = jacobi_E
+    return 2.0 * np.arctan2(k * S, D)
+
+
+def _angle_partials(s, k, jacobi_E, second=True):
+    """The partials of the _tangent_angle at arclengths s, from jacobi_E
+    there, float (n, 6) laid out like the _zeta_blocks: theta_s, theta_ss,
+    theta_k, theta_sk, theta_kk in columns 1-5, column 0 and, unless
+    second, the second partials zero.  The k-derivatives of sn, cn, dn and
+    E at fixed s are Byrd & Friedman 710.00's; theta_kk divides by k."""
+    S, C, D, E = jacobi_E
+    kp2 = 1.0 - k * k
+    G = E - kp2 * s
+    Q = S * D - C * G
+    th = np.zeros((len(s), 6))
+    th[:, 1] = 2.0 * k * C
+    th[:, 3] = (2.0 / kp2) * Q
+    if second:
+        P = k * k * S * C - D * G
+        Q_k = P * (C * D + S * G) / (k * kp2) - k * Q / kp2 - k * s * C
+        th[:, 2] = -2.0 * k * S * D
+        th[:, 4] = (2.0 / kp2) * (C * (kp2 - k * k * S * S) + S * D * G)
+        th[:, 5] = 2.0 * Q_k / kp2 + 4.0 * k * Q / (kp2 * kp2)
+    return th
+
+
 def _zeta_blocks(s, k, second, jacobi_E=None):
     """zeta and its five derivative blocks at an array of arclengths s,
     complex (n, 6), as float (n, 6, 2): value, d/ds, d2/ds2, d/dk, d2/dsdk,
     d2/dk2, and the (sn, cn, dn, E) they came from: jacobi_E, the (4, n)
     _jacobi_E_arr(s, k), if the caller has it.  The second-derivative
-    blocks are left zero unless second; d2/dk2, which divides by k, also
-    unless k >= K_MIN."""
+    blocks are left zero unless second.  d2/dk2 divides by k, so second
+    raises DomainError for k < K_MIN: the one check of that domain."""
+    if second and k < K_MIN:
+        raise DomainError(
+            f"second k-derivative undefined for k < {K_MIN} (got {k})")
     if jacobi_E is None:
         jacobi_E = _jacobi_E_arr(s, k)
     S, C, D, E = jacobi_E
@@ -120,22 +152,21 @@ def _zeta_blocks(s, k, second, jacobi_E=None):
     v[:, 7] = (2.0 / kp2) * (kp2 + C * (k2 - DD) - SD * G)
     if not second:
         return out, jacobi_E
-    # the tangent zeta_s turns at rate 2k cn along s and f along k
-    out[:, 2] = (2j * k) * C * out[:, 1]
-    out[:, 4] = (2j / kp2) * (SD - C * G) * out[:, 1]
-    if k >= K_MIN:
-        ss = s * s
-        a0 = (2.0 * SD * C) * (DD - k2 * E * E
-                               + kp2 * (k2 * ss - Es * Es - 0.5))
-        a1 = (1.0 / k) * ((1.0 - 2.0 * k2 * SS) * Es * (2.0 * k2 * s + Es) * C
-                          - SD * G * (4.0 * k2 * CC + kp2))
-        b0 = (Es * (CC + DD - 4.0 * CC * DD)
-              + (2.0 * k2) * s * (2.0 * SS - 1.0) * DD - s * kp2)
-        b1 = k * (C * (k2 * ss + SS * (2.0 + k2 - (2.0 * k2 * k2) * ss
-                                       - (2.0 * k2) * SS))
-                  - kp2 * s * SD)
-        v[:, 10] = (2.0 / (kp2 * kp2)) * (a0 + b0)
-        v[:, 11] = (2.0 / (kp2 * kp2)) * (a1 + b1)
+    # the tangent zeta_s turns at rate theta_s along s and theta_k along k
+    th = _angle_partials(s, k, jacobi_E, False)
+    out[:, 2] = 1j * th[:, 1] * out[:, 1]
+    out[:, 4] = 1j * th[:, 3] * out[:, 1]
+    ss = s * s
+    a0 = (2.0 * SD * C) * (DD - k2 * E * E + kp2 * (k2 * ss - Es * Es - 0.5))
+    a1 = (1.0 / k) * ((1.0 - 2.0 * k2 * SS) * Es * (2.0 * k2 * s + Es) * C
+                      - SD * G * (4.0 * k2 * CC + kp2))
+    b0 = (Es * (CC + DD - 4.0 * CC * DD)
+          + (2.0 * k2) * s * (2.0 * SS - 1.0) * DD - s * kp2)
+    b1 = k * (C * (k2 * ss + SS * (2.0 + k2 - (2.0 * k2 * k2) * ss
+                                   - (2.0 * k2) * SS))
+              - kp2 * s * SD)
+    v[:, 10] = (2.0 / (kp2 * kp2)) * (a0 + b0)
+    v[:, 11] = (2.0 / (kp2 * kp2)) * (a1 + b1)
     return out, jacobi_E
 
 
@@ -218,9 +249,6 @@ def basic_point(s: float, k: float) -> np.ndarray:
 def basic_derivatives(s: float, k: float) -> BasicDerivatives:
     """All derivative blocks of zeta_k at (s, k); requires k >= K_MIN."""
     _check_modulus(k)
-    if k < K_MIN:
-        raise DomainError(
-            f"second k-derivative undefined for k < {K_MIN} (got {k})")
     b = _zeta_blocks(np.array([s], float), k, True)[0].view(float).reshape(6, 2)
     return BasicDerivatives(ds=b[1], dss=b[2], dk=b[3], dsk=b[4], dkk=b[5])
 
@@ -286,8 +314,6 @@ def segment_partials(p: ElasticaParams, t: float, second: bool = True):
     parameters: arrays of shape (7, 2) and (7, 7, 2).  The (7, 7, 2)
     tensor is assembled only here, for this one-node oracle, by contracting
     the second partials with the two unit vectors 1 and i."""
-    if second and p.k < K_MIN:
-        raise DomainError(f"second partials need k >= {K_MIN} (got {p.k})")
     t = np.array([float(t)])
     _, dy, blocks, _ = _segment_partials_arr(p.as_array(), t, second)
     if second:

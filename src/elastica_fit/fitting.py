@@ -29,15 +29,15 @@ gaps read too, minus the target's (_constraint_values, the one place c is
 computed).  J is built from that evaluation only for a step that is taken.
 
 Points, residuals and partials are complex x + iy, as in elastica, and
-the free alignment is one complex weighted ratio.  The Hessian of F is a
-Gauss-Newton term, one real matrix product of the (7, n) complex partials
-viewed as (7, 2n) floats, plus sum_i omega_i diff_i . d2y_i from
-elastica._second_partials_dot: the real and imaginary parts of one product
-of the weighted residual with the zeta blocks against 1, t and t^2.  The
-same contraction with the unit vectors 1 and i at t = 0, 1 gives the
-position constraints' Hessians in W; no per-node tensor is built.
-Every integral over the target is a dot product with its Simpson weights
-(CurveSamples.weights).
+the free alignment is one complex weighted ratio.  fitting states no
+formula of the elastica: it only contracts elastica's partials.  The
+Hessian of F is a Gauss-Newton term, one real matrix product of the (7, n)
+complex partials viewed as (7, 2n) floats, plus sum_i omega_i diff_i .
+d2y_i from elastica._second_partials_dot.  The same contraction with the
+unit vectors 1 and i at t = 0, 1 gives the position constraints' Hessians
+in W, and the tangent rows read the same table's (k, s0, ell) rows against
+elastica._angle_partials.  Every integral over the target is a dot product
+with its Simpson weights (CurveSamples.weights).
 """
 
 import cmath
@@ -48,12 +48,14 @@ import numpy as np
 
 from .curve import CurveSamples
 from .elastica import (
-    K_MIN,
+    _SECOND_PARTIALS,
     ElasticaParams,
+    _angle_partials,
     _chart_modulus,
     _second_partials_dot,
     _segment_eval_arr,
     _segment_partials_arr,
+    _tangent_angle,
 )
 from .elliptic import _jacobi_E_arr
 from .errors import DomainError
@@ -149,8 +151,6 @@ def gradient_hessian(p: ElasticaParams, target: CurveSamples,
     """Analytic gradient (7,) and symmetric Hessian (7, 7) of the objective.
     fit passes p's _jacobi_E_nodes as _jacobi_E, and asks with _partials
     for the _segment_partials_arr at the nodes as a third value."""
-    if p.k < K_MIN:
-        raise DomainError(f"Hessian needs k >= {K_MIN}")
     t = _tau(target)
     partials = _segment_partials_arr(p.as_array(), t, True, _jacobi_E)
     y, dy, blocks, _ = partials
@@ -173,27 +173,8 @@ def _wrap_angle(a):
 
 
 _ENDS = np.array([0.0, 1.0])
-
-
-def _angle_partials(s, k, S, C, D, E, second=True):
-    """The partials of the basic elastica's tangent angle
-    theta = 2 atan2(k sn, dn) at arclengths s, from sn, cn, dn and E at s:
-    (theta_s, theta_k) and, if second, theta_ss, theta_sk, theta_kk.
-
-    The k-derivatives of sn, cn, dn and E at fixed s are those of Byrd &
-    Friedman 710.00; theta_kk divides by k.
-    """
-    kp2 = 1.0 - k * k
-    G = E - kp2 * s
-    Q = S * D - C * G
-    first = (2.0 * k * C, 2.0 * Q / kp2)
-    if not second:
-        return first
-    P = k * k * S * C - D * G
-    Q_k = P * (C * D + S * G) / (k * kp2) - k * Q / kp2 - k * s * C
-    return first + (-2.0 * k * S * D,
-                    (2.0 / kp2) * (C * (kp2 - k * k * S * S) + S * D * G),
-                    2.0 * Q_k / kp2 + 4.0 * k * Q / (kp2 * kp2))
+#: the _SECOND_PARTIALS rows (i, j, power of t, block) in (k, s0, ell)
+_SHAPE_PARTIALS = _SECOND_PARTIALS[:4, _SECOND_PARTIALS[1] < 3]
 
 
 def _jacobi_E_ends(pvec) -> np.ndarray:
@@ -204,10 +185,9 @@ def _jacobi_E_ends(pvec) -> np.ndarray:
 def _end_pose(pvec, jacobi_E):
     """The segment's points (2, 2) and unwrapped tangent angles (2,) at the
     end nodes t = 0, 1, from its _jacobi_E_ends.  The angle of
-    y_s = dy/ds0 is phi + theta(s0 + ell*t, k), theta = 2 atan2(k sn, dn),
-    and dy/dt = ell * y_s adds pi when ell < 0."""
-    S, _, D, _ = jacobi_E
-    th = 2.0 * np.arctan2(pvec[0] * S, D) + math.pi * (pvec[2] < 0)
+    y_s = dy/ds0 is phi + the _tangent_angle at s0 + ell*t, and
+    dy/dt = ell * y_s adds pi when ell < 0."""
+    th = _tangent_angle(pvec[0], jacobi_E) + math.pi * (pvec[2] < 0)
     return (_segment_eval_arr(pvec, _ENDS, jacobi_E).view(float)
             .reshape(2, 2), pvec[4] + th)
 
@@ -229,9 +209,10 @@ def _constraint_jacobian(pvec, mode: str, with_hessians=False, ends=None):
     _segment_partials_arr (y, dy, blocks, jacobi_E) at the end nodes
     t = 0, 1: ends, if the caller has them, else one 2-node evaluation.
 
-    Position rows come from the segment partials.  The tangent rows'
-    gradient is (theta_k, theta_s, t*theta_s, 0, 1, 0, 0) and their Hessian
-    lives in the (k, s0, ell) block.
+    Position rows come from the segment partials.  A tangent row,
+    phi + theta(s0 + ell*t, k), reads the _angle_partials as dy reads the
+    zeta blocks: its gradient is (theta_k, theta_s, t*theta_s, 0, 1, 0, 0),
+    its Hessian the _SECOND_PARTIALS rows in (k, s0, ell).
     """
     if ends is None:
         ends = _segment_partials_arr(pvec, _ENDS, with_hessians)
@@ -243,23 +224,16 @@ def _constraint_jacobian(pvec, mode: str, with_hessians=False, ends=None):
                                     blocks, pvec[3], pvec[4])
     if mode == "endpoints+tangents":
         t = _ENDS
-        th_s, th_k, *second = _angle_partials(
-            pvec[1] + pvec[2] * t, pvec[0], *jacobi_E, with_hessians)
+        th = _angle_partials(pvec[1] + pvec[2] * t, pvec[0], jacobi_E,
+                             with_hessians)
         grad = np.zeros((2, 7))
-        grad[:, 0] = th_k
-        grad[:, 1] = th_s
-        grad[:, 2] = t * th_s
+        grad[:, 0], grad[:, 1], grad[:, 2] = th[:, 3], th[:, 1], t * th[:, 1]
         grad[:, 4] = 1.0
         jac = np.vstack([jac, grad])
         if with_hessians:
-            th_ss, th_sk, th_kk = second
+            i, j, a, m = _SHAPE_PARTIALS
             h = np.zeros((2, 7, 7))
-            h[:, 0, 0] = th_kk
-            h[:, 0, 1] = h[:, 1, 0] = th_sk
-            h[:, 0, 2] = h[:, 2, 0] = t * th_sk
-            h[:, 1, 1] = th_ss
-            h[:, 1, 2] = h[:, 2, 1] = t * th_ss
-            h[:, 2, 2] = t * t * th_ss
+            h[:, i, j] = h[:, j, i] = t[:, None] ** a * th[:, m]
             hess = np.concatenate([hess, h])
     if with_hessians:
         return jac, hess

@@ -184,8 +184,6 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
     counted = [r for i, r in enumerate(runs)
                if i in (0, len(runs) - 1)
                or abs(u[r[1]] - u[r[0]]) >= height_min]
-    if not counted:
-        counted = [max(runs, key=lambda r: abs(u[r[1]] - u[r[0]]))]
     n = len(counted)
 
     # out-of-range measure

@@ -34,7 +34,8 @@ def render_svg(layers: Sequence[Tuple[np.ndarray, str]]) -> str:
         raise DomainError("non-finite point in SVG layer")
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    span = np.maximum(hi - lo, 1e-9)
+    # each side floored relative to the larger: absolute only for one point
+    span = np.maximum(hi - lo, 1e-9 * (float(np.max(hi - lo)) or 1.0))
     margin = 0.05 * float(span.max())
     x0, y0 = lo[0] - margin, -(hi[1] + margin)
     wdt = span[0] + 2 * margin

@@ -327,12 +327,15 @@ def test_svg_output_minimal_subset(s_curve_file, tmp_path):
 
 
 def test_svg_viewbox_margin():
-    pts = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0]])
-    doc = render_svg([(pts, "target")])
-    root = ET.fromstring(doc)
-    x0, y0, w, h = (float(v) for v in root.attrib["viewBox"].split())
-    assert x0 == pytest.approx(-0.1)
-    assert w == pytest.approx(2.2)
-    assert h == pytest.approx(1.2)
-    # y axis flipped: top of the box is -(y_max + margin)
-    assert y0 == pytest.approx(-1.1)
+    """A 5% margin around the points, at scale 1 and for a curve far below
+    any absolute size."""
+    for c in (1.0, 1e-300):
+        pts = c * np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 1.0]])
+        doc = render_svg([(pts, "target")])
+        root = ET.fromstring(doc)
+        x0, y0, w, h = (float(v) for v in root.attrib["viewBox"].split())
+        assert x0 == pytest.approx(-0.1 * c)
+        assert w == pytest.approx(2.2 * c)
+        assert h == pytest.approx(1.2 * c)
+        # y axis flipped: top of the box is -(y_max + margin)
+        assert y0 == pytest.approx(-1.1 * c)

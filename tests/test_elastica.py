@@ -1,11 +1,14 @@
 """Tests for elastica evaluation and its derivative blocks.
 
-Oracles: RK4 integration of the pendulum system, and central finite
-differences for every analytic derivative.
+Oracles: RK4 integration of the pendulum system, central finite
+differences for every analytic derivative, and mpmath derivatives near
+k = 1.
 """
 
+import functools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,14 +18,21 @@ from elastica_fit.elastica import (
     K_MIN,
     ElasticaCurve,
     ElasticaParams,
+    _angle_partials,
     _chart_modulus,
+    _zeta_blocks,
     basic_derivatives,
     basic_point,
     segment_eval,
     segment_eval_many,
     segment_partials,
 )
-from elastica_fit.elliptic import K_GUARD_BAND, incomplete_E, quarter_period
+from elastica_fit.elliptic import (
+    K_GUARD_BAND,
+    _jacobi_E_arr,
+    incomplete_E,
+    quarter_period,
+)
 from elastica_fit.errors import DomainError
 
 
@@ -294,3 +304,81 @@ def test_chart_modulus_restates_both_clamps():
                         else max(k, 1.0 + 2 * g), K_MIN)
             assert bits(_chart_modulus(k, not inflectional, math.inf)) \
                 == bits(clamp)
+
+
+#: the arclengths and moduli of the k-block check near k = 1, and the
+#: relative error the blocks meet away from it
+NEAR_ONE_S = (0.3, 1.0, 2.5)
+NEAR_ONE_K = (1 - 1e-4, 1 + 1e-4, 1 - 1e-6, 1 + 1e-6, 1 - 1e-8, 1 + 1e-8)
+NEAR_ONE_RTOL = 1e-9
+
+#: (block, k) -> the largest relative error over NEAR_ONE_S, measured
+#: against mpmath, of each block that misses NEAR_ONE_RTOL: the k-blocks
+#: divide by 1 - k^2, and their numerators cancel as k -> 1
+NEAR_ONE_MISSES = {
+    ("zeta_k", 1 + 1e-6): 1.6e-9, ("zeta_k", 1 - 1e-8): 2.1e-7,
+    ("zeta_k", 1 + 1e-8): 1.9e-7,
+    ("zeta_sk", 1 - 1e-8): 1.3e-8, ("zeta_sk", 1 + 1e-8): 2.0e-8,
+    ("zeta_kk", 1 - 1e-4): 1.3e-7, ("zeta_kk", 1 + 1e-4): 1.7e-7,
+    ("zeta_kk", 1 - 1e-6): 5.1e-4, ("zeta_kk", 1 + 1e-6): 2.7e-4,
+    ("zeta_kk", 1 - 1e-8): 31.0, ("zeta_kk", 1 + 1e-8): 55.0,
+    ("theta_k", 1 - 1e-8): 1.3e-8, ("theta_k", 1 + 1e-8): 2.0e-8,
+    ("theta_sk", 1 - 1e-8): 9.3e-9, ("theta_sk", 1 + 1e-8): 8.4e-9,
+    ("theta_kk", 1 - 1e-4): 3.6e-6, ("theta_kk", 1 + 1e-4): 6.4e-6,
+    ("theta_kk", 1 - 1e-6): 4.1e-2, ("theta_kk", 1 + 1e-6): 2.9e-2,
+    ("theta_kk", 1 - 1e-8): 480.0, ("theta_kk", 1 + 1e-8): 1.2e3,
+}
+
+
+def _mp_zeta(u, k):
+    """zeta_k(u) with E(u) = E(am u | m), am u = asin sn u, and cn from sn:
+    NEAR_ONE_S lie before the first maximum of sn."""
+    sn = mp.re(mp.ellipfun("sn", u, m=k * k))
+    return mp.mpc(2 * mp.ellipe(mp.asin(sn), k * k) - u,
+                  2 * k * (1 - mp.sqrt(1 - sn * sn)))
+
+
+def _mp_theta(u, k):
+    sn = mp.re(mp.ellipfun("sn", u, m=k * k))
+    return 2 * mp.atan2(k * sn, mp.sqrt(1 - k * k * sn * sn))
+
+
+@functools.lru_cache(maxsize=None)
+def _near_one_reference(k):
+    """{block: complex (3,)} of the k-blocks at NEAR_ONE_S by mpmath
+    differentiation at 40 digits; zeta_sk is d/dk of zeta_s = e^(i theta),
+    which needs no E."""
+    ref = {}
+    with mp.workdps(40):
+        kk = mp.mpf(k)
+        for name, f, f_sk in (
+                ("zeta", _mp_zeta,
+                 lambda u: mp.diff(lambda x: mp.expj(_mp_theta(u, x)), kk)),
+                ("theta", _mp_theta,
+                 lambda u: mp.diff(_mp_theta, (u, kk), (1, 1)))):
+            rows = [(mp.diff(lambda x: f(u, x), kk), f_sk(u),
+                     mp.diff(lambda x: f(u, x), kk, 2))
+                    for u in map(mp.mpf, NEAR_ONE_S)]
+            for b, d in enumerate(("k", "sk", "kk")):
+                ref[f"{name}_{d}"] = np.array([complex(r[b]) for r in rows])
+    return ref
+
+
+@pytest.mark.parametrize("block, k", [
+    pytest.param(block, k, marks=pytest.mark.xfail(
+        strict=True, reason=f"relative error {NEAR_ONE_MISSES[block, k]:.2g}")
+        if (block, k) in NEAR_ONE_MISSES else ())
+    for block in ("zeta_k", "zeta_sk", "zeta_kk",
+                  "theta_k", "theta_sk", "theta_kk")
+    for k in NEAR_ONE_K])
+def test_k_blocks_near_one_mpmath(block, k):
+    """d/dk, d2/dsdk and d2/dk2 of zeta (_zeta_blocks) and of the tangent
+    angle (_angle_partials) near k = 1, on both sides, against mpmath."""
+    s = np.array(NEAR_ONE_S)
+    column = 3 + ("k", "sk", "kk").index(block.split("_")[1])
+    if block.startswith("zeta"):
+        got = _zeta_blocks(s, k, True)[0][:, column]
+    else:
+        got = _angle_partials(s, k, _jacobi_E_arr(s, k))[:, column]
+    ref = _near_one_reference(k)[block]
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= NEAR_ONE_RTOL

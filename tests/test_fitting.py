@@ -17,6 +17,7 @@ from elastica_fit.elastica import (
     K_MIN,
     ElasticaCurve,
     ElasticaParams,
+    _angle_partials,
     basic_derivatives,
     basic_point,
     segment_eval_many,
@@ -28,7 +29,6 @@ from elastica_fit.fitting import (
     FitProblem,
     FitResult,
     _align_similarity,
-    _angle_partials,
     _ENDS,
     _constraint_jacobian,
     _constraint_values,
@@ -331,11 +331,11 @@ class TestConstraintJacobian:
 
     @pytest.mark.parametrize("k", [0.3, 0.9, 1.2, 3.0])
     def test_angle_partials_mpmath(self, k):
-        """theta_k, theta_sk and theta_kk against mpmath derivatives of
-        2 atan2(k sn, dn)."""
+        """theta_s, theta_ss, theta_k, theta_sk and theta_kk against mpmath
+        derivatives of 2 atan2(k sn, dn)."""
         s = np.array([-0.7, 0.0, 0.4, 1.3, 2.9])
-        _, th_k, _, th_sk, th_kk = _angle_partials(
-            s, k, *_jacobi_E_arr(s, k))
+        th = _angle_partials(s, k, _jacobi_E_arr(s, k))
+        assert not th[:, 0].any()
 
         def theta(u, kk):
             sn, dn = (mp.re(mp.ellipfun(f, u, m=kk * kk)) for f in ("sn", "dn"))
@@ -343,12 +343,31 @@ class TestConstraintJacobian:
 
         with mp.workdps(30):
             for j, u in enumerate(s):
-                ref = (mp.diff(lambda kk: theta(u, kk), k),
+                ref = (mp.diff(lambda uu: theta(uu, k), u),
+                       mp.diff(lambda uu: theta(uu, k), u, 2),
+                       mp.diff(lambda kk: theta(u, kk), k),
                        mp.diff(theta, (u, k), (1, 1)),
                        mp.diff(lambda kk: theta(u, kk), k, 2))
-                got = (th_k[j], th_sk[j], th_kk[j])
-                for a, b in zip(got, ref):
+                for a, b in zip(th[j, 1:], ref):
                     assert a == pytest.approx(float(b), rel=1e-11, abs=1e-12)
+
+
+def test_second_k_derivative_below_k_min_raises():
+    """Every path to the second k-derivative raises DomainError below K_MIN,
+    the pinned constraint Hessians too, from the one check in
+    _zeta_blocks; first partials are still evaluated there."""
+    p = dataclasses.replace(BASE, k=K_MIN / 2)
+    tgt = elastica_target(BASE, 64)
+    for call in (lambda: gradient_hessian(p, tgt),
+                 lambda: segment_partials(p, 0.3),
+                 lambda: basic_derivatives(0.3, p.k),
+                 lambda: _constraint_jacobian(p.as_array(),
+                                              "endpoints+tangents", True)):
+        with pytest.raises(DomainError, match="second k-derivative"):
+            call()
+    assert segment_partials(p, 0.3, second=False)[1] is None
+    assert _constraint_jacobian(p.as_array(), "endpoints+tangents").shape \
+        == (6, 7)
 
 
 def _shifted_solve(H, g, delta):
