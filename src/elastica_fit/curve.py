@@ -1,14 +1,14 @@
 """Input plane curves: cubic Bezier chains and polylines.
 
 Provides point/derivative evaluation on a common [0, 1] parameter domain,
-uniform sampling with arclength, tangent angle and curvature, composite
-Simpson line integrals, and parameter-interval trimming (used by the
-recursive segmentation).  Sampling passes whole t arrays to a BezierChain
-or Polyline, calls any other curve at one scalar t at a time, and derives
-everything else with array expressions.  An exact elastica (ElasticaCurve)
-runs at the constant speed |ell|*w, so it is sampled at its exact
-arclength |ell|*w*t.  Every line integral over the samples is a dot product
-with one weight vector, CurveSamples.weights.
+uniform sampling with arclength, tangent angle and curvature, and
+parameter-interval trimming (used by the recursive segmentation).
+Sampling passes whole t arrays to a BezierChain or Polyline, calls any
+other curve at one scalar t at a time, and derives everything else with
+array expressions.  An exact elastica (ElasticaCurve) runs at the constant
+speed |ell|*w, so it is sampled at its exact arclength |ell|*w*t.  Every
+line integral over the samples is a dot product with one weight vector:
+f @ samples.weights, the composite Simpson rule times the speed.
 
 Curve JSON schema (consumed by the CLI):
     {"bezier": [[[x,y],[x,y],[x,y],[x,y]], ...]}   cubic pieces, or
@@ -296,16 +296,6 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
     return CurveSamples(t=t, points=pts, speeds=np.ldexp(speeds, e),
                         s=np.ldexp(s, e), theta=theta,
                         kappa=np.ldexp(kap, -e))
-
-
-def integrate_ds(samples: CurveSamples, f) -> float:
-    """Line integral of per-node values f over the curve: f @ weights, the
-    composite Simpson rule."""
-    f = np.asarray(f, dtype=float)
-    if f.shape[0] != len(samples.t):
-        raise DomainError(
-            f"value array length {f.shape[0]} != node count {len(samples.t)}")
-    return float(f @ samples.weights)
 
 
 def load_curve(source):

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .curve import CurveSamples, integrate_ds
+from .curve import CurveSamples
 from .elastica import ElasticaParams, _chart_modulus
 from .elliptic import incomplete_F
 from .errors import DegenerateInputError
@@ -46,7 +46,6 @@ class AffineCurvatureFit:
     R1: float
     R2: float
     u: np.ndarray
-    cos_theta_u: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,9 +76,7 @@ def affine_curvature_fit(samples: CurveSamples) -> AffineCurvatureFit:
     y = samples.points[:, 1]
     kap = samples.kappa
     L = samples.length
-
-    def I(f):
-        return integrate_ds(samples, f)
+    wts = samples.weights
 
     if np.max(np.abs(kap)) * L > LAMBDA_MIN_REL:
         # normal equations M^T diag(w) M (lambda1, lambda2, alpha) =
@@ -97,31 +94,29 @@ def affine_curvature_fit(samples: CurveSamples) -> AffineCurvatureFit:
         lam1 = lam2 = alpha = 0.0
     lam = math.hypot(lam1, lam2)
 
-    kap_sq = I(kap * kap)
-    defect1 = I((kap + lam1 * y - lam2 * x - alpha) ** 2)
+    kap_sq = kap * kap @ wts
+    defect1 = (kap + lam1 * y - lam2 * x - alpha) ** 2 @ wts
     R1 = math.sqrt(max(defect1, 0.0) / kap_sq) if kap_sq > 0 else 0.0
 
     if lam > 0:
         u = (lam2 * x - lam1 * y) / lam
         sin_tu = (lam1 * np.cos(samples.theta)
                   + lam2 * np.sin(samples.theta)) / lam
-        cos_tu = (lam2 * np.cos(samples.theta)
-                  - lam1 * np.sin(samples.theta)) / lam
-        beta = I(sin_tu - 0.5 * lam * u * u - alpha * u) / L
+        beta = (sin_tu - 0.5 * lam * u * u - alpha * u) @ wts / L
         R2 = math.sqrt(max(
-            I((sin_tu - 0.5 * lam * u * u - alpha * u - beta) ** 2), 0.0) / L)
+            (sin_tu - 0.5 * lam * u * u - alpha * u - beta) ** 2 @ wts,
+            0.0) / L)
         w = 1.0 / math.sqrt(lam)
         phi = math.atan2(lam2, lam1)
     else:
         u = np.zeros_like(x)
-        cos_tu = np.zeros_like(x)
         beta, R2, w, phi = 0.0, 0.0, None, None
     if lam <= LAMBDA_MIN_REL / L ** 2:
         w, phi = None, None
     return AffineCurvatureFit(lambda1=float(lam1), lambda2=float(lam2),
                               alpha=float(alpha), beta=float(beta),
                               lam=float(lam), w=w, phi=phi, R1=R1, R2=R2,
-                              u=u, cos_theta_u=cos_tu)
+                              u=u)
 
 
 def classify_and_modulus(fit: AffineCurvatureFit):
@@ -156,7 +151,9 @@ def _monotone_runs(u):
 def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
                          inflectional: bool, k: float):
     """(s0, ell, n_segments, u_increasing_at_start, clamped_fraction, R3) by
-    the amplitude case analysis on the monotone runs of u."""
+    the amplitude case analysis on the monotone runs of u.  The start
+    direction is the first counted run's, and one half-period rule places
+    both ends."""
     lam, alpha, beta = fit.lam, fit.alpha, fit.beta
     w = fit.w
     u = fit.u
@@ -170,12 +167,6 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
         delta_plus = math.sqrt(max(alpha ** 2 - 2 * lam * (beta + 1.0), 0.0))
         u_min = (-alpha + delta_plus) / lam
 
-    # direction of u at the start: first sample with a significant du/ds,
-    # tie broken toward decreasing
-    dus = fit.cos_theta_u
-    significant = np.flatnonzero(np.abs(dus) > 1e-6 * np.max(np.abs(dus)))
-    increasing = bool(significant.size) and bool(dus[significant[0]] > 0)
-
     # oscillation counting with the minimal-height rule; the first and last
     # runs contain the curve endpoints and are genuinely partial, so the
     # height rule is applied to interior runs only
@@ -185,10 +176,12 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
                if i in (0, len(runs) - 1)
                or abs(u[r[1]] - u[r[0]]) >= height_min]
     n = len(counted)
+    increasing = counted[0][2]
 
-    # out-of-range measure
-    outside = (u < u_min) | (u > u_max)
-    R3 = integrate_ds(samples, outside.astype(float)) / L
+    # out-of-range measure: u within rounding of a range end is inside
+    tol = 64 * np.finfo(float).eps * max(abs(u_min), abs(u_max))
+    outside = (u < u_min - tol) | (u > u_max + tol)
+    R3 = float(outside @ samples.weights) / L
     clamped_fraction = float(np.mean(outside))
 
     # amplitude of a drop du below u_max, on a half-period P of the
@@ -206,17 +199,16 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
             du = min(max(du, 0.0), 2 * k * w * (1.0 - cn_floor))
             return math.asin(
                 min(math.sqrt(max(du / w * (k - du / (4 * w)), 0.0)), 1.0))
-    a0 = amplitude(u_max - u[0])
-    a1 = amplitude(u_max - u[-1])
-    if not increasing:
-        am0 = a0
-        am1 = (n - 1) * P + a1 if n % 2 else n * P - a1
-    else:
-        am0 = 2 * P - a0
-        am1 = (n + 1) * P - a1 if n % 2 else n * P + a1
-    s0 = incomplete_F(am0, k_am) / scale
-    s1 = incomplete_F(am1, k_am) / scale
-    ell = s1 - s0
+
+    def arclength(j, a):
+        """Arclength of amplitude a on half-period j, where u falls from
+        u_max for even j and rises back to it for odd j."""
+        am = j * P + a if j % 2 == 0 else (j + 1) * P - a
+        return incomplete_F(am, k_am) / scale
+
+    j0 = int(increasing)
+    s0 = arclength(j0, amplitude(u_max - u[0]))
+    ell = arclength(j0 + n - 1, amplitude(u_max - u[-1])) - s0
     if ell <= 0:
         # clamping collapsed the interval; fall back to the arclength extent
         ell = L / w
@@ -226,7 +218,7 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
 def _degenerate_report(samples: CurveSamples, fit: AffineCurvatureFit):
     """Line / circular-arc outcome for lambda below the threshold."""
     L = samples.length
-    mean_kappa = integrate_ds(samples, samples.kappa) / L
+    mean_kappa = samples.kappa @ samples.weights / L
     kind = "line" if abs(mean_kappa) * L < 1e-6 else "circle"
     p0 = samples.points[0]
     params = ElasticaParams(k=0.0, s0=0.0, ell=L, w=1.0,
@@ -262,7 +254,7 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
         return _degenerate_report(samples, fit)
     inflectional, k = classify_and_modulus(fit)
     shape = unit
-    if not inflectional and integrate_ds(unit, unit.kappa) < 0:
+    if not inflectional and unit.kappa @ unit.weights < 0:
         shape = unit.reversed()
         fit = affine_curvature_fit(shape)
         inflectional, k = classify_and_modulus(fit)

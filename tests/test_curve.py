@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from elastica_fit.curve import (
     BezierChain,
     Polyline,
-    integrate_ds,
     load_curve,
     sample,
 )
@@ -60,13 +59,13 @@ def test_inflection_bracketing():
 
 def test_integrate_constant_is_length():
     smp = sample(CIRCLE, 512)
-    assert integrate_ds(smp, np.ones(len(smp.t))) == pytest.approx(
+    assert np.ones(len(smp.t)) @ smp.weights == pytest.approx(
         smp.length, abs=1e-8)
 
 
 def test_total_turning_on_circle():
     smp = sample(CIRCLE, 1024)
-    total = integrate_ds(smp, smp.kappa)
+    total = smp.kappa @ smp.weights
     assert total == pytest.approx(2 * math.pi, abs=1e-4)
 
 
@@ -81,8 +80,8 @@ def test_kappa_squared_refinement_oracle():
     cur = BezierChain([[[0, 0], [1, 2], [3, -1], [4, 1]]])
     lo = sample(cur, 256)
     hi = sample(cur, 1024)
-    a = integrate_ds(lo, lo.kappa ** 2)
-    b = integrate_ds(hi, hi.kappa ** 2)
+    a = lo.kappa ** 2 @ lo.weights
+    b = hi.kappa ** 2 @ hi.weights
     assert a == pytest.approx(b, rel=1e-6)
 
 
@@ -221,8 +220,6 @@ def test_trim_polyline():
 def test_sample_validation():
     with pytest.raises(DomainError):
         sample(CIRCLE, 8)
-    with pytest.raises(DomainError):
-        integrate_ds(sample(CIRCLE, 64), np.ones(3))
 
 
 def test_load_curve_roundtrip(tmp_path):

@@ -7,21 +7,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elastica_fit.curve import (
     BezierChain,
     Polyline,
-    integrate_ds,
     load_curve,
     sample,
 )
 from elastica_fit import elastica, fitting
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
 from elastica_fit.elliptic import _jacobi_E_arr, quarter_period
-from elastica_fit.fitting import _align_similarity, _jacobi_E_nodes, \
-    residual_r4
+from elastica_fit.fitting import FitProblem, _align_similarity, \
+    _jacobi_E_nodes, fit, residual_r4
 from elastica_fit.recovery import (
     _monotone_runs,
     affine_curvature_fit,
@@ -126,7 +125,7 @@ class TestRecoverArcInterval:
         doctored = dataclasses.replace(fit, u=u)
         _, _, _, _, clamped, R3 = recover_arc_interval(
             smp, doctored, inflectional, k)
-        expected = integrate_ds(smp, (u > u_max).astype(float)) / smp.length
+        expected = (u > u_max) @ smp.weights / smp.length
         assert R3 == pytest.approx(expected, abs=1e-12)
         assert 0.05 < R3 < 0.2
         assert clamped == pytest.approx(m / len(u), abs=1e-12)
@@ -336,6 +335,19 @@ class TestInitialGuess:
             rep = initial_guess(elastica_samples(p, 1024))
             assert (rep.R3 == 0.0) == (rep.clamped_fraction == 0.0)
 
+    def test_r3_ignores_rounding_at_range_end(self):
+        """An exact elastica guessed to rounding has R3 = 0: one node's u
+        lies 6 ulps above u_max, which is rounding, not leaving the
+        range."""
+        p = ElasticaParams(k=1.5452585767925986, s0=1.4808507970867386,
+                           ell=0.9165888659651883, w=1.4045607151006962,
+                           phi=-0.6045101345197192, x0=-0.9170124241590223,
+                           y0=-1.1867196892137652)
+        rep = initial_guess(elastica_samples(p, 1024))
+        assert rep.R4 <= 1e-13
+        assert rep.R3 == 0.0
+        assert rep.clamped_fraction == 0.0
+
 
 def _monotone_runs_loop(u):
     """The element-by-element loop that _monotone_runs replaced, kept as its
@@ -475,3 +487,65 @@ def test_guess_similarity_is_aligned(monkeypatch):
         assert np.linalg.norm(a[5:] - q[5:]) <= 1e-12 * max(
             np.linalg.norm(q[5:]), smp.length)
     assert aligned >= 100
+
+
+def _check_exact_roundtrip(p):
+    """ROADMAP item 5's property: an exact elastica (256 samples) gets a
+    recovered guess, and a free fit that converges from it to rounding
+    without making it worse."""
+    smp = sample(ElasticaCurve(p), 256)
+    rep = initial_guess(smp)
+    assert rep.degenerate is None
+    assert rep.R4 <= 5e-3
+    res = fit(FitProblem(target=smp, init=rep.params, max_iter=200))
+    assert res.converged, res.message
+    assert res.r4 <= 1e-8
+    assert res.r4 <= rep.R4 + 1e-12
+
+
+@st.composite
+def _regular_chart_elastica(draw):
+    """k away from 1 and at most 10; |ell| log-uniform in [0.05, 6]
+    half-periods of either sign, s0 in [0, 4] half-periods, w log-uniform
+    in [e^-3, e^3], any pose."""
+    k = draw(st.one_of(st.floats(0.05, 0.99), st.floats(1.01, 10.0)))
+    half = 2.0 * quarter_period(k)
+    ell = math.exp(draw(st.floats(math.log(0.05), math.log(6.0)))) * half
+    return ElasticaParams(
+        k=k, s0=draw(st.floats(0.0, 4.0)) * half,
+        ell=ell if draw(st.booleans()) else -ell,
+        w=math.exp(draw(st.floats(-3.0, 3.0))),
+        phi=draw(st.floats(-math.pi, math.pi)),
+        x0=draw(st.floats(-5.0, 5.0)), y0=draw(st.floats(-5.0, 5.0)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(p=_regular_chart_elastica())
+# u turns within the first sample interval, where a start direction read
+# from du/ds disagrees with the counted runs and puts both ends of the
+# guess a half-period off (guess R4 8.5e-2, 8.0e-2 and 1.2e-2 that way)
+@example(p=ElasticaParams(0.980711, 24.287416, 22.806063, 1.954213,
+                          -1.22326, 0.768859, -0.910741))
+@example(p=ElasticaParams(0.930751, 14.680285, -14.126802, 5.870639,
+                          2.649425, 0.318228, 1.150355))
+@example(p=ElasticaParams(1.543323, 2.381542, -2.382595, 2.438448,
+                          -1.865249, 2.411225, 2.928244))
+def test_exact_elastica_roundtrip_regular_chart(p):
+    _check_exact_roundtrip(p)
+
+
+@pytest.mark.parametrize("p", [
+    pytest.param(ElasticaParams(12.0, 0.1, 0.9, 1.0, 0.3, 0.0, 0.0),
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "k > K_MAX (ROADMAP item 9): guessed at R4 3e-14, the "
+                     "fit ends at k = 10, R4 1.08e-4, 'trust region "
+                     "collapsed'")), id="k12"),
+    pytest.param(ElasticaParams(1 - 1.45e-7, 0.5, -3.7294, 1.0, 0.3, 0.0,
+                                0.0),
+                 marks=pytest.mark.xfail(strict=True, reason=(
+                     "k near 1 (ROADMAP item 4): guessed at R4 9e-16, the "
+                     "fit ends unconverged at 'trust region collapsed'")),
+                 id="k1-1.45e-7"),
+])
+def test_exact_elastica_roundtrip_outside_regular_chart(p):
+    _check_exact_roundtrip(p)
