@@ -36,6 +36,9 @@ class CurveSamples:
 
     The node count is odd (even number of intervals) so composite Simpson
     applies directly.  theta is unwrapped; s is nondecreasing with s[-1] = L.
+    The arrays a fit reads at every iteration, the integration weights, the
+    normalized arclength tau = s / L and the complex points x + iy, are
+    cached properties: computed once per sample set.
     """
 
     t: np.ndarray
@@ -67,6 +70,22 @@ class CurveSamples:
         w = w * (1.0 / n) / 3.0 * self.speeds
         w.flags.writeable = False
         return w
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        """Normalized arclength s / L at the nodes, from 0 to 1: where a
+        fitted segment is evaluated.  Kept and read-only, as weights."""
+        tau = self.s / self.length
+        tau.flags.writeable = False
+        return tau
+
+    @cached_property
+    def complex_points(self) -> np.ndarray:
+        """The points as complex x + iy, (n,): a view of points where their
+        layout allows, else a copy.  Kept and read-only, as weights."""
+        z = np.ascontiguousarray(self.points, dtype=float).view(complex)[:, 0]
+        z.flags.writeable = False
+        return z
 
     def reversed(self) -> "CurveSamples":
         """Samples of the same curve traversed in the opposite direction."""

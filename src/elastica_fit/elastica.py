@@ -10,8 +10,8 @@ it, one complex multiply-add:
 The kernels keep points and vectors complex, so a quarter turn is a
 multiply by i; the public functions return float (..., 2) pairs.  Only
 this module differentiates the elastica: the partials in s and k of zeta
-(_zeta_blocks) and of its tangent angle theta (_angle_partials), whose
-theta_s and theta_k turn zeta_s into zeta_ss and zeta_sk.  The second
+(_zeta_blocks) and of its tangent angle theta (_angle_partials); zeta_ss
+and zeta_sk are i theta_s zeta_s and i theta_k zeta_s.  The second
 k-derivative divides by k; _zeta_blocks alone rejects k < K_MIN for it.
 Second partials in the seven parameters (k, s0, ell, w, phi, x0, y0) come
 from one table (_SECOND_PARTIALS), contracted with vectors at the nodes
@@ -152,10 +152,10 @@ def _zeta_blocks(s, k, second, jacobi_E=None):
     v[:, 7] = (2.0 / kp2) * (kp2 + C * (k2 - DD) - SD * G)
     if not second:
         return out, jacobi_E
-    # the tangent zeta_s turns at rate theta_s along s and theta_k along k
-    th = _angle_partials(s, k, jacobi_E, False)
-    out[:, 2] = 1j * th[:, 1] * out[:, 1]
-    out[:, 4] = 1j * th[:, 3] * out[:, 1]
+    # the tangent zeta_s turns at rate theta_s = 2k cn along s and
+    # theta_k = (2 / k'^2)(sn dn - cn G) along k, as in _angle_partials
+    out[:, 2] = 1j * ((2.0 * k) * C) * out[:, 1]
+    out[:, 4] = 1j * ((2.0 / kp2) * (SD - C * G)) * out[:, 1]
     ss = s * s
     a0 = (2.0 * SD * C) * (DD - k2 * E * E + kp2 * (k2 * ss - Es * Es - 0.5))
     a1 = (1.0 / k) * ((1.0 - 2.0 * k2 * SS) * Es * (2.0 * k2 * s + Es) * C

@@ -10,13 +10,16 @@ lies on the fit's manifold.  Free fits keep the similarity block
 (w, phi, x0, y0) at its closed-form optimum for the shape (k, s0, ell), so
 the model is the reduced Hessian of variable projection.  Pinned fits keep
 c(p) = 0, and the model is the exact Lagrangian Hessian W on the null space
-of the constraint Jacobian J.  The step -(A + mu I)^-1 b takes the first
-shift mu of a doubling sequence that fits the radius, in closed form from
-one eigendecomposition of A.  Each trial is restored onto the manifold
-before F is evaluated, so F alone judges it: free fits re-solve the
-similarity block, pinned fits run capped Gauss-Newton steps on c.  A
-rejection quarters the radius until the rejected step no longer fits, so
-every iteration restores and evaluates a new trial.
+of the constraint Jacobian J.  The step y = -(A + mu I)^-1 b is the Newton
+step (mu = 0) when A is positive definite and that step fits the radius,
+else the step on the boundary ||y|| = radius, its shift mu found by
+Newton's method on the secular equation from one eigendecomposition of A.
+Each trial is restored onto the manifold before F is evaluated, so F
+alone judges it: free fits re-solve the similarity block, pinned fits run
+capped Gauss-Newton steps on c.  A rejection sets the radius to a quarter
+of min(radius, ||y||), which the rejected step no longer fits, so every
+iteration restores and evaluates a new trial; a good step (rho > 0.75)
+doubles it only if the radius held that step back (mu > 0).
 
 Each point the loop visits carries one elliptic evaluation, sn, cn, dn and
 E at the arclengths s0 + ell*tau of the target's nodes (_jacobi_E_nodes),
@@ -37,7 +40,9 @@ d2y_i from elastica._second_partials_dot.  The same contraction with the
 unit vectors 1 and i at t = 0, 1 gives the position constraints' Hessians
 in W, and the tangent rows read the same table's (k, s0, ell) rows against
 elastica._angle_partials.  Every integral over the target is a dot product
-with its Simpson weights (CurveSamples.weights).
+with its Simpson weights (CurveSamples.weights); its normalized arclengths
+tau and its complex points are CurveSamples.tau and .complex_points, all
+three computed once per sample set.
 """
 
 import cmath
@@ -113,27 +118,18 @@ class FitResult:
     message: str = ""
 
 
-def _tau(samples: CurveSamples) -> np.ndarray:
-    return samples.s / samples.length
-
-
 def _jacobi_E_nodes(pvec, target: CurveSamples) -> np.ndarray:
     """sn, cn, dn and E, as a (4, n) array, at the arclengths s0 + ell*tau
     of the target's nodes: the one elliptic evaluation of a point of fit."""
-    return _jacobi_E_arr(pvec[1] + pvec[2] * _tau(target), pvec[0])
-
-
-def _points(target: CurveSamples) -> np.ndarray:
-    """The target's points as complex x + iy, a view where it can be."""
-    return np.ascontiguousarray(target.points, dtype=float).view(complex)[:, 0]
+    return _jacobi_E_arr(pvec[1] + pvec[2] * target.tau, pvec[0])
 
 
 def objective(p: ElasticaParams, target: CurveSamples,
               _jacobi_E=None) -> float:
     """F(p): half the squared L2 distance to the target, arclength-matched.
     fit and initial_guess pass p's _jacobi_E_nodes as _jacobi_E."""
-    diff = (_segment_eval_arr(p.as_array(), _tau(target), _jacobi_E)
-            - _points(target))
+    diff = (_segment_eval_arr(p.as_array(), target.tau, _jacobi_E)
+            - target.complex_points)
     f = 0.5 * (diff.real * diff.real + diff.imag * diff.imag)
     return float(np.dot(f, target.weights))
 
@@ -146,20 +142,22 @@ def residual_r4(p: ElasticaParams, target: CurveSamples,
         2.0 * objective(*_unit_problem(p, target), _jacobi_E), 0.0))
 
 
-def gradient_hessian(p: ElasticaParams, target: CurveSamples,
-                     _jacobi_E=None, _partials=False):
-    """Analytic gradient (7,) and symmetric Hessian (7, 7) of the objective.
-    fit passes p's _jacobi_E_nodes as _jacobi_E, and asks with _partials
-    for the _segment_partials_arr at the nodes as a third value."""
-    t = _tau(target)
-    partials = _segment_partials_arr(p.as_array(), t, True, _jacobi_E)
+def gradient_hessian(p, target: CurveSamples, _jacobi_E=None,
+                     _partials=False):
+    """Analytic gradient (7,) and symmetric Hessian (7, 7) of the objective
+    at p, an ElasticaParams or fit's (7,) parameter array.  fit passes p's
+    _jacobi_E_nodes as _jacobi_E, and asks with _partials for the
+    _segment_partials_arr at the nodes as a third value."""
+    pvec = p.as_array() if isinstance(p, ElasticaParams) else p
+    t = target.tau
+    partials = _segment_partials_arr(pvec, t, True, _jacobi_E)
     y, dy, blocks, _ = partials
     wts = target.weights
-    v = wts * (y - _points(target))
+    v = wts * (y - target.complex_points)
     jac = dy.view(float)    # the real (7, 2n) Jacobian
     grad = jac @ v.view(float)
     hess = ((dy * wts).view(float) @ jac.T
-            + _second_partials_dot(v, t, blocks, p.w, p.phi))
+            + _second_partials_dot(v, t, blocks, pvec[3], pvec[4]))
     if _partials:
         return grad, 0.5 * (hess + hess.T), partials
     return grad, 0.5 * (hess + hess.T)
@@ -251,18 +249,39 @@ def _project(pvec):
 
 
 def _shifted_step(A, b, radius):
-    """(y, mu) with y = -(A + mu I)^-1 b for the first shift of
-    mu_j + 1e-10 = 2^j (max(0, -lambda_min(A)) + 1e-12 + 1e-10), j < 100,
-    with ||y|| <= radius (else the last).  A shift that leaves A + mu I
-    singular to rounding gives an infinite candidate, which never fits."""
+    """(y, mu): the trust-region step y = -(A + mu I)^-1 b, from one
+    eigendecomposition A = V diag(lambda) V^T.
+
+    mu = 0 if A is positive definite and its Newton step fits the radius.
+    Otherwise y lies on the boundary ||y|| = radius: Newton's method on
+    1/||y(mu)|| - 1/radius, concave and increasing for
+    mu > max(0, -lambda_min) (More & Sorensen, SIAM J. Sci. Stat. Comput.
+    4, 1983), climbs to its root from mu0 = max(0, -lambda_min) + 1e-12,
+    each iterate's step longer than the radius until one fits.  A shift
+    that leaves A + mu I singular to rounding, or y infinite, is never
+    taken: it becomes 2 mu + 1e-10.  When y(mu0) fits already, no
+    admissible shift reaches the radius (the hard case, b orthogonal to
+    the lowest eigenvectors, or a y that underflows), and y(mu0) is the
+    step.  After a rejected step fit sets the radius to
+    min(radius, ||y||) / 4, which no step of this one's length fits."""
     lam, V = np.linalg.eigh(A)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        mus = np.ldexp(max(0.0, -float(lam[0])) + 1e-12 + 1e-10,
-                       np.arange(100)) - 1e-10
-        coef = (V.T @ b) / (lam + mus[:, None])
-    fits = np.flatnonzero(np.linalg.norm(coef, axis=1) <= radius)
-    j = fits[0] if fits.size else -1
-    return -V @ coef[j], float(mus[j])
+    lam, c = lam.tolist(), (V.T @ b).tolist()
+    mu = 0.0 if lam[0] > 0 else 1e-12 - lam[0]
+    for _ in range(100):
+        if lam[0] + mu > 0:
+            y = [ci / (li + mu) for ci, li in zip(c, lam)]
+            norm = math.hypot(*y)
+            if norm <= radius:
+                break
+            if norm < math.inf:
+                # Newton's step: 1/||y|| has slope slope/||y||
+                slope = sum((yi / norm) ** 2 / (li + mu)
+                            for yi, li in zip(y, lam))
+                mu = max(mu + (norm - radius) / radius / slope,
+                         math.nextafter(mu, math.inf))
+                continue
+        mu = 2.0 * mu + 1e-10
+    return -V @ np.array(y), mu
 
 
 def _align_similarity(pvec, target: CurveSamples, jacobi_E):
@@ -278,8 +297,8 @@ def _align_similarity(pvec, target: CurveSamples, jacobi_E):
     if tot <= 0:
         return pvec
     z = _segment_eval_arr(np.concatenate([pvec[:3], (1.0, 0.0, 0.0, 0.0)]),
-                          _tau(target), jacobi_E)
-    x = _points(target)
+                          target.tau, jacobi_E)
+    x = target.complex_points
     zbar = complex(wts @ z) / tot
     xbar = complex(wts @ x) / tot
     zc = z - zbar
@@ -344,8 +363,7 @@ def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
     W = H + sum_i lambda_i Hess c_i with the least-squares multipliers
     lambda = -J^+T g, J and Hess c_i from the partials of g and H at the
     end nodes; grad_norm is ||Z^T g||."""
-    g, H, (y, dy, blocks, _) = gradient_hessian(
-        ElasticaParams.from_array(q), target, jacobi_E, True)
+    g, H, (y, dy, blocks, _) = gradient_hessian(q, target, jacobi_E, True)
     if mode == "none":
         try:
             lift = np.linalg.solve(H[3:, 3:], H[3:, :3])
@@ -420,7 +438,7 @@ def fit(problem: FitProblem) -> FitResult:
         if it >= problem.max_iter:
             break
         it += 1
-        y, _ = _shifted_step(A, gr, delta)
+        y, mu = _shifted_step(A, gr, delta)
         pred = -(gr @ y + 0.5 * y @ A @ y)
         if pred <= 1e-15 * f:
             # no step can lower F measurably: at F's rounding floor unless
@@ -438,14 +456,13 @@ def fit(problem: FitProblem) -> FitResult:
         if rho > 1e-4:
             p, f, cviol, jacobi_E = trial, f_trial, cv, trial_E
             gnorm, gr, A, B = _reduced_model(p, target, mode, jacobi_E)
-            if rho > 0.75:
+            if rho > 0.75 and mu > 0:
+                # only a step that the radius held back asks for more
                 delta = min(delta * 2.0, 1e3)
         else:
             # a radius that the rejected step still fits gives the same
-            # step again, so quarter past it
-            delta *= 0.25
-            while delta > 1e-13 and np.linalg.norm(y) <= delta:
-                delta *= 0.25
+            # step again, so quarter the shorter of the two
+            delta = 0.25 * min(delta, float(np.linalg.norm(y)))
             if delta <= 1e-13:
                 msg = "trust region collapsed"
                 break
