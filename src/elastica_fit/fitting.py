@@ -19,7 +19,11 @@ alone judges it: free fits re-solve the similarity block, pinned fits run
 capped Gauss-Newton steps on c.  A rejection sets the radius to a quarter
 of min(radius, ||y||), which the rejected step no longer fits, so every
 iteration restores and evaluates a new trial; a good step (rho > 0.75)
-doubles it only if the radius held that step back (mu > 0).
+doubles it only if the radius held that step back (mu > 0).  A fit has
+converged when A is positive definite and its Newton decrement
+1/2 b^T A^-1 b, free of the chart, is below what F (f, unit length) can
+resolve: 1e-10 f, the target; 1e-15 sqrt(2 f), F's rounding; and for a
+point restored to max|c| with multipliers lambda, ||lambda||_1 max|c|.
 
 Each point the loop visits carries one elliptic evaluation, sn, cn, dn and
 E at the arclengths s0 + ell*tau of the target's nodes (_jacobi_E_nodes),
@@ -66,12 +70,11 @@ from .elliptic import _jacobi_E_arr
 from .errors import DomainError
 
 CONSTRAINT_MODES = ("none", "endpoints", "endpoints+tangents")
-_GRAD_TOL = 1e-10  # the stop ||g|| <= _GRAD_TOL, on the unit-length problem
 
 
 @dataclass
 class FitProblem:
-    """Solved on the unit-length problem to ||g|| <= _GRAD_TOL (1e-10)."""
+    """Solved on the unit-length problem to the module docstring's stop."""
 
     target: CurveSamples
     init: ElasticaParams
@@ -92,20 +95,16 @@ class FitResult:
     so they hold at any scale.  params, objective and constraint_violation
     (max|c|) are in the target's units; objective is F = f L^3, and reads
     inf or 0 where that leaves the double range.  iterations counts the
-    trials restored and evaluated (capped by max_iter), plus one for a step
-    that stops at "predicted decrease below rounding".  message is one of
-    five stops:
+    trials restored and evaluated (at most max_iter).  message is one of
+    five stops, and only the first is converged:
 
-    - "gradient tolerance reached" (converged);
-    - "predicted decrease below rounding": the model promises less than
-      1e-15 F, converged if grad_norm <= 1e3 * _GRAD_TOL;
+    - "decrement below resolution";
     - "model not finite": the gradient or Hessian overflowed, as at a
-      guess whose shape is nearly one point (unconverged);
+      guess whose shape is nearly one point;
     - "trust region collapsed";
     - "max_iter reached";
-
-    or "constraints not restored" when Gauss-Newton cannot bring the
-    initial guess onto the constraints (0 iterations, unconverged).
+    - "constraints not restored": Gauss-Newton cannot bring the initial
+      guess onto the constraints (0 iterations).
     """
 
     params: ElasticaParams
@@ -249,8 +248,10 @@ def _project(pvec):
 
 
 def _shifted_step(A, b, radius):
-    """(y, mu): the trust-region step y = -(A + mu I)^-1 b, from one
-    eigendecomposition A = V diag(lambda) V^T.
+    """(y, mu, decrement): the trust-region step y = -(A + mu I)^-1 b, from
+    one eigendecomposition A = V diag(lambda) V^T, and the model's Newton
+    decrement 1/2 b^T A^-1 b = 1/2 sum c_i^2 / lambda_i, c = V^T b (inf
+    unless A is positive definite).
 
     mu = 0 if A is positive definite and its Newton step fits the radius.
     Otherwise y lies on the boundary ||y|| = radius: Newton's method on
@@ -267,6 +268,8 @@ def _shifted_step(A, b, radius):
     lam, V = np.linalg.eigh(A)
     lam, c = lam.tolist(), (V.T @ b).tolist()
     mu = 0.0 if lam[0] > 0 else 1e-12 - lam[0]
+    decrement = (0.5 * sum(ci * ci / li for ci, li in zip(c, lam))
+                 if lam[0] > 0 else math.inf)
     for _ in range(100):
         if lam[0] + mu > 0:
             y = [ci / (li + mu) for ci, li in zip(c, lam)]
@@ -281,7 +284,7 @@ def _shifted_step(A, b, radius):
                          math.nextafter(mu, math.inf))
                 continue
         mu = 2.0 * mu + 1e-10
-    return -V @ np.array(y), mu
+    return -V @ np.array(y), mu, decrement
 
 
 def _align_similarity(pvec, target: CurveSamples, jacobi_E):
@@ -351,18 +354,19 @@ def _restore(q, target: CurveSamples, mode: str):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
-    """(grad_norm, B^T g, B^T W B, B) at a point q on the fit's manifold,
-    B a basis of the directions along it, from q's _jacobi_E_nodes; one
-    that overflows has infinite or NaN entries, without a warning.
+    """((grad_norm, ||lambda||_1), B^T g, B^T W B, B) at a point q on the
+    fit's manifold, B a basis of the directions along it, from q's
+    _jacobi_E_nodes; one that overflows has infinite or NaN entries,
+    without a warning.
 
     Free: W = H and B = [I; -H_ll^-1 H_ln] over the similarity block l.  As
     F is minimal over l at q, B^T g and B^T H B are the gradient and Hessian
-    of (k, s0, ell) -> F(., l*(.)); grad_norm is ||g||.  If H_ll is
-    singular, B = [I; 0]: the model along a fixed l, which restoring the
-    trial re-aligns.  Pinned: B = Z, the null space of J, and
-    W = H + sum_i lambda_i Hess c_i with the least-squares multipliers
-    lambda = -J^+T g, J and Hess c_i from the partials of g and H at the
-    end nodes; grad_norm is ||Z^T g||."""
+    of (k, s0, ell) -> F(., l*(.)); grad_norm is ||g||, and there are no
+    multipliers (0).  If H_ll is singular, B = [I; 0]: the model along a
+    fixed l, which restoring the trial re-aligns.  Pinned: B = Z, the null
+    space of J, and W = H + sum_i lambda_i Hess c_i with the least-squares
+    multipliers lambda = -J^+T g, J and Hess c_i from the partials of g and
+    H at the end nodes; grad_norm is ||Z^T g||."""
     g, H, (y, dy, blocks, _) = gradient_hessian(q, target, jacobi_E, True)
     if mode == "none":
         try:
@@ -370,15 +374,16 @@ def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
         except np.linalg.LinAlgError:
             lift = np.zeros((4, 3))
         B = np.vstack([np.eye(3), -lift])
-        return float(np.linalg.norm(g)), B.T @ g, B.T @ H @ B, B
+        return (float(np.linalg.norm(g)), 0.0), B.T @ g, B.T @ H @ B, B
     # tau[0] = 0 and tau[-1] = 1 exactly, so these rows are the end nodes
     ends = [0, -1]
     J, Hc = _constraint_jacobian(
         q, mode, True, (y[ends], dy[:, ends], blocks[ends], jacobi_E[:, ends]))
     U, sv, Y, Z = _row_space(J)
-    W = H + np.einsum("m,mij->ij", -U @ ((Y.T @ g) / sv), Hc)
+    lam = -U @ ((Y.T @ g) / sv)
     gz = Z.T @ g
-    return float(np.linalg.norm(gz)), gz, Z.T @ W @ Z, Z
+    return ((float(np.linalg.norm(gz)), float(np.sum(np.abs(lam)))), gz,
+            Z.T @ (H + np.einsum("m,mij->ij", lam, Hc)) @ Z, Z)
 
 
 def _unit_target(target: CurveSamples) -> CurveSamples:
@@ -419,43 +424,37 @@ def fit(problem: FitProblem) -> FitResult:
     init, target = _unit_problem(problem.init, problem.target)
     p, cviol, jacobi_E = _restore(init.as_array(), target, mode)
     f = objective(ElasticaParams.from_array(p), target, jacobi_E)
-    gnorm, gr, A, B = _reduced_model(p, target, mode, jacobi_E)
-    delta = 1.0
-    it = 0
+    (gnorm, lam), gr, A, B = _reduced_model(p, target, mode, jacobi_E)
+    delta, it = 1.0, 0
     converged = False
     msg = "max_iter reached"
     while True:
         if cviol > 1e-10:
             msg = "constraints not restored"
             break
-        if gnorm <= _GRAD_TOL:
-            converged = True
-            msg = "gradient tolerance reached"
-            break
         if not (math.isfinite(gnorm) and np.isfinite(A).all()):
             msg = "model not finite"
+            break
+        y, mu, decrement = _shifted_step(A, gr, delta)
+        if decrement <= (1e-10 * f + 1e-15 * math.sqrt(2.0 * f)
+                         + lam * cviol):
+            converged = True
+            msg = "decrement below resolution"
             break
         if it >= problem.max_iter:
             break
         it += 1
-        y, mu = _shifted_step(A, gr, delta)
         pred = -(gr @ y + 0.5 * y @ A @ y)
-        if pred <= 1e-15 * f:
-            # no step can lower F measurably: at F's rounding floor unless
-            # the gradient says otherwise
-            converged = gnorm <= 1e3 * _GRAD_TOL
-            msg = "predicted decrease below rounding"
-            break
         trial, cv, trial_E = _restore(p + B @ y, target, mode)
         try:
             f_trial = objective(ElasticaParams.from_array(trial), target,
                                 trial_E) if cv <= 1e-10 else math.inf
         except (DomainError, FloatingPointError, OverflowError):
             f_trial = math.inf
-        rho = (f - f_trial) / pred
+        rho = (f - f_trial) / pred if pred > 0 else 0.0
         if rho > 1e-4:
             p, f, cviol, jacobi_E = trial, f_trial, cv, trial_E
-            gnorm, gr, A, B = _reduced_model(p, target, mode, jacobi_E)
+            (gnorm, lam), gr, A, B = _reduced_model(p, target, mode, jacobi_E)
             if rho > 0.75 and mu > 0:
                 # only a step that the radius held back asks for more
                 delta = min(delta * 2.0, 1e3)

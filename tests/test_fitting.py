@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import least_squares
+from scipy.optimize import NonlinearConstraint, least_squares, minimize
 
 from elastica_fit import elastica, fitting
 from elastica_fit.curve import BezierChain, load_curve, sample
@@ -51,7 +51,7 @@ BASE = ElasticaParams(k=0.8, s0=0.2, ell=3.0, w=1.5, phi=0.7, x0=2.0, y0=-1.0)
 
 #: corpus/hook.json's shape guess (256 samples) with (w, phi) from the affine
 #: curvature fit and a least-squares translation: a similarity that is not
-#: the aligned one, from which the tangent fit ends at F's rounding floor
+#: the aligned one
 HOOK_AFFINE_GUESS = ElasticaParams(
     k=0.8463429304695986, s0=1.1960292140488533, ell=4.2414503453795795,
     w=0.7731451760376826, phi=-0.5125743558755397, x0=-0.48776688138364693,
@@ -403,8 +403,11 @@ class TestTrustRegionStep:
             A = _random_symmetric(rng, n, definite)
             b = rng.normal(size=n)
             for radius in np.logspace(-3, 3, 13):
-                y, mu = _shifted_step(A, b, radius)
+                y, mu, decrement = _shifted_step(A, b, radius)
                 _assert_step_optimal(A, b, radius, y, mu)
+                assert decrement == (pytest.approx(
+                    0.5 * b @ np.linalg.solve(A, b), rel=1e-10)
+                    if definite else math.inf)
                 newton_fits = definite and (
                     np.linalg.norm(np.linalg.solve(A, b)) <= radius)
                 assert (mu == 0.0) == newton_fits
@@ -417,7 +420,7 @@ class TestTrustRegionStep:
         rng = np.random.default_rng(31)
         for definite in (True, False):
             A = _random_symmetric(rng, 4, definite)
-            y, mu = _shifted_step(A, np.zeros(4), 1.0)
+            y, mu, _ = _shifted_step(A, np.zeros(4), 1.0)
             assert not np.any(y)
             lam_min = float(np.linalg.eigvalsh(A)[0])
             assert mu == (0.0 if definite
@@ -433,12 +436,12 @@ class TestTrustRegionStep:
             lam, V = np.linalg.eigh(A)
             b = V[:, 1:] @ rng.normal(size=4)
             bound = np.linalg.norm(b / (lam[1:] - lam[0]).min())
-            y, mu = _shifted_step(A, b, 2.0 * bound)
+            y, mu, _ = _shifted_step(A, b, 2.0 * bound)
             _assert_step_optimal(A, b, 2.0 * bound, y, mu)
             assert mu == pytest.approx(1e-12 - lam[0], rel=1e-9)
             assert np.linalg.norm(y) <= bound
             radius = 0.1 * np.linalg.norm(b) / (lam[-1] - lam[0])
-            y, mu = _shifted_step(A, b, radius)
+            y, mu, _ = _shifted_step(A, b, radius)
             _assert_step_optimal(A, b, radius, y, mu)
             assert np.linalg.norm(y) >= radius * (1 - 1e-3)
 
@@ -456,7 +459,7 @@ class TestTrustRegionStep:
         _, b, A, _ = _reduced_model(q, tgt, "none", jacobi_E)
         lam = np.linalg.eigvalsh(A)
         assert lam[0] < -1e296 and lam[-1] > 1e299
-        y, mu = _shifted_step(A, b, 1.0)
+        y, mu, _ = _shifted_step(A, b, 1.0)
         assert mu == pytest.approx(-2.0 * lam[0], rel=1e-9)
         assert np.all(np.isfinite(y))
         _assert_step_optimal(A, b, 1.0, y, mu)
@@ -610,6 +613,36 @@ class TestFitConstrained:
                                 constraints="endpoints"))
         assert pinned.objective >= free.objective - 1e-12
 
+    @pytest.mark.filterwarnings("ignore:delta_grad == 0.0:UserWarning")
+    @pytest.mark.parametrize("mode", ["endpoints", "endpoints+tangents"])
+    def test_scipy_finds_no_lower_constrained_minimum(self, mode):
+        """An independent optimizer, scipy's trust-constr with 3-point
+        finite differences for the gradient of F and the Jacobian of c,
+        started at each converged pinned corpus fit on the unit problem,
+        finds no point on the constraints (max|c| <= 1e-10) with F lower
+        by more than 1e-9 relative.  Only c comes from the package."""
+        for p, tgt in _corpus_guesses():
+            res = fit(FitProblem(target=tgt, init=p, constraints=mode))
+            assert res.converged
+            q, unit = _unit_problem(res.params, tgt)
+            tau = unit.s / unit.length
+
+            def F(x):
+                d = segment_eval_many(ElasticaParams.from_array(x), tau)
+                d -= unit.points
+                return 0.5 * float(unit.weights @ np.sum(d * d, axis=1))
+
+            def c(x):
+                return _constraint_values(x, unit, mode, _jacobi_E_ends(x))
+
+            x = q.as_array()
+            sol = minimize(F, x, method="trust-constr", jac="3-point",
+                           constraints=NonlinearConstraint(
+                               c, 0.0, 0.0, jac="3-point"),
+                           options={"gtol": 1e-14, "xtol": 1e-14})
+            assert (np.max(np.abs(c(sol.x))) > 1e-10
+                    or F(sol.x) >= F(x) * (1.0 - 1e-9)), (sol.fun, F(x))
+
     def test_exact_elastica_with_constraints(self):
         rng = np.random.default_rng(17)
         tgt = elastica_target(BASE, 512)
@@ -653,8 +686,8 @@ def guess_and_fit(cur, constraints, n=256, **kw):
 
 
 #: R4 of the corpus fits (256 samples, max_iter 600) in the modes none,
-#: endpoints and endpoints+tangents, from trust-region steps at the first
-#: fitting shift of a doubling sequence
+#: endpoints and endpoints+tangents, each within 1e-10 relative of its
+#: minimum
 CORPUS_R4 = {
     "arc_asym": (0.00019474894025111252, 0.00027593069917236694,
                  0.000894982575248915),
@@ -669,8 +702,8 @@ CORPUS_R4 = {
                 0.0021852903541498664),
     "s_curve_deep": (0.001273750544913025, 0.00127420102031579,
                      0.0018094379690696675),
-    "shallow_arc": (1.3635138243413972e-06, 1.8492783939162558e-06,
-                    4.952439751192695e-06),
+    "shallow_arc": (1.3635137873531476e-06, 1.849278393929299e-06,
+                    4.952426254558149e-06),
     "shallow_arc_tilt": (8.824799541644233e-05, 0.00012396855950650397,
                          0.0003951446170982607),
     "shallow_s": (0.0001007143742233323, 0.0001302089244717897,
@@ -683,20 +716,16 @@ CORPUS_R4 = {
 
 
 def test_corpus_iteration_budget():
-    """Boundary steps reach the same minima in fewer iterations: every
-    corpus fit converges to its CORPUS_R4 (1e-9 relative, or 1e-13 for
-    shallow_arc's near-exact fits, whose R4 the gradient stop leaves
-    2.7e-6 relative above the minimum), and each mode's iterations stay
-    within its measured total (181, 127 and 41 with doubling shifts)."""
-    budget = {"none": 165, "endpoints": 115, "endpoints+tangents": 40}
+    """Every corpus fit converges to its CORPUS_R4 at 1e-9 relative, and
+    each mode's iterations stay within its measured total."""
+    budget = {"none": 160, "endpoints": 111, "endpoints+tangents": 38}
     total = dict.fromkeys(budget, 0)
     for name in CORPUS_NAMES:
         cur = load_curve(os.path.join(CORPUS_DIR, name + ".json"))
         for mode, r4 in zip(budget, CORPUS_R4[name]):
             res, _ = guess_and_fit(cur, mode, max_iter=600)
             assert res.converged, (name, mode, res.message)
-            assert res.r4 == pytest.approx(r4, rel=1e-9, abs=1e-13), (
-                name, mode)
+            assert res.r4 == pytest.approx(r4, rel=1e-9), (name, mode)
             total[mode] += res.iterations
     assert all(total[mode] <= budget[mode] for mode in budget), total
 
@@ -872,20 +901,21 @@ class TestFitOnManifold:
         assert res.constraint_violation <= 1e-10
 
     def test_hook_with_tangents_converges(self):
-        """From HOOK_AFFINE_GUESS the hook's tangent fit ends near F's
-        rounding floor, where no step can pass the ratio test; the
-        predicted-decrease stop ends the fit there as converged."""
+        """From HOOK_AFFINE_GUESS, a similarity that is not the aligned one,
+        the hook's tangent fit converges: its Newton decrement falls below
+        what F resolves (4 iterations), before the rounding floor that no
+        step's ratio test can pass."""
         tgt = sample(load_curve(os.path.join(CORPUS_DIR, "hook.json")), 256)
         res = fit(FitProblem(target=tgt, init=HOOK_AFFINE_GUESS,
                              constraints="endpoints+tangents"))
         assert res.converged
-        assert res.message == "predicted decrease below rounding"
+        assert res.message == "decrement below resolution"
         assert res.constraint_violation <= 1e-10
 
     def test_hook_with_tangents_from_guess_is_short(self):
         """From initial_guess, whose similarity is the closed-form
         alignment, the hook's tangent fit converges within 6 iterations
-        (it takes 15 from HOOK_AFFINE_GUESS)."""
+        (it takes 4 from HOOK_AFFINE_GUESS)."""
         cur = load_curve(os.path.join(CORPUS_DIR, "hook.json"))
         res, _ = guess_and_fit(cur, "endpoints+tangents")
         assert res.converged
@@ -960,7 +990,7 @@ class TestFitOnManifold:
         assert res.constraint_violation == pytest.approx(0.3, rel=1e-12)
 
     @pytest.mark.parametrize("name, mode", [
-        ("hook", "endpoints+tangents"), ("shallow_s", "none")])
+        ("shallow_s", "endpoints"), ("shallow_s", "none")])
     def test_repeated_trial_is_not_restored(self, name, mode, monkeypatch):
         """A rejection sets the radius to a quarter of the shorter of the
         radius and the rejected step, which the step for that radius cannot
@@ -973,23 +1003,19 @@ class TestFitOnManifold:
             return real(q, target, mode)
 
         def shifted_step(A, b, radius):
-            y, mu = _shifted_step(A, b, radius)
+            y, mu, decrement = _shifted_step(A, b, radius)
             steps.append((A.tobytes() + b.tobytes(), radius,
                           np.linalg.norm(y)))
-            return y, mu
+            return y, mu, decrement
 
         monkeypatch.setattr(fitting, "_restore", restore)
         monkeypatch.setattr(fitting, "_shifted_step", shifted_step)
         cur = load_curve(os.path.join(CORPUS_DIR, name + ".json"))
-        if name == "hook":
-            res = fit(FitProblem(target=sample(cur, 256),
-                                 init=HOOK_AFFINE_GUESS, constraints=mode))
-        else:
-            res, _ = guess_and_fit(cur, mode, max_iter=600)
+        res, _ = guess_and_fit(cur, mode, max_iter=600)
         assert res.converged
         assert len(set(inputs)) == len(inputs)
-        stepless = res.message == "predicted decrease below rounding"
-        assert res.iterations == len(steps) == len(inputs) - 1 + stepless
+        # the final model's step is computed, for its decrement, not taken
+        assert res.iterations == len(steps) - 1 == len(inputs) - 1
         # a rejection leaves the model as it is
         rejected = [(r0, n0, r1) for (m0, r0, n0), (m1, r1, _)
                     in zip(steps, steps[1:]) if m0 == m1]
@@ -999,12 +1025,13 @@ class TestFitOnManifold:
 
     @pytest.mark.parametrize("ell, message, iterations", [
         (1e-160, "model not finite", 0),
-        (1e-300, "predicted decrease below rounding", 1)])
+        (1e-300, "trust region collapsed", 1)])
     def test_near_point_guess_returns(self, ell, message, iterations):
         """A guess whose shape is nearly one point: at ell = 1e-160 the
         alignment scales it by ~1e160 and the Hessian overflows; fit stops
         there, unconverged, without a warning.  At 1e-300 the alignment
-        cannot scale it and the fit stops after one step."""
+        cannot scale it, and the one step's trial is rejected with a
+        radius below 1e-13: unconverged too."""
         tgt = elastica_target(BASE, 64)
         init = dataclasses.replace(BASE, s0=0.0, ell=ell)
         res = fit(FitProblem(target=tgt, init=init, max_iter=200))

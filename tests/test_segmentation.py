@@ -21,6 +21,12 @@ ARC_ASYM = os.path.join(os.path.dirname(__file__), "..", "corpus",
 #: bend between them
 EXIT4_POLYLINE = np.array([[0, 0], [1, 0.6], [2, 0.8], [3, 0.5], [4, -0.1]])
 
+#: the polyline of the CI's pw_scaled command: one of its tangent leaves
+#: runs to k = 0.999998, where one ulp of k moves the segment's ends by
+#: about 6e-10, more than restoration's 1e-12 target
+SCALED_POLYLINE = [[0, 0], [500, 400], [1000, 600], [1500, 750], [2000, 800],
+                   [2500, 700], [3000, 500], [3500, 200], [4000, -100]]
+
 # a wavy multi-lobe curve that a single elastica cannot match well
 WAVY = BezierChain([
     [[0, 0], [1, 2.5], [2, -2.5], [3, 0]],
@@ -176,6 +182,16 @@ def test_s_curve_deep_leaves_converge():
                        max_iter=200)
     assert all(s.iterations < 200 and s.converged for s in pw.segments)
     assert pw.threshold_met
+
+
+def test_scaled_polyline_leaves_converge():
+    """Every tangent leaf of SCALED_POLYLINE converges.  Its leaf near k = 1
+    is restored only to max|c| ~ 1e-10, where F is known to
+    ||lambda||_1 max|c|, so the stop counts that within F's resolution."""
+    pw = fit_piecewise(Polyline(SCALED_POLYLINE), 1e-3, 3,
+                       "endpoints+tangents", 256, 200)
+    assert all(s.converged for s in pw.segments), [
+        (s.params.k, s.iterations, s.message) for s in pw.segments]
 
 
 def test_scaled_loop_same_leaves():
