@@ -144,18 +144,18 @@ def _zeta_blocks(s, k, second, jacobi_E=None):
     SD, CC, DD, SS, Es, G = S * D, C * C, D * D, S * S, E - s, E - s * kp2
     out = np.zeros((len(s), 6), complex)
     v = out.view(float)     # column 2m is block m's x, 2m + 1 its y
-    v[:, 0] = 2.0 * E - s
-    v[:, 1] = (2.0 * k) * (1.0 - C)
-    v[:, 2] = 2.0 * DD - 1.0
-    v[:, 3] = (2.0 * k) * SD
-    v[:, 6] = (2.0 * k / kp2) * (SD * C - E * CC - (s * kp2) * SS)
-    v[:, 7] = (2.0 / kp2) * (kp2 + C * (k2 - DD) - SD * G)
+    np.subtract(2.0 * E, s, out=v[:, 0])
+    np.multiply(2.0 * k, 1.0 - C, out=v[:, 1])
+    np.subtract(2.0 * DD, 1.0, out=v[:, 2])
+    np.multiply(2.0 * k, SD, out=v[:, 3])
+    np.multiply(2.0 * k / kp2, SD * C - E * CC - (s * kp2) * SS, out=v[:, 6])
+    np.multiply(2.0 / kp2, kp2 + C * (k2 - DD) - SD * G, out=v[:, 7])
     if not second:
         return out, jacobi_E
     # the tangent zeta_s turns at rate theta_s = 2k cn along s and
     # theta_k = (2 / k'^2)(sn dn - cn G) along k, as in _angle_partials
-    out[:, 2] = 1j * ((2.0 * k) * C) * out[:, 1]
-    out[:, 4] = 1j * ((2.0 / kp2) * (SD - C * G)) * out[:, 1]
+    np.multiply(1j * ((2.0 * k) * C), out[:, 1], out=out[:, 2])
+    np.multiply(1j * ((2.0 / kp2) * (SD - C * G)), out[:, 1], out=out[:, 4])
     ss = s * s
     a0 = (2.0 * SD * C) * (DD - k2 * E * E + kp2 * (k2 * ss - Es * Es - 0.5))
     a1 = (1.0 / k) * ((1.0 - 2.0 * k2 * SS) * Es * (2.0 * k2 * s + Es) * C
@@ -165,20 +165,25 @@ def _zeta_blocks(s, k, second, jacobi_E=None):
     b1 = k * (C * (k2 * ss + SS * (2.0 + k2 - (2.0 * k2 * k2) * ss
                                    - (2.0 * k2) * SS))
               - kp2 * s * SD)
-    v[:, 10] = (2.0 / (kp2 * kp2)) * (a0 + b0)
-    v[:, 11] = (2.0 / (kp2 * kp2)) * (a1 + b1)
+    np.multiply(2.0 / (kp2 * kp2), a0 + b0, out=v[:, 10])
+    np.multiply(2.0 / (kp2 * kp2), a1 + b1, out=v[:, 11])
     return out, jacobi_E
+
+
+def _basic_zeta(p, t, jacobi_E=None):
+    """zeta_k(s0 + ell*t), (n,), for p's (k, s0, ell) at an array of t, from
+    jacobi_E = _jacobi_E_arr(s0 + ell*t, k) if the caller has it."""
+    k, s0, ell = p[:3]
+    s = s0 + ell * t
+    _, C, _, E = _jacobi_E_arr(s, k) if jacobi_E is None else jacobi_E
+    return (2.0 * E - s) + 2j * k * (1.0 - C)
 
 
 def _segment_eval_arr(p, t, jacobi_E=None):
     """Points x + iy, (n,), of the segment p = (k, s0, ell, w, phi, x0, y0)
-    at an array of t values, from jacobi_E = _jacobi_E_arr(s0 + ell*t, k)
-    if the caller has it."""
-    k, s0, ell, w, phi, x0, y0 = p
-    s = s0 + ell * t
-    _, C, _, E = _jacobi_E_arr(s, k) if jacobi_E is None else jacobi_E
-    z = (2.0 * E - s) + 2j * k * (1.0 - C)
-    return cmath.rect(w, phi) * z + complex(x0, y0)
+    at an array of t values: the similarity of its _basic_zeta."""
+    _, _, _, w, phi, x0, y0 = p
+    return cmath.rect(w, phi) * _basic_zeta(p, t, jacobi_E) + complex(x0, y0)
 
 
 def _segment_partials_arr(p, t, with_second, jacobi_E=None):
@@ -192,13 +197,13 @@ def _segment_partials_arr(p, t, with_second, jacobi_E=None):
     rot, wrot = cmath.rect(1.0, phi), cmath.rect(w, phi)
     wz = wrot * blocks[:, 0]
     dy = np.empty((7, len(t)), complex)
-    dy[0] = wrot * blocks[:, 3]                 # k
-    dy[1] = wrot * blocks[:, 1]                 # s0
-    dy[2] = t * dy[1]                           # ell
-    dy[3] = rot * blocks[:, 0]                  # w
-    dy[4] = 1j * wz                             # phi: the quarter turn
-    dy[5] = 1.0                                 # x0
-    dy[6] = 1j                                  # y0
+    np.multiply(wrot, blocks[:, 3], out=dy[0])      # k
+    np.multiply(wrot, blocks[:, 1], out=dy[1])      # s0
+    np.multiply(t, dy[1], out=dy[2])                # ell
+    np.multiply(rot, blocks[:, 0], out=dy[3])       # w
+    np.multiply(1j, wz, out=dy[4])                  # phi: the quarter turn
+    dy[5] = 1.0                                     # x0
+    dy[6] = 1j                                      # y0
     return wz + complex(x0, y0), dy, blocks, jacobi_E
 
 
@@ -212,6 +217,8 @@ _SECOND_PARTIALS = np.array([
      (0, 3, 5)[(i, j).count(0)] + (i, j).count(1) + (i, j).count(2),
      (i, j).count(4), 3 not in (i, j))
     for i in range(5) for j in range(i, 5) if (i, j) != (3, 3)]).T
+_I_POWERS = np.array([1.0, 1j, -1.0])[_SECOND_PARTIALS[4]]
+_W_ROWS = _SECOND_PARTIALS[5].astype(bool)
 
 
 def _second_partials_dot(v, t, blocks, w, phi):
@@ -222,12 +229,13 @@ def _second_partials_dot(v, t, blocks, w, phi):
     of i^q (w) P[..., a, m] from one product P[..., a, m] = sum_i t_i^a
     conj(v_i) e^(i phi) block_m(i): the real and minus the imaginary part.
     """
-    i, j, a, m, q, wf = _SECOND_PARTIALS
+    i, j, a, m = _SECOND_PARTIALS[:4]
     u = np.conj(v) * cmath.rect(1.0, phi)
     X = u[..., None] * blocks           # (..., n, 6)
-    P = (t ** np.arange(3.0)[:, None] @ X.view(float)).view(complex)
-    vals = (P[..., a, m] * np.array([1.0, 1j, -1.0])[q]).real \
-        * np.where(wf, w, 1.0)
+    powers = np.empty((3, len(t)))
+    powers[0], powers[1], powers[2] = 1.0, t, t * t
+    P = (powers @ X.view(float)).view(complex)
+    vals = (P[..., a, m] * _I_POWERS).real * np.where(_W_ROWS, w, 1.0)
     h = np.zeros(P.shape[:-2] + (7, 7))
     h[..., i, j] = vals
     h[..., j, i] = vals

@@ -12,12 +12,13 @@ Conventions:
 
 Evaluation is by the arithmetic-geometric mean.  One descending AGM of
 (1, k') (``_agm_rows``) gives K = pi/(2 a_N) and E/K = 1 - sum 2^(n-1) c_n^2.
-One backward amplitude recursion on its rows gives am(u) = phi_0, and the
-same loop sums the Jacobi zeta function Z(u) = sum c_n sin(phi_n), so that
-E(u) = u E/K + Z(u) (Abramowitz & Stegun 16.4, 17.6; DLMF 22.20).  sn, cn
-and dn come from the amplitude.  The recursion runs on a float with
-``math`` and on a numpy array with numpy, one AGM for the shared modulus.
-Ascending Landen on the same rows gives ``incomplete_F``.
+One backward amplitude recursion on its rows gives am(u) = phi_0 and the
+Jacobi zeta function Z(u) = sum c_n sin(phi_n), for an array one product
+of the c_n with the rows' sines, so that E(u) = u E/K + Z(u) (Abramowitz &
+Stegun 16.4, 17.6; DLMF 22.20).  sn, cn and dn come from the amplitude.
+The recursion runs on a float with ``math`` and on a numpy array with
+numpy, one AGM for the shared modulus.  Ascending Landen on the same rows
+gives ``incomplete_F``.
 """
 
 import math
@@ -57,19 +58,24 @@ def _agm_rows(k):
 
 
 def _am_E(u, k):
-    # am(u) and E(u) for a float or a numpy array u: the backward amplitude
-    # recursion phi_(n-1) = (phi_n + asin(c_n/a_n sin phi_n))/2 from
-    # phi_N = 2^N a_N u, summing Z(u) = sum c_n sin phi_n on the way;
-    # c_n <= a_n keeps the asin argument in [-1, 1]
-    sin, asin = (np.sin, np.arcsin) if isinstance(u, np.ndarray) \
-        else (math.sin, math.asin)
+    # am(u) and E(u), u a float or a 1-d numpy array, by the recursion
+    # phi_(n-1) = (phi_n + asin(c_n/a_n sin phi_n))/2 from phi_(N-1) =
+    # 2^(N-1) a_N u: the top row's c_N <= _TOL moves am and Z by at most
+    # c_N |u|; c_n <= a_n keeps the asin argument in [-1, 1]
     rows = _agm_rows(k)
-    phi = (2.0 ** (len(rows) - 1)) * rows[-1][0] * u
-    zeta = 0.0
-    for a, _, c in reversed(rows[1:]):
-        s = sin(phi)
-        zeta = zeta + c * s
-        phi = 0.5 * (phi + asin(c / a * s))
+    top = rows[1:-1][::-1]
+    phi = (2.0 ** len(top)) * rows[-1][0] * u
+    if isinstance(u, np.ndarray):
+        sines = np.empty((len(top), len(u)))
+        for s, (a, _, c) in zip(sines, top):
+            phi = 0.5 * (phi + np.arcsin(c / a * np.sin(phi, out=s)))
+        zeta = np.array([c for _, _, c in top]) @ sines
+    else:
+        zeta = 0.0
+        for a, _, c in top:
+            s = math.sin(phi)
+            zeta = zeta + c * s
+            phi = 0.5 * (phi + math.asin(c / a * s))
     e_over_k = 1.0 - sum(2.0 ** (n - 1) * c * c
                          for n, (_, _, c) in enumerate(rows))
     return phi, u * e_over_k + zeta
@@ -77,14 +83,15 @@ def _am_E(u, k):
 
 def _jacobi_E(u, k):
     # sn, cn, dn and E(u) = integral of dn^2 over [0, u] from one amplitude
-    # and one AGM, any k outside the guard band; u a float or a numpy array
+    # and one AGM, any k outside the guard band; u a float or a 1-d array
     if k > 1.0:
         sni, cni, dni, e = _jacobi_E(k * u, 1.0 / k)
         return sni / k, dni, cni, k * e + u * (1.0 - k * k)
     phi, e = _am_E(u, k)
     xp = np if isinstance(phi, np.ndarray) else math
     sn = xp.sin(phi)
-    return sn, xp.cos(phi), xp.sqrt(1.0 - (k * sn) * (k * sn)), e
+    ksn = k * sn
+    return sn, xp.cos(phi), xp.sqrt(1.0 - ksn * ksn), e
 
 
 def _jacobi_E_arr(u, k):

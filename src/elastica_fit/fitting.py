@@ -8,22 +8,23 @@ The objective matches curve points by normalized arclength:
 One trust-region loop fits all three constraint modes, and every iterate
 lies on the fit's manifold.  Free fits keep the similarity block
 (w, phi, x0, y0) at its closed-form optimum for the shape (k, s0, ell), so
-the model is the reduced Hessian of variable projection.  Pinned fits keep
-c(p) = 0, and the model is the exact Lagrangian Hessian W on the null space
-of the constraint Jacobian J.  The step y = -(A + mu I)^-1 b is the Newton
-step (mu = 0) when A is positive definite and that step fits the radius,
-else the step on the boundary ||y|| = radius, its shift mu found by
-Newton's method on the secular equation from one eigendecomposition of A.
-Each trial is restored onto the manifold before F is evaluated, so F
-alone judges it: free fits re-solve the similarity block, pinned fits run
-capped Gauss-Newton steps on c.  A rejection sets the radius to a quarter
-of min(radius, ||y||), which the rejected step no longer fits, so every
-iteration restores and evaluates a new trial; a good step (rho > 0.75)
-doubles it only if the radius held that step back (mu > 0).  A fit has
-converged when A is positive definite and its Newton decrement
-1/2 b^T A^-1 b, free of the chart, is below what F (f, unit length) can
-resolve: 1e-10 f, the target; 1e-15 sqrt(2 f), F's rounding; and for a
-point restored to max|c| with multipliers lambda, ||lambda||_1 max|c|.
+the model is the reduced Hessian of variable projection, a Schur
+complement.  Pinned fits keep c(p) = 0, and the model is the exact
+Lagrangian Hessian W on the null space of the constraint Jacobian J.  The
+step y = -(A + mu I)^-1 b is the Newton step (mu = 0) when A is positive
+definite and that step fits the radius, else the step on the boundary
+||y|| = radius, its shift mu found by Newton's method on the secular
+equation from one eigendecomposition of A.  Each trial is restored onto
+the manifold before F is evaluated, so F alone judges it: free fits
+re-solve the similarity block, pinned fits run capped Gauss-Newton steps
+on c.  A rejection sets the radius to a quarter of min(radius, ||y||),
+which the rejected step no longer fits, so every iteration restores and
+evaluates a new trial; a good step (rho > 0.75) doubles it only if the
+radius held that step back (mu > 0).  A fit has converged when A is
+positive definite and its Newton decrement 1/2 b^T A^-1 b, free of the
+chart, is below what F (f, unit length) can resolve: 1e-10 f, the target;
+1e-15 sqrt(2 f), F's rounding; and for a point restored to max|c| with
+multipliers lambda, ||lambda||_1 max|c|.
 
 Each point the loop visits carries one elliptic evaluation, sn, cn, dn and
 E at the arclengths s0 + ell*tau of the target's nodes (_jacobi_E_nodes),
@@ -34,6 +35,8 @@ _restore and the mapped-back result evaluate at the two end nodes on their
 own (_jacobi_E_ends), for c alone: the _end_pose that segmentation's join
 gaps read too, minus the target's (_constraint_values, the one place c is
 computed).  J is built from that evaluation only for a step that is taken.
+A free trial's F is objective's sum on the basic zeta values that the
+alignment formed, so objective evaluates only the start of a free fit.
 
 Points, residuals and partials are complex x + iy, as in elastica, and
 the free alignment is one complex weighted ratio.  fitting states no
@@ -60,6 +63,7 @@ from .elastica import (
     _SECOND_PARTIALS,
     ElasticaParams,
     _angle_partials,
+    _basic_zeta,
     _chart_modulus,
     _second_partials_dot,
     _segment_eval_arr,
@@ -70,6 +74,7 @@ from .elliptic import _jacobi_E_arr
 from .errors import DomainError
 
 CONSTRAINT_MODES = ("none", "endpoints", "endpoints+tangents")
+_EYE3 = np.eye(3)
 
 
 @dataclass
@@ -127,10 +132,14 @@ def objective(p: ElasticaParams, target: CurveSamples,
               _jacobi_E=None) -> float:
     """F(p): half the squared L2 distance to the target, arclength-matched.
     fit and initial_guess pass p's _jacobi_E_nodes as _jacobi_E."""
-    diff = (_segment_eval_arr(p.as_array(), target.tau, _jacobi_E)
-            - target.complex_points)
-    f = 0.5 * (diff.real * diff.real + diff.imag * diff.imag)
-    return float(np.dot(f, target.weights))
+    return _distance(_segment_eval_arr(p.as_array(), target.tau, _jacobi_E),
+                     target)
+
+
+def _distance(y, target: CurveSamples) -> float:
+    """F from the segment's points y (n,) at the target's nodes."""
+    d = y - target.complex_points
+    return float(np.dot(0.5 * (d.real ** 2 + d.imag ** 2), target.weights))
 
 
 def residual_r4(p: ElasticaParams, target: CurveSamples,
@@ -253,7 +262,8 @@ def _shifted_step(A, b, radius):
     decrement 1/2 b^T A^-1 b = 1/2 sum c_i^2 / lambda_i, c = V^T b (inf
     unless A is positive definite).
 
-    mu = 0 if A is positive definite and its Newton step fits the radius.
+    mu = 0 if A is positive definite and its Newton step fits the radius:
+    that step and the decrement come straight from the arrays.
     Otherwise y lies on the boundary ||y|| = radius: Newton's method on
     1/||y(mu)|| - 1/radius, concave and increasing for
     mu > max(0, -lambda_min) (More & Sorensen, SIAM J. Sci. Stat. Comput.
@@ -266,13 +276,19 @@ def _shifted_step(A, b, radius):
     step.  After a rejected step fit sets the radius to
     min(radius, ||y||) / 4, which no step of this one's length fits."""
     lam, V = np.linalg.eigh(A)
-    lam, c = lam.tolist(), (V.T @ b).tolist()
+    c = V.T @ b
+    decrement = math.inf
+    if lam[0] > 0:
+        newton = c / lam
+        y, decrement = newton.tolist(), 0.5 * float(c @ newton)
+        if math.hypot(*y) <= radius:
+            return -V @ newton, 0.0, decrement
+    lam, c = lam.tolist(), c.tolist()
     mu = 0.0 if lam[0] > 0 else 1e-12 - lam[0]
-    decrement = (0.5 * sum(ci * ci / li for ci, li in zip(c, lam))
-                 if lam[0] > 0 else math.inf)
     for _ in range(100):
         if lam[0] + mu > 0:
-            y = [ci / (li + mu) for ci, li in zip(c, lam)]
+            # mu = 0 only on the first pass, where y is the Newton step
+            y = y if mu == 0 else [ci / (li + mu) for ci, li in zip(c, lam)]
             norm = math.hypot(*y)
             if norm <= radius:
                 break
@@ -294,26 +310,25 @@ def _align_similarity(pvec, target: CurveSamples, jacobi_E):
     both take their similarity from it: with z the basic zeta values and x
     the target's points, complex and centred by their weighted means,
     w e^(i phi) = m = sum omega conj(z) x / sum omega |z|^2 and
-    x0 + i y0 = xbar - m zbar."""
-    wts = target.weights
-    tot = float(np.sum(wts))
+    x0 + i y0 = xbar - m zbar.  Returns (the aligned pvec, z)."""
+    wts, x = target.weights, target.complex_points
+    z = _basic_zeta(pvec, target.tau, jacobi_E)
+    tot = float(wts.sum())
     if tot <= 0:
-        return pvec
-    z = _segment_eval_arr(np.concatenate([pvec[:3], (1.0, 0.0, 0.0, 0.0)]),
-                          target.tau, jacobi_E)
-    x = target.complex_points
+        return pvec, z
     zbar = complex(wts @ z) / tot
     xbar = complex(wts @ x) / tot
     zc = z - zbar
     wzc = wts * zc.conj()
     denom = float((wzc @ zc).real)
     if denom <= 0:
-        return pvec
+        return pvec, z
     m = complex(wzc @ (x - xbar)) / denom
     if m == 0:
-        return pvec
+        return pvec, z
     c = xbar - m * zbar
-    return np.concatenate([pvec[:3], (abs(m), cmath.phase(m), c.real, c.imag)])
+    similarity = (abs(m), cmath.phase(m), c.real, c.imag)
+    return np.concatenate([pvec[:3], similarity]), z
 
 
 def _row_space(J):
@@ -324,32 +339,51 @@ def _row_space(J):
     return U[:, :r], sv[:r], Vt[:r].T, Vt[r:].T
 
 
-def _restore(q, target: CurveSamples, mode: str):
+def _restore(q, target: CurveSamples, mode: str, trial=True):
     """(q moved onto the fit's manifold, its constraint violation, its
-    _jacobi_E_nodes).
+    _jacobi_E_nodes, F there), or (q, max|c|, None, inf) for a trial
+    restored only to max|c| > 1e-10; DomainError if q is no segment.
 
     Free: the similarity block re-solved in closed form, which leaves
-    (k, s0, ell) and so the evaluation as they are.  Pinned: Gauss-Newton
-    on c over all seven parameters, each step -J^+ c from _row_space
-    capped at length 0.5, until max|c| <= 1e-12 or for 20 steps.  Each
-    iterate evaluates c alone at the end nodes, and builds J from that
-    evaluation only for a step it takes."""
+    (k, s0, ell) and so the evaluation as they are.  F is objective at the
+    fit's start and, for a trial, objective's sum on the alignment's basic
+    zeta values z, w e^(i phi) z + x0 + i y0.  Pinned: Gauss-Newton on c
+    over all seven parameters, each step -J^+ c from _row_space capped at
+    length 0.5, until max|c| <= 1e-12 or for 20 steps, or to the iterate
+    before a step that does not lower max|c| <= 1e-10 or, for a trial,
+    raises max|c| above its start.  Each iterate evaluates c alone at the
+    end nodes, and builds J from that evaluation only for a step it takes."""
     q = _project(q)
     if mode == "none":
         jacobi_E = _jacobi_E_nodes(q, target)
-        return (_project(_align_similarity(q, target, jacobi_E)), 0.0,
-                jacobi_E)
+        q, z = _align_similarity(q, target, jacobi_E)
+        q = _project(q)
+        p = ElasticaParams.from_array(q)
+        if not trial:
+            return q, 0.0, jacobi_E, objective(p, target, jacobi_E)
+        return q, 0.0, jacobi_E, _distance(
+            cmath.rect(q[3], q[4]) * z + complex(q[5], q[6]), target)
+    best, cviol = q, math.inf
     for step in range(21):
         ends = _jacobi_E_ends(q)
         c = _constraint_values(q, target, mode, ends)
-        if step == 20 or np.max(np.abs(c)) <= 1e-12:
+        now = float(np.max(np.abs(c)))
+        start = now if step == 0 else start
+        if (now >= cviol and cviol <= 1e-10) or (trial and now > start):
+            break
+        best, cviol = q, now
+        if step == 20 or cviol <= 1e-12:
             break
         U, sv, Y, _ = _row_space(_constraint_jacobian(
             q, mode, False, _segment_partials_arr(q, _ENDS, False, ends)))
         d = -Y @ ((U.T @ c) / sv)
         size = np.linalg.norm(d)
         q = _project(q + (d if size <= 0.5 else d * (0.5 / size)))
-    return q, float(np.max(np.abs(c))), _jacobi_E_nodes(q, target)
+    if trial and cviol > 1e-10:
+        return best, cviol, None, math.inf
+    jacobi_E = _jacobi_E_nodes(best, target)
+    return (best, cviol, jacobi_E,
+            objective(ElasticaParams.from_array(best), target, jacobi_E))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -359,8 +393,9 @@ def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
     _jacobi_E_nodes; one that overflows has infinite or NaN entries,
     without a warning.
 
-    Free: W = H and B = [I; -H_ll^-1 H_ln] over the similarity block l.  As
-    F is minimal over l at q, B^T g and B^T H B are the gradient and Hessian
+    Free: W = H and B = [I; -lift], lift = H_ll^-1 H_ln over the similarity
+    block l.  As F is minimal over l at q, B^T g = g_n - lift^T g_l and the
+    Schur complement B^T H B = H_nn - H_nl lift are the gradient and Hessian
     of (k, s0, ell) -> F(., l*(.)); grad_norm is ||g||, and there are no
     multipliers (0).  If H_ll is singular, B = [I; 0]: the model along a
     fixed l, which restoring the trial re-aligns.  Pinned: B = Z, the null
@@ -373,8 +408,9 @@ def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
             lift = np.linalg.solve(H[3:, 3:], H[3:, :3])
         except np.linalg.LinAlgError:
             lift = np.zeros((4, 3))
-        B = np.vstack([np.eye(3), -lift])
-        return (float(np.linalg.norm(g)), 0.0), B.T @ g, B.T @ H @ B, B
+        B = np.concatenate((_EYE3, -lift))
+        return ((math.sqrt(g @ g), 0.0), g[:3] - lift.T @ g[3:],
+                H[:3, :3] - H[:3, 3:] @ lift, B)
     # tau[0] = 0 and tau[-1] = 1 exactly, so these rows are the end nodes
     ends = [0, -1]
     J, Hc = _constraint_jacobian(
@@ -422,8 +458,7 @@ def fit(problem: FitProblem) -> FitResult:
     fit's manifold; each trial is restored onto it, so F alone judges it."""
     mode = problem.constraints
     init, target = _unit_problem(problem.init, problem.target)
-    p, cviol, jacobi_E = _restore(init.as_array(), target, mode)
-    f = objective(ElasticaParams.from_array(p), target, jacobi_E)
+    p, cviol, jacobi_E, f = _restore(init.as_array(), target, mode, False)
     (gnorm, lam), gr, A, B = _reduced_model(p, target, mode, jacobi_E)
     delta, it = 1.0, 0
     converged = False
@@ -445,10 +480,8 @@ def fit(problem: FitProblem) -> FitResult:
             break
         it += 1
         pred = -(gr @ y + 0.5 * y @ A @ y)
-        trial, cv, trial_E = _restore(p + B @ y, target, mode)
         try:
-            f_trial = objective(ElasticaParams.from_array(trial), target,
-                                trial_E) if cv <= 1e-10 else math.inf
+            trial, cv, trial_E, f_trial = _restore(p + B @ y, target, mode)
         except (DomainError, FloatingPointError, OverflowError):
             f_trial = math.inf
         rho = (f - f_trial) / pred if pred > 0 else 0.0

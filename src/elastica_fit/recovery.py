@@ -266,7 +266,8 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
     # the alignment keeps (k, s0, ell), so its evaluation also gives R4
     jacobi_E = _jacobi_E_nodes(q, unit)
     params = ElasticaParams.from_array(
-        _unit_map(_align_similarity(q, unit, jacobi_E), samples, inverse=True))
+        _unit_map(_align_similarity(q, unit, jacobi_E)[0], samples,
+                  inverse=True))
     return RecoveryReport(
         params=params, inflectional=inflectional, n_segments=n,
         u_increasing_at_start=increasing, R1=fit.R1, R2=fit.R2, R3=R3,

@@ -414,6 +414,32 @@ class TestTrustRegionStep:
                 if mu > 0:
                     assert np.linalg.norm(y) >= radius * (1 - 1e-3)
 
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_newton_step_from_the_arrays(self, n):
+        """A positive definite model whose Newton step fits the radius gets
+        that step, mu = 0, from the arrays; y and the decrement agree with
+        the secular-equation loop's Python sums, y = -V (c_i / lambda_i) and
+        1/2 sum c_i^2 / lambda_i with c = V^T b, to a few ulps, with
+        eigenvalues that span up to 12 decades."""
+        rng = np.random.default_rng(47 + n)
+        for scale in (1.0, 1e-6, 1e6):
+            for _ in range(30):
+                Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                lam = scale * 10.0 ** rng.uniform(-6.0, 6.0, n)
+                A = (Q * lam) @ Q.T
+                b = rng.normal(size=n)
+                lam, V = np.linalg.eigh(A)
+                c = (V.T @ b).tolist()
+                y_loop = -V @ np.array([ci / li for ci, li in zip(c, lam)])
+                decrement_loop = 0.5 * sum(ci * ci / li
+                                           for ci, li in zip(c, lam))
+                for radius in (np.linalg.norm(y_loop) * (1.0 + 1e-12), 1e300):
+                    y, mu, decrement = _shifted_step(A, b, radius)
+                    assert mu == 0.0
+                    np.testing.assert_array_max_ulp(y, y_loop, maxulp=4)
+                    assert decrement == pytest.approx(
+                        decrement_loop, rel=4 * n * np.finfo(float).eps)
+
     def test_shifted_step_zero_gradient(self):
         """b = 0: the zero step, unshifted when A is positive definite and
         at the first admissible shift max(0, -lambda_min) + 1e-12 when not."""
@@ -455,7 +481,7 @@ class TestTrustRegionStep:
         init, tgt = _unit_problem(dataclasses.replace(BASE, s0=0.0,
                                                       ell=1e-300),
                                   elastica_target(BASE, 64))
-        q, _, jacobi_E = _restore(init.as_array(), tgt, "none")
+        q, _, jacobi_E, _ = _restore(init.as_array(), tgt, "none")
         _, b, A, _ = _reduced_model(q, tgt, "none", jacobi_E)
         lam = np.linalg.eigvalsh(A)
         assert lam[0] < -1e296 and lam[-1] > 1e299
@@ -752,12 +778,12 @@ class TestReducedModel:
         for _ in range(5):
             tgt = elastica_target(random_params(rng), 256)
             p = random_params(rng).as_array()
-            p = _align_similarity(p, tgt, _jacobi_E_nodes(p, tgt))
+            p, _ = _align_similarity(p, tgt, _jacobi_E_nodes(p, tgt))
 
             def F(n):
                 q = p.copy()
                 q[:3] = n
-                q = _align_similarity(q, tgt, _jacobi_E_nodes(q, tgt))
+                q, _ = _align_similarity(q, tgt, _jacobi_E_nodes(q, tgt))
                 return objective(ElasticaParams.from_array(q), tgt)
 
             _, gr, A, _ = _reduced_model(p, tgt, "none",
@@ -778,7 +804,7 @@ class TestReducedModel:
         B = [I; 0], and the fit still reaches the target."""
         tgt = elastica_target(BASE, 64)
         init = dataclasses.replace(BASE, s0=0.0, ell=5e-324)
-        q, _, jacobi_E = _restore(init.as_array(), tgt, "none")
+        q, _, jacobi_E, _ = _restore(init.as_array(), tgt, "none")
         _, H = gradient_hessian(ElasticaParams.from_array(q), tgt, jacobi_E)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(H[3:, 3:], H[3:, :3])
@@ -825,17 +851,21 @@ class TestOneEvaluationPerPoint:
     def test_one_node_evaluation_per_restored_point(self, mode, monkeypatch):
         """Inside fit, sn, cn, dn and E are evaluated at the target's nodes
         once per restored point (the initial one and every trial) and
-        nowhere else: objective, gradient_hessian, the alignment and the
+        nowhere else: F, gradient_hessian, the alignment and the
         constraint rows read that evaluation.  Two evaluations share
         (k, s) only where the loop restores the same shape twice.  Outside
         _restore, a pinned fit evaluates once more, at the end nodes of the
-        mapped-back result."""
+        mapped-back result.  _restore returns F with the point: a free fit
+        calls objective on its start alone and takes a trial's F from the
+        alignment, a pinned fit calls objective once per restored point.
+        A trial restored only to max|c| > 1e-10 is evaluated nowhere."""
         from elastica_fit.recovery import initial_guess
         cur = load_curve(os.path.join(CORPUS_DIR, "s_curve.json"))
         tgt = sample(cur, 256)
         rep = initial_guess(tgt)
         full, shapes, outside, inside = [], [], [], []
         ends, zeta_ends, steps, angles = [], [], [], []
+        objectives = []
         real_blocks = elastica._zeta_blocks
 
         def counted(s, k):
@@ -861,13 +891,21 @@ class TestOneEvaluationPerPoint:
                 steps.append(True)
             return _row_space(J)
 
-        def restore(q, target, mode):
+        def counted_objective(*args):
+            # inside holds the trial flag of the _restore call running
+            objectives.append(inside[-1] if inside else None)
+            return objective(*args)
+
+        def restore(q, target, mode, trial=True):
             before = len(full)
-            inside.append(True)
-            out = _restore(q, target, mode)
+            inside.append(trial)
+            out = _restore(q, target, mode, trial)
             inside.pop()
-            assert len(full) == before + 1
-            shapes.append(out[0][:3].tobytes())
+            evaluated = out[2] is not None
+            assert evaluated == (not trial or out[1] <= 1e-10)
+            assert len(full) == before + evaluated and len(out) == 4
+            if evaluated:
+                shapes.append(out[0][:3].tobytes())
             return out
 
         for mod in (fitting, elastica):
@@ -876,9 +914,12 @@ class TestOneEvaluationPerPoint:
         monkeypatch.setattr(fitting, "_row_space", row_space)
         monkeypatch.setattr(fitting, "_angle_partials", angle_partials)
         monkeypatch.setattr(fitting, "_restore", restore)
+        monkeypatch.setattr(fitting, "objective", counted_objective)
         res = fit(FitProblem(target=tgt, init=rep.params, constraints=mode))
         assert res.converged and res.iterations >= 3
         assert len(full) == len(shapes) > 3
+        trials = [True] * (len(shapes) - 1)
+        assert objectives == [False] + ([] if mode == "none" else trials)
         assert len(set(full)) == len(set(shapes))
         assert outside == ([] if mode == "none" else [2])
         # Gauss-Newton: one 2-node evaluation per iterate, and first-order
@@ -890,6 +931,26 @@ class TestOneEvaluationPerPoint:
         assert len(steps) > 0 if pinned else not steps
         assert angles.count((True, False)) == len(steps)
         assert set(angles) <= {(True, False), (False, True)}
+
+    def test_free_restore_f_is_objective(self):
+        """The free _restore's F, formed from the alignment's basic zeta
+        values, is objective at the restored point to the last bit: from
+        random points against exact and corpus targets, k on both sides of
+        1, and with w clamped to 1e-9 by the projection."""
+        rng = np.random.default_rng(43)
+        targets = [_unit_problem(BASE, sample(load_curve(os.path.join(
+            CORPUS_DIR, name + ".json")), 256))[1] for name in CORPUS_NAMES]
+        targets += [_unit_problem(BASE, elastica_target(random_params(rng)))[1]
+                    for _ in range(8)]
+        for tgt in targets:
+            for far in (False, True):
+                q = random_params(rng).as_array()
+                if far:
+                    q[2] *= 1e12    # aligned w < 1e-9, which _project clamps
+                q, _, jacobi_E, f = _restore(q, tgt, "none")
+                assert (q[3] == 1e-9) == far
+                p = ElasticaParams.from_array(q)
+                assert f == objective(p, tgt, jacobi_E) == objective(p, tgt)
 
 
 class TestFitOnManifold:
@@ -951,24 +1012,55 @@ class TestFitOnManifold:
 
     def test_ell_zero_trial_is_rejected(self, monkeypatch):
         """A trial with ell == 0 (a step that cancels ell exactly) is not a
-        valid ElasticaParams; the loop turns it down like a non-finite
-        objective and goes on, so _project needs no ell clamp."""
+        valid ElasticaParams, so _restore raises DomainError for it; the
+        loop turns it down like a non-finite objective and goes on, so
+        _project needs no ell clamp."""
         rng = np.random.default_rng(41)
         tgt = elastica_target(BASE, 256)
-        restored = []
+        inputs = []
         real = fitting._restore
 
-        def restore(q, target, mode):
-            q, cv, jacobi_E = real(q, target, mode)
-            if len(restored) == 1:
+        def restore(q, target, mode, trial=True):
+            if len(inputs) == 1:
+                q = q.copy()
                 q[2] = 0.0
-            restored.append(q)
-            return q, cv, jacobi_E
+            inputs.append((q, target))
+            return real(q, target, mode, trial)
 
         monkeypatch.setattr(fitting, "_restore", restore)
         res = fit(FitProblem(target=tgt, init=perturbed(BASE, rng)))
-        assert restored[1][2] == 0.0 and len(restored) > 2
+        q, unit = inputs[1]
+        assert q[2] == 0.0 and len(inputs) > 2
+        with pytest.raises(DomainError):
+            real(q, unit, "none")
         assert res.converged and res.objective <= 1e-10
+
+    @pytest.mark.parametrize("name, mode, init", [
+        ("deep_arc", "endpoints", ElasticaParams(
+            k=0.59, s0=6.22, ell=2.14, w=1.35, phi=1.73, x0=1.82, y0=-4.35)),
+        ("shallow_arc", "endpoints+tangents", ElasticaParams(
+            k=0.23, s0=2.48, ell=0.73, w=3.02, phi=0.2, x0=-7.33, y0=-3.43))])
+    def test_start_restored_past_a_rising_step(self, name, mode, init,
+                                               monkeypatch):
+        """Gauss-Newton lowers ||c||_2, not max|c|: from these guesses the
+        first step of the start's restoration raises max|c| above its
+        start (0.13 -> 0.40 and 0.62 -> 0.64), and later steps bring it
+        below 1e-10.  Only a trial's restoration stops at such a step,
+        where stopping just rejects the trial; the start's goes on, and the
+        fit converges."""
+        real = fitting._constraint_values
+        seen = []
+
+        def constraint_values(*args):
+            c = real(*args)
+            seen.append(float(np.max(np.abs(c))))
+            return c
+
+        monkeypatch.setattr(fitting, "_constraint_values", constraint_values)
+        tgt = sample(load_curve(os.path.join(CORPUS_DIR, name + ".json")), 256)
+        res = fit(FitProblem(target=tgt, init=init, constraints=mode))
+        assert seen[1] > seen[0]
+        assert res.converged and res.constraint_violation <= 1e-10
 
     def test_unrestorable_guess_returns_unconverged(self, monkeypatch):
         """If Gauss-Newton cannot meet the constraints from the guess, fit
@@ -998,9 +1090,9 @@ class TestFitOnManifold:
         inputs, steps = [], []
         real = fitting._restore
 
-        def restore(q, target, mode):
+        def restore(q, target, mode, trial=True):
             inputs.append(q.tobytes())
-            return real(q, target, mode)
+            return real(q, target, mode, trial)
 
         def shifted_step(A, b, radius):
             y, mu, decrement = _shifted_step(A, b, radius)

@@ -480,7 +480,7 @@ def test_guess_similarity_is_aligned(monkeypatch):
         aligned += 1
         assert rep.R4 == residual_r4(rep.params, smp)
         q = rep.params.as_array()
-        a = _align_similarity(q, smp, _jacobi_E_nodes(q, smp))
+        a, _ = _align_similarity(q, smp, _jacobi_E_nodes(q, smp))
         assert np.array_equal(a[:3], q[:3])
         assert abs(a[3] - q[3]) <= 1e-12 * q[3]
         assert abs((a[4] - q[4] + math.pi) % (2 * math.pi) - math.pi) <= 1e-12

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from elastica_fit import fitting
 from elastica_fit.curve import BezierChain, Polyline, load_curve, sample
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
 from elastica_fit.errors import DomainError
@@ -192,6 +193,36 @@ def test_scaled_polyline_leaves_converge():
                        "endpoints+tangents", 256, 200)
     assert all(s.converged for s in pw.segments), [
         (s.params.k, s.iterations, s.message) for s in pw.segments]
+
+
+def test_scaled_polyline_restorations_stop(monkeypatch):
+    """Gauss-Newton restoration ends at the iterate before a step that,
+    once max|c| <= 1e-10, does not lower it, and a trial's before a step
+    that raises max|c| above its start.  Near k = 1 the pw_scaled leaf's
+    constraints cannot reach the 1e-12 target, so 20 steps there would be
+    spent at its rounding floor: at most 4 restorations run all 20 steps,
+    and the run makes at most 7 constraint evaluations per restoration."""
+    evaluations, per_restore = [], []
+    real_values, real_restore = fitting._constraint_values, fitting._restore
+
+    def constraint_values(*args):
+        evaluations.append(1)
+        return real_values(*args)
+
+    def restore(*args):
+        before = len(evaluations)
+        out = real_restore(*args)
+        per_restore.append(len(evaluations) - before)
+        return out
+
+    monkeypatch.setattr(fitting, "_constraint_values", constraint_values)
+    monkeypatch.setattr(fitting, "_restore", restore)
+    pw = fit_piecewise(Polyline(SCALED_POLYLINE), 1e-3, 3,
+                       "endpoints+tangents", 256, 200)
+    assert all(s.converged for s in pw.segments)
+    assert per_restore.count(21) <= 4, per_restore
+    assert len(evaluations) <= 7 * len(per_restore), (
+        len(evaluations), len(per_restore))
 
 
 def test_scaled_loop_same_leaves():

@@ -1,0 +1,77 @@
+"""Untraced cost of one fit iteration, at several node counts.
+
+    PYTHONPATH=src python tools/iteration_cost.py [--quick]
+
+For 64, 256 and 1024 samples (65, 257 and 1025 nodes) it samples the 12
+corpus curves as given, takes their initial guesses, and times each free
+fit(max_iter=600) 20 times; then one endpoints+tangents fit (loop_wide at
+256 samples).  A fit's time is the minimum of its 20 runs, the one least
+disturbed by other load on the machine, and a line's cost per iteration is
+the sum of those minima over its total iterations, so the per-fit setup is
+spread over the iterations.  The process is pinned to one CPU and BLAS to
+one thread, as in perfbench.  --quick runs 64 and 256 samples with 3
+repeats, as a smoke test.
+"""
+
+import argparse
+import os
+import sys
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from elastica_fit.curve import load_curve, sample  # noqa: E402
+from elastica_fit.fitting import FitProblem, fit  # noqa: E402
+from elastica_fit.recovery import initial_guess  # noqa: E402
+
+CORPUS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          os.pardir, "corpus")
+NAMES = sorted(os.path.splitext(f)[0] for f in os.listdir(CORPUS_DIR))
+
+
+def min_time(problem, repeats):
+    """(the fastest of repeats runs of fit(problem) in s, its result)."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        res = fit(problem)
+        best = min(best, time.perf_counter() - t0)
+    return best, res
+
+
+def fits(names, samples, mode, repeats):
+    """(summed minimum fit time in s, total iterations) over names."""
+    total, iterations = 0.0, 0
+    for name in names:
+        tgt = sample(load_curve(os.path.join(CORPUS_DIR, name + ".json")),
+                     samples)
+        problem = FitProblem(target=tgt, init=initial_guess(tgt).params,
+                             constraints=mode, max_iter=600)
+        s, res = min_time(problem, repeats)
+        if not res.converged:
+            sys.exit(f"{name} {mode} at {samples} samples: {res.message}")
+        total += s
+        iterations += res.iterations
+    return total, iterations
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--quick", action="store_true")
+    args = ap.parse_args(argv)
+    sizes, repeats = ((64, 256), 3) if args.quick else ((64, 256, 1024), 20)
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    rows = [(f"free, {n + 1} nodes, corpus", fits(NAMES, n, "none", repeats))
+            for n in sizes]
+    rows.append(("endpoints+tangents, 257 nodes, loop_wide",
+                 fits(["loop_wide"], 256, "endpoints+tangents", repeats)))
+    print(f"minimum of {repeats} runs per fit")
+    for label, (s, it) in rows:
+        print(f"{label}: {it} iterations, {1e3 * s:.2f} ms, "
+              f"{1e6 * s / it:.1f} us per iteration")
+
+
+if __name__ == "__main__":
+    main()
