@@ -37,8 +37,8 @@ class CurveSamples:
     The node count is odd (even number of intervals) so composite Simpson
     applies directly.  theta is unwrapped; s is nondecreasing with s[-1] = L.
     The arrays a fit reads at every iteration, the integration weights, the
-    normalized arclength tau = s / L and the complex points x + iy, are
-    cached properties: computed once per sample set.
+    normalized arclength tau = s / L, the complex points x + iy and their
+    centring, are cached properties: computed once per sample set.
     """
 
     t: np.ndarray
@@ -86,6 +86,17 @@ class CurveSamples:
         z = np.ascontiguousarray(self.points, dtype=float).view(complex)[:, 0]
         z.flags.writeable = False
         return z
+
+    @cached_property
+    def centring(self) -> tuple:
+        """(W, xbar, x - xbar) for the similarity alignment: the weights'
+        sum, the weighted mean of the complex points x (0 unless W > 0) and
+        x centred on it.  Kept and read-only, as weights."""
+        tot, x = float(self.weights.sum()), self.complex_points
+        xbar = complex(self.weights @ x) / tot if tot > 0 else 0j
+        xc = x - xbar
+        xc.flags.writeable = False
+        return tot, xbar, xc
 
     def reversed(self) -> "CurveSamples":
         """Samples of the same curve traversed in the opposite direction."""

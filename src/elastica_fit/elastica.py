@@ -10,9 +10,12 @@ it, one complex multiply-add:
 The kernels keep points and vectors complex, so a quarter turn is a
 multiply by i; the public functions return float (..., 2) pairs.  Only
 this module differentiates the elastica: the partials in s and k of zeta
-(_zeta_blocks) and of its tangent angle theta (_angle_partials); zeta_ss
-and zeta_sk are i theta_s zeta_s and i theta_k zeta_s.  The second
-k-derivative divides by k; _zeta_blocks alone rejects k < K_MIN for it.
+(_zeta_blocks) and of its tangent angle theta (_angle_partials).  As
+|zeta_s| = 1, zeta_ss, zeta_sk and zeta_kk are zeta_s times i theta_s,
+i theta_k and T + iN, with k'^2 = 1 - k^2 and G = E - k'^2 s:
+    T = (2 / k'^4) [(1 + k^2) sn (cn dn + E sn) - 2 E + k'^2 s cn^2],
+    N = (2 / (k k'^4)) [cn (G^2 - k^4 sn^2) - k'^2 sn dn (E - s)].
+N divides by k; _zeta_blocks alone rejects k < K_MIN for zeta_kk.
 Second partials in the seven parameters (k, s0, ell, w, phi, x0, y0) come
 from one table (_SECOND_PARTIALS), contracted with vectors at the nodes
 (_second_partials_dot); only the one-node oracle segment_partials
@@ -132,8 +135,9 @@ def _zeta_blocks(s, k, second, jacobi_E=None):
     complex (n, 6), as float (n, 6, 2): value, d/ds, d2/ds2, d/dk, d2/dsdk,
     d2/dk2, and the (sn, cn, dn, E) they came from: jacobi_E, the (4, n)
     _jacobi_E_arr(s, k), if the caller has it.  The second-derivative
-    blocks are left zero unless second.  d2/dk2 divides by k, so second
-    raises DomainError for k < K_MIN: the one check of that domain."""
+    blocks, d/ds times i theta_s, i theta_k (as in _angle_partials) and
+    T + iN, are left zero unless second.  N divides by k, so second raises
+    DomainError for k < K_MIN: the one check of that domain."""
     if second and k < K_MIN:
         raise DomainError(
             f"second k-derivative undefined for k < {K_MIN} (got {k})")
@@ -152,21 +156,14 @@ def _zeta_blocks(s, k, second, jacobi_E=None):
     np.multiply(2.0 / kp2, kp2 + C * (k2 - DD) - SD * G, out=v[:, 7])
     if not second:
         return out, jacobi_E
-    # the tangent zeta_s turns at rate theta_s = 2k cn along s and
-    # theta_k = (2 / k'^2)(sn dn - cn G) along k, as in _angle_partials
     np.multiply(1j * ((2.0 * k) * C), out[:, 1], out=out[:, 2])
     np.multiply(1j * ((2.0 / kp2) * (SD - C * G)), out[:, 1], out=out[:, 4])
-    ss = s * s
-    a0 = (2.0 * SD * C) * (DD - k2 * E * E + kp2 * (k2 * ss - Es * Es - 0.5))
-    a1 = (1.0 / k) * ((1.0 - 2.0 * k2 * SS) * Es * (2.0 * k2 * s + Es) * C
-                      - SD * G * (4.0 * k2 * CC + kp2))
-    b0 = (Es * (CC + DD - 4.0 * CC * DD)
-          + (2.0 * k2) * s * (2.0 * SS - 1.0) * DD - s * kp2)
-    b1 = k * (C * (k2 * ss + SS * (2.0 + k2 - (2.0 * k2 * k2) * ss
-                                   - (2.0 * k2) * SS))
-              - kp2 * s * SD)
-    np.multiply(2.0 / (kp2 * kp2), a0 + b0, out=v[:, 10])
-    np.multiply(2.0 / (kp2 * kp2), a1 + b1, out=v[:, 11])
+    np.multiply(2.0 / (kp2 * kp2),
+                (1.0 + k2) * S * (C * D + E * S) - 2.0 * E + (kp2 * s) * CC,
+                out=v[:, 10])
+    np.multiply(2.0 / (k * kp2 * kp2),
+                C * (G * G - (k2 * k2) * SS) - kp2 * SD * Es, out=v[:, 11])
+    out[:, 5] *= out[:, 1]
     return out, jacobi_E
 
 

@@ -48,8 +48,8 @@ unit vectors 1 and i at t = 0, 1 gives the position constraints' Hessians
 in W, and the tangent rows read the same table's (k, s0, ell) rows against
 elastica._angle_partials.  Every integral over the target is a dot product
 with its Simpson weights (CurveSamples.weights); its normalized arclengths
-tau and its complex points are CurveSamples.tau and .complex_points, all
-three computed once per sample set.
+tau, complex points and their centring are CurveSamples.tau,
+.complex_points and .centring, all computed once per sample set.
 """
 
 import cmath
@@ -308,22 +308,22 @@ def _align_similarity(pvec, target: CurveSamples, jacobi_E):
     similarity Procrustes, from pvec's _jacobi_E_nodes; never increases
     the objective.  The free fit's restoration and recovery.initial_guess
     both take their similarity from it: with z the basic zeta values and x
-    the target's points, complex and centred by their weighted means,
-    w e^(i phi) = m = sum omega conj(z) x / sum omega |z|^2 and
-    x0 + i y0 = xbar - m zbar.  Returns (the aligned pvec, z)."""
-    wts, x = target.weights, target.complex_points
+    the target's points, complex and centred by their weighted means (x's
+    is CurveSamples.centring), w e^(i phi) = m = sum omega conj(z) x /
+    sum omega |z|^2 and x0 + i y0 = xbar - m zbar.  Returns (the aligned
+    pvec, z)."""
+    wts = target.weights
+    tot, xbar, xc = target.centring
     z = _basic_zeta(pvec, target.tau, jacobi_E)
-    tot = float(wts.sum())
     if tot <= 0:
         return pvec, z
     zbar = complex(wts @ z) / tot
-    xbar = complex(wts @ x) / tot
     zc = z - zbar
     wzc = wts * zc.conj()
     denom = float((wzc @ zc).real)
     if denom <= 0:
         return pvec, z
-    m = complex(wzc @ (x - xbar)) / denom
+    m = complex(wzc @ xc) / denom
     if m == 0:
         return pvec, z
     c = xbar - m * zbar

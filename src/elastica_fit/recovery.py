@@ -71,7 +71,9 @@ class RecoveryReport:
 
 def affine_curvature_fit(samples: CurveSamples) -> AffineCurvatureFit:
     """Solve the 3x3 normal equations for (lambda1, lambda2, alpha), then the
-    mean-defect formula for beta, with the normalized residuals R1 and R2."""
+    mean-defect formula for beta, with the normalized residuals R1 and R2.
+    It expects samples of about unit length, as initial_guess passes: its
+    moment matrix holds lengths cubed, which overflow or vanish far from 1."""
     x = samples.points[:, 0]
     y = samples.points[:, 1]
     kap = samples.kappa

@@ -17,7 +17,7 @@ from elastica_fit.curve import (
 )
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
 from elastica_fit.errors import DegenerateInputError, DomainError
-from elastica_fit.fitting import FitProblem, fit, residual_r4
+from elastica_fit.fitting import FitProblem, _unit_target, fit, residual_r4
 from elastica_fit.recovery import initial_guess
 
 # 4-piece cubic Bezier approximation of the unit circle (tangent-matching
@@ -257,6 +257,30 @@ def test_weights_are_kept_read_only_and_follow_the_samples():
     doubled = dataclasses.replace(smp, speeds=2.0 * smp.speeds)
     assert doubled.weights is not w
     assert np.array_equal(doubled.weights, 2.0 * w)
+
+
+def test_centring_is_kept_read_only_and_follows_the_samples():
+    """centring is computed once per sample set and cannot be written, and
+    it is sum omega, xbar and x - xbar recomputed bit for bit; a set made by
+    dataclasses.replace, as fitting's unit target is, gets its own."""
+    smp = sample(BezierChain([[[0, 0], [1, 2], [3, -1], [4, 1]]]), 64)
+    for samples in (smp, _unit_target(smp)):
+        centring = samples.centring
+        tot, xbar, xc = centring
+        assert samples.centring is centring
+        assert not xc.flags.writeable
+        with pytest.raises(ValueError):
+            xc[0] = 1.0
+        w, x = samples.weights, samples.complex_points
+        assert tot == float(w.sum())
+        assert xbar == complex(w @ x) / tot
+        assert np.array_equal(xc, x - xbar)
+    unit = _unit_target(smp)
+    assert unit.centring[2] is not smp.centring[2]
+    assert unit.centring[1] != smp.centring[1]
+    still = dataclasses.replace(smp, speeds=0.0 * smp.speeds)
+    assert still.centring[:2] == (0.0, 0j)
+    assert np.array_equal(still.centring[2], smp.complex_points)
 
 
 def _bernstein_reference(pieces, t):

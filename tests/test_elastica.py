@@ -1,7 +1,8 @@
 """Tests for elastica evaluation and its derivative blocks.
 
 Oracles: RK4 integration of the pendulum system, central finite
-differences for every analytic derivative, and mpmath derivatives near
+differences for every analytic derivative, and mpmath derivatives of the
+zeta k-blocks on the regular chart and, with the tangent angle's, near
 k = 1.
 """
 
@@ -34,6 +35,7 @@ from elastica_fit.elliptic import (
     quarter_period,
 )
 from elastica_fit.errors import DomainError
+from test_elliptic import _mp_jacobi_E
 
 
 def rk4_pendulum_curve(s_end, k, h=1e-4):
@@ -319,9 +321,9 @@ NEAR_ONE_MISSES = {
     ("zeta_k", 1 + 1e-6): 1.6e-9, ("zeta_k", 1 - 1e-8): 2.1e-7,
     ("zeta_k", 1 + 1e-8): 1.9e-7,
     ("zeta_sk", 1 - 1e-8): 1.3e-8, ("zeta_sk", 1 + 1e-8): 2.0e-8,
-    ("zeta_kk", 1 - 1e-4): 1.3e-7, ("zeta_kk", 1 + 1e-4): 1.7e-7,
-    ("zeta_kk", 1 - 1e-6): 5.1e-4, ("zeta_kk", 1 + 1e-6): 2.7e-4,
-    ("zeta_kk", 1 - 1e-8): 31.0, ("zeta_kk", 1 + 1e-8): 55.0,
+    ("zeta_kk", 1 - 1e-4): 3.0e-8, ("zeta_kk", 1 + 1e-4): 2.5e-7,
+    ("zeta_kk", 1 - 1e-6): 5.1e-4, ("zeta_kk", 1 + 1e-6): 3.3e-3,
+    ("zeta_kk", 1 - 1e-8): 20.0, ("zeta_kk", 1 + 1e-8): 39.0,
     ("theta_k", 1 - 1e-8): 1.3e-8, ("theta_k", 1 + 1e-8): 2.0e-8,
     ("theta_sk", 1 - 1e-8): 9.3e-9, ("theta_sk", 1 + 1e-8): 8.4e-9,
     ("theta_kk", 1 - 1e-4): 3.6e-6, ("theta_kk", 1 + 1e-4): 6.4e-6,
@@ -331,11 +333,11 @@ NEAR_ONE_MISSES = {
 
 
 def _mp_zeta(u, k):
-    """zeta_k(u) with E(u) = E(am u | m), am u = asin sn u, and cn from sn:
-    NEAR_ONE_S lie before the first maximum of sn."""
-    sn = mp.re(mp.ellipfun("sn", u, m=k * k))
-    return mp.mpc(2 * mp.ellipe(mp.asin(sn), k * k) - u,
-                  2 * k * (1 - mp.sqrt(1 - sn * sn)))
+    """(zeta_k(u), zeta_s(u)) in mpmath, at any u and, by the A&S 16.11
+    transfer of test_elliptic's _mp_jacobi_E, for k > 1."""
+    sn, cn, dn, e = _mp_jacobi_E(u, k)
+    return mp.mpc(2 * e - u, 2 * k * (1 - cn)), mp.mpc(2 * dn * dn - 1,
+                                                        2 * k * sn * dn)
 
 
 def _mp_theta(u, k):
@@ -352,7 +354,7 @@ def _near_one_reference(k):
     with mp.workdps(40):
         kk = mp.mpf(k)
         for name, f, f_sk in (
-                ("zeta", _mp_zeta,
+                ("zeta", lambda u, x: _mp_zeta(u, x)[0],
                  lambda u: mp.diff(lambda x: mp.expj(_mp_theta(u, x)), kk)),
                 ("theta", _mp_theta,
                  lambda u: mp.diff(_mp_theta, (u, kk), (1, 1)))):
@@ -382,3 +384,27 @@ def test_k_blocks_near_one_mpmath(block, k):
         got = _angle_partials(s, k, _jacobi_E_arr(s, k))[:, column]
     ref = _near_one_reference(k)[block]
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= NEAR_ONE_RTOL
+
+
+#: moduli of the regular-chart check of the zeta k-blocks, on both sides
+#: of 1, and its arclengths as multiples of the quarter period K: both
+#: signs, spanning 7.2 K, more than the period 4 K of cn
+REGULAR_K = (1e-4, 0.05, 0.3, 0.68, 0.95, 1.05, 1.5, 3.0, 9.0)
+REGULAR_S_OVER_K = (-2.6, -1.3, -0.4, 0.25, 0.9, 1.7, 3.1, 4.6)
+
+
+@pytest.mark.parametrize("k", REGULAR_K)
+def test_zeta_k_blocks_regular_chart_mpmath(k):
+    """zeta_k, zeta_sk and zeta_kk of _zeta_blocks against mpmath's
+    derivatives in k at 40 digits, away from k = 1: to 1e-12 of each
+    block's largest value over the arclengths, 1e-10 at k = 1e-4, where
+    zeta_kk divides by k."""
+    s = quarter_period(k) * np.array(REGULAR_S_OVER_K)
+    got = _zeta_blocks(s, k, True)[0][:, 3:]
+    with mp.workdps(40):
+        kk = mp.mpf(k)
+        ref = np.array([[complex(mp.diff(
+            lambda x: _mp_zeta(u, x)[i], kk, n))
+            for i, n in ((0, 1), (1, 1), (0, 2))] for u in map(mp.mpf, s)])
+    err = np.max(np.abs(got - ref), axis=0) / np.max(np.abs(ref), axis=0)
+    assert np.all(err <= (1e-10 if k < 1e-3 else 1e-12)), err

@@ -8,21 +8,41 @@ fit(max_iter=600) 20 times; then one endpoints+tangents fit (loop_wide at
 256 samples).  A fit's time is the minimum of its 20 runs, the one least
 disturbed by other load on the machine, and a line's cost per iteration is
 the sum of those minima over its total iterations, so the per-fit setup is
-spread over the iterations.  The process is pinned to one CPU and BLAS to
-one thread, as in perfbench.  --quick runs 64 and 256 samples with 3
-repeats, as a smoke test.
+spread over the iterations.  Then, at shallow_s's converged free fit at
+256 samples (257 nodes, on the unit problem that fit solves), the kernels
+of an iteration (a fit runs the first-order _zeta_blocks only at the two
+end nodes, in pinned restoration): each time is per call, the minimum
+over the repeats of 1000 calls; _shifted_step takes the model there and
+radius 1, the Newton step.  The process is pinned to one CPU and BLAS to
+one thread, as in perfbench.
+--quick runs 64 and 256 samples with 3 repeats, as a smoke test.
 """
 
 import argparse
 import os
 import sys
 import time
+import timeit
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from elastica_fit.curve import load_curve, sample  # noqa: E402
-from elastica_fit.fitting import FitProblem, fit  # noqa: E402
+from elastica_fit.elastica import (  # noqa: E402
+    _second_partials_dot,
+    _segment_eval_arr,
+    _zeta_blocks,
+)
+from elastica_fit.elliptic import _jacobi_E_arr  # noqa: E402
+from elastica_fit.fitting import (  # noqa: E402
+    FitProblem,
+    _align_similarity,
+    _jacobi_E_nodes,
+    _reduced_model,
+    _shifted_step,
+    _unit_problem,
+    fit,
+)
 from elastica_fit.recovery import initial_guess  # noqa: E402
 
 CORPUS_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -56,6 +76,36 @@ def fits(names, samples, mode, repeats):
     return total, iterations
 
 
+def kernels(repeats):
+    """[(kernel, its time per call in s)] at shallow_s's converged free fit
+    at 256 samples, each the minimum over repeats of 1000 calls."""
+    tgt = sample(load_curve(os.path.join(CORPUS_DIR, "shallow_s.json")), 256)
+    res = fit(FitProblem(target=tgt, init=initial_guess(tgt).params))
+    if not res.converged:
+        sys.exit(f"shallow_s at 256 samples: {res.message}")
+    p, unit = _unit_problem(res.params, tgt)
+    q, tau = p.as_array(), unit.tau
+    s, jacobi_E = q[1] + q[2] * tau, _jacobi_E_nodes(q, unit)
+    blocks, _ = _zeta_blocks(s, q[0], True, jacobi_E)
+    v = unit.weights * (_segment_eval_arr(q, tau, jacobi_E)
+                        - unit.complex_points)
+    _, b, A, _ = _reduced_model(q, unit, "none", jacobi_E)
+    calls = {
+        "_jacobi_E_arr": lambda: _jacobi_E_arr(s, q[0]),
+        "_zeta_blocks, first order": lambda: _zeta_blocks(
+            s, q[0], False, jacobi_E),
+        "_zeta_blocks, second order": lambda: _zeta_blocks(
+            s, q[0], True, jacobi_E),
+        "_second_partials_dot": lambda: _second_partials_dot(
+            v, tau, blocks, p.w, p.phi),
+        "_align_similarity": lambda: _align_similarity(q, unit, jacobi_E),
+        "_shifted_step": lambda: _shifted_step(A, b, 1.0),
+        "_reduced_model": lambda: _reduced_model(q, unit, "none", jacobi_E),
+    }
+    return [(name, min(timeit.repeat(f, number=1000, repeat=repeats)) / 1000)
+            for name, f in calls.items()]
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true")
@@ -71,6 +121,10 @@ def main(argv=None):
     for label, (s, it) in rows:
         print(f"{label}: {it} iterations, {1e3 * s:.2f} ms, "
               f"{1e6 * s / it:.1f} us per iteration")
+    print(f"kernels at 257 nodes, shallow_s converged, minimum of {repeats} "
+          "x 1000 calls")
+    for name, s in kernels(repeats):
+        print(f"{name}: {1e6 * s:.1f} us")
 
 
 if __name__ == "__main__":
