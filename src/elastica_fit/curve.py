@@ -18,7 +18,7 @@ Curve JSON schema (consumed by the CLI):
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -38,7 +38,8 @@ class CurveSamples:
     applies directly.  theta is unwrapped; s is nondecreasing with s[-1] = L.
     The arrays a fit reads at every iteration, the integration weights, the
     normalized arclength tau = s / L, the complex points x + iy and their
-    centring, are cached properties: computed once per sample set.
+    centring, and the set's unit-length copy unit, are cached properties:
+    computed once per sample set.
     """
 
     t: np.ndarray
@@ -97,6 +98,19 @@ class CurveSamples:
         xc = x - xbar
         xc.flags.writeable = False
         return tot, xbar, xc
+
+    @cached_property
+    def unit(self) -> "CurveSamples":
+        """The samples moved to start at 0 and scaled to length 1, which fit,
+        initial_guess and residual_r4 solve on.  Kept and read-only, as
+        weights; its t and theta are views of this set's."""
+        L, o = self.length, self.points[0]
+        unit = replace(self, t=self.t.view(), points=(self.points - o) / L,
+                       s=self.s / L, speeds=self.speeds / L,
+                       theta=self.theta.view(), kappa=self.kappa * L)
+        for f in fields(unit):
+            getattr(unit, f.name).flags.writeable = False
+        return unit
 
     def reversed(self) -> "CurveSamples":
         """Samples of the same curve traversed in the opposite direction."""

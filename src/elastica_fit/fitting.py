@@ -35,8 +35,8 @@ _restore and the mapped-back result evaluate at the two end nodes on their
 own (_jacobi_E_ends), for c alone: the _end_pose that segmentation's join
 gaps read too, minus the target's (_constraint_values, the one place c is
 computed).  J is built from that evaluation only for a step that is taken.
-A free trial's F is objective's sum on the basic zeta values that the
-alignment formed, so objective evaluates only the start of a free fit.
+Every restored point's F is objective on the basic zeta values that
+_restore formed from that evaluation, so objective evaluates nothing then.
 
 Points, residuals and partials are complex x + iy, as in elastica, and
 the free alignment is one complex weighted ratio.  fitting states no
@@ -48,13 +48,14 @@ unit vectors 1 and i at t = 0, 1 gives the position constraints' Hessians
 in W, and the tangent rows read the same table's (k, s0, ell) rows against
 elastica._angle_partials.  Every integral over the target is a dot product
 with its Simpson weights (CurveSamples.weights); its normalized arclengths
-tau, complex points and their centring are CurveSamples.tau,
-.complex_points and .centring, all computed once per sample set.
+tau, complex points and their centring, and its unit-length copy, are
+CurveSamples.tau, .complex_points, .centring and .unit, all computed once
+per sample set.
 """
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,26 +129,24 @@ def _jacobi_E_nodes(pvec, target: CurveSamples) -> np.ndarray:
     return _jacobi_E_arr(pvec[1] + pvec[2] * target.tau, pvec[0])
 
 
-def objective(p: ElasticaParams, target: CurveSamples,
-              _jacobi_E=None) -> float:
-    """F(p): half the squared L2 distance to the target, arclength-matched.
-    fit and initial_guess pass p's _jacobi_E_nodes as _jacobi_E."""
-    return _distance(_segment_eval_arr(p.as_array(), target.tau, _jacobi_E),
-                     target)
-
-
-def _distance(y, target: CurveSamples) -> float:
-    """F from the segment's points y (n,) at the target's nodes."""
-    d = y - target.complex_points
+def objective(p: ElasticaParams, target: CurveSamples, _zeta=None) -> float:
+    """F(p): half the squared L2 distance to the target, arclength-matched,
+    from the segment's points w e^(i phi) zeta + x0 + i y0 at the target's
+    nodes.  fit's _restore and initial_guess pass the basic zeta values
+    (elastica._basic_zeta) that they formed there as _zeta."""
+    if _zeta is None:
+        _zeta = _basic_zeta(p.as_array(), target.tau)
+    d = (cmath.rect(p.w, p.phi) * _zeta + complex(p.x0, p.y0)
+         - target.complex_points)
     return float(np.dot(0.5 * (d.real ** 2 + d.imag ** 2), target.weights))
 
 
-def residual_r4(p: ElasticaParams, target: CurveSamples,
-                _jacobi_E=None) -> float:
-    """Normalized L2 distance sqrt(2 F(p) / L^3), at any scale: evaluated
-    on the _unit_problem, where L = 1.  initial_guess passes _jacobi_E."""
+def residual_r4(p: ElasticaParams, target: CurveSamples, _zeta=None) -> float:
+    """Normalized L2 distance sqrt(2 F(p) / L^3), at any scale: objective
+    on the _unit_problem, where L = 1.  initial_guess passes the _zeta its
+    alignment formed."""
     return math.sqrt(max(
-        2.0 * objective(*_unit_problem(p, target), _jacobi_E), 0.0))
+        2.0 * objective(*_unit_problem(p, target), _zeta), 0.0))
 
 
 def gradient_hessian(p, target: CurveSamples, _jacobi_E=None,
@@ -344,25 +343,22 @@ def _restore(q, target: CurveSamples, mode: str, trial=True):
     _jacobi_E_nodes, F there), or (q, max|c|, None, inf) for a trial
     restored only to max|c| > 1e-10; DomainError if q is no segment.
 
-    Free: the similarity block re-solved in closed form, which leaves
-    (k, s0, ell) and so the evaluation as they are.  F is objective at the
-    fit's start and, for a trial, objective's sum on the alignment's basic
-    zeta values z, w e^(i phi) z + x0 + i y0.  Pinned: Gauss-Newton on c
-    over all seven parameters, each step -J^+ c from _row_space capped at
-    length 0.5, until max|c| <= 1e-12 or for 20 steps, or to the iterate
-    before a step that does not lower max|c| <= 1e-10 or, for a trial,
-    raises max|c| above its start.  Each iterate evaluates c alone at the
-    end nodes, and builds J from that evaluation only for a step it takes."""
+    F is objective on the basic zeta values of the restored point's one
+    evaluation.  Free: the similarity block re-solved in closed form, which
+    leaves (k, s0, ell), and so the evaluation and the alignment's zeta
+    values, as they are.  Pinned: Gauss-Newton on c over all seven
+    parameters, each step -J^+ c from _row_space capped at length 0.5,
+    until max|c| <= 1e-12 or for 20 steps, or to the iterate before a step
+    that does not lower max|c| <= 1e-10 or, for a trial, raises max|c|
+    above its start.  Each iterate evaluates c alone at the end nodes, and
+    builds J from that evaluation only for a step it takes."""
     q = _project(q)
     if mode == "none":
         jacobi_E = _jacobi_E_nodes(q, target)
         q, z = _align_similarity(q, target, jacobi_E)
         q = _project(q)
-        p = ElasticaParams.from_array(q)
-        if not trial:
-            return q, 0.0, jacobi_E, objective(p, target, jacobi_E)
-        return q, 0.0, jacobi_E, _distance(
-            cmath.rect(q[3], q[4]) * z + complex(q[5], q[6]), target)
+        return (q, 0.0, jacobi_E,
+                objective(ElasticaParams.from_array(q), target, z))
     best, cviol = q, math.inf
     for step in range(21):
         ends = _jacobi_E_ends(q)
@@ -383,7 +379,8 @@ def _restore(q, target: CurveSamples, mode: str, trial=True):
         return best, cviol, None, math.inf
     jacobi_E = _jacobi_E_nodes(best, target)
     return (best, cviol, jacobi_E,
-            objective(ElasticaParams.from_array(best), target, jacobi_E))
+            objective(ElasticaParams.from_array(best), target,
+                      _basic_zeta(best, target.tau, jacobi_E)))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -422,15 +419,8 @@ def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
             Z.T @ (H + np.einsum("m,mij->ij", lam, Hc)) @ Z, Z)
 
 
-def _unit_target(target: CurveSamples) -> CurveSamples:
-    """The target moved to start at 0 and scaled to length 1."""
-    L, o = target.length, target.points[0]
-    return replace(target, points=(target.points - o) / L, s=target.s / L,
-                   speeds=target.speeds / L, kappa=target.kappa * L)
-
-
 def _unit_map(pvec, target: CurveSamples, inverse=False) -> np.ndarray:
-    """pvec moved onto _unit_target(target), w / L and ((x0, y0) - origin)
+    """pvec moved onto target.unit, w / L and ((x0, y0) - origin)
     / L with origin its first point; or with inverse back from it."""
     L, origin = target.length, target.points[0]
     q = np.array(pvec, dtype=float)
@@ -440,9 +430,9 @@ def _unit_map(pvec, target: CurveSamples, inverse=False) -> np.ndarray:
 
 
 def _unit_problem(p: ElasticaParams, target: CurveSamples):
-    """(p, target) on the unit-length problem."""
+    """(p, target) on the unit-length problem, target.unit."""
     return (ElasticaParams.from_array(_unit_map(p.as_array(), target)),
-            _unit_target(target))
+            target.unit)
 
 
 def _target_objective(f: float, target: CurveSamples) -> float:

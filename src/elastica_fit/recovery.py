@@ -19,7 +19,7 @@ from .elastica import ElasticaParams, _chart_modulus
 from .elliptic import incomplete_F
 from .errors import DegenerateInputError
 from .fitting import _align_similarity, _jacobi_E_nodes, _unit_map, \
-    _unit_target, residual_r4
+    residual_r4
 
 # not called here: perfbench's tracer test checks that the tracer patches
 # segment_eval_many in this module's namespace too
@@ -51,20 +51,17 @@ class AffineCurvatureFit:
 @dataclass(frozen=True)
 class RecoveryReport:
     """The outcome of initial_guess.  params describe the samples as given;
-    n_segments and u_increasing_at_start describe the traversal whose
-    curvature the shape was recovered on.  reversed_input is always False
-    and kept only for callers that still read it: a curve traversed
-    backwards is described by ell < 0 instead."""
+    n_segments the traversal whose curvature the shape was recovered on.
+    reversed_input is always False and kept only for callers that still
+    read it: a curve traversed backwards is described by ell < 0 instead."""
 
     params: ElasticaParams
     inflectional: bool
     n_segments: int
-    u_increasing_at_start: bool
     R1: float
     R2: float
     R3: float
     R4: float
-    clamped_fraction: float
     degenerate: Optional[str] = None
     reversed_input: bool = False
 
@@ -152,10 +149,9 @@ def _monotone_runs(u):
 
 def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
                          inflectional: bool, k: float):
-    """(s0, ell, n_segments, u_increasing_at_start, clamped_fraction, R3) by
-    the amplitude case analysis on the monotone runs of u.  The start
-    direction is the first counted run's, and one half-period rule places
-    both ends."""
+    """(s0, ell, n_segments, R3) by the amplitude case analysis on the
+    monotone runs of u.  The start direction is the first counted run's,
+    and one half-period rule places both ends."""
     lam, alpha, beta = fit.lam, fit.alpha, fit.beta
     w = fit.w
     u = fit.u
@@ -184,7 +180,6 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
     tol = 64 * np.finfo(float).eps * max(abs(u_min), abs(u_max))
     outside = (u < u_min - tol) | (u > u_max + tol)
     R3 = float(outside @ samples.weights) / L
-    clamped_fraction = float(np.mean(outside))
 
     # amplitude of a drop du below u_max, on a half-period P of the
     # amplitude; non-inflectional curves run on the reciprocal modulus
@@ -214,7 +209,7 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
     if ell <= 0:
         # clamping collapsed the interval; fall back to the arclength extent
         ell = L / w
-    return s0, ell, n, increasing, clamped_fraction, R3
+    return s0, ell, n, R3
 
 
 def _degenerate_report(samples: CurveSamples, fit: AffineCurvatureFit):
@@ -227,10 +222,8 @@ def _degenerate_report(samples: CurveSamples, fit: AffineCurvatureFit):
                             phi=float(samples.theta[0]),
                             x0=float(p0[0]), y0=float(p0[1]))
     return RecoveryReport(
-        params=params, inflectional=True, n_segments=1,
-        u_increasing_at_start=False, R1=fit.R1, R2=fit.R2, R3=0.0,
-        R4=residual_r4(params, samples), clamped_fraction=0.0,
-        degenerate=kind)
+        params=params, inflectional=True, n_segments=1, R1=fit.R1,
+        R2=fit.R2, R3=0.0, R4=residual_r4(params, samples), degenerate=kind)
 
 
 def initial_guess(samples: CurveSamples) -> RecoveryReport:
@@ -247,10 +240,11 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
     traversed the other way, and mapped back by (s0, ell) ->
     (s0 + ell, -ell): ell < 0 runs the segment toward decreasing arclength.
 
-    It runs on fit's unit-length copy of the samples, mapped back by
-    fitting._unit_map, so the guess is the same at any scale and place.
+    It runs on the unit-length copy of the samples that fit solves on,
+    CurveSamples.unit, mapped back by fitting._unit_map, so the guess is
+    the same at any scale and place.
     """
-    unit = _unit_target(samples)
+    unit = samples.unit
     fit = affine_curvature_fit(unit)
     if fit.w is None:
         return _degenerate_report(samples, fit)
@@ -260,17 +254,13 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
         shape = unit.reversed()
         fit = affine_curvature_fit(shape)
         inflectional, k = classify_and_modulus(fit)
-    s0, ell, n, increasing, clamped, R3 = recover_arc_interval(
-        shape, fit, inflectional, k)
+    s0, ell, n, R3 = recover_arc_interval(shape, fit, inflectional, k)
     if shape is not unit:
         s0, ell = s0 + ell, -ell
     q = np.array([k, s0, ell, fit.w, fit.phi, 0.0, 0.0])
-    # the alignment keeps (k, s0, ell), so its evaluation also gives R4
-    jacobi_E = _jacobi_E_nodes(q, unit)
-    params = ElasticaParams.from_array(
-        _unit_map(_align_similarity(q, unit, jacobi_E)[0], samples,
-                  inverse=True))
+    # the alignment keeps (k, s0, ell), so its zeta values also give R4
+    q, z = _align_similarity(q, unit, _jacobi_E_nodes(q, unit))
+    params = ElasticaParams.from_array(_unit_map(q, samples, inverse=True))
     return RecoveryReport(
-        params=params, inflectional=inflectional, n_segments=n,
-        u_increasing_at_start=increasing, R1=fit.R1, R2=fit.R2, R3=R3,
-        R4=residual_r4(params, samples, jacobi_E), clamped_fraction=clamped)
+        params=params, inflectional=inflectional, n_segments=n, R1=fit.R1,
+        R2=fit.R2, R3=R3, R4=residual_r4(params, samples, z))

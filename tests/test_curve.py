@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from elastica_fit import curve
 from elastica_fit.curve import (
     BezierChain,
     Polyline,
@@ -17,8 +18,9 @@ from elastica_fit.curve import (
 )
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
 from elastica_fit.errors import DegenerateInputError, DomainError
-from elastica_fit.fitting import FitProblem, _unit_target, fit, residual_r4
+from elastica_fit.fitting import FitProblem, _unit_problem, fit, residual_r4
 from elastica_fit.recovery import initial_guess
+from elastica_fit.segmentation import _guess_result
 
 # 4-piece cubic Bezier approximation of the unit circle (tangent-matching
 # constant 4/3*tan(pi/8)); its true length, frozen from adaptive quadrature
@@ -210,6 +212,25 @@ def test_trim_bezier_exact():
         assert sub.point(u) == pytest.approx(cur.point(t), abs=1e-12)
 
 
+@pytest.mark.parametrize("t0", [0.0, 1.0 / 3.0])
+def test_trim_bezier_at_piece_joints(t0):
+    """Trimmed at piece joints, a chain keeps those whole pieces bit for
+    bit (no zero-length piece at the far joint), and the trimmed chain is
+    the original on the interval; the chain is C1, so that the derivative
+    at a joint does not depend on the piece that evaluates it."""
+    cur = BezierChain([[[0, 0], [1, 2], [3, -1], [4, 1]],
+                       [[4, 1], [5, 3], [6, 0], [7, 1]],
+                       [[7, 1], [8, 2], [9, -1], [10, 0]]])
+    t1 = 2.0 / 3.0
+    sub = cur.trimmed(t0, t1)
+    assert np.array_equal(sub.pieces, cur.pieces[round(3 * t0):2])
+    u = np.linspace(0.0, 1.0, 23)
+    t = t0 + (t1 - t0) * u
+    assert np.allclose(sub.point(u), cur.point(t), rtol=0, atol=1e-13)
+    assert np.allclose(sub.derivative(u), (t1 - t0) * cur.derivative(t),
+                       rtol=1e-13, atol=1e-13)
+
+
 def test_trim_polyline():
     poly = Polyline([[0, 0], [1, 0], [2, 1], [3, 1]])
     sub = poly.trimmed(0.25, 0.9)
@@ -262,9 +283,9 @@ def test_weights_are_kept_read_only_and_follow_the_samples():
 def test_centring_is_kept_read_only_and_follows_the_samples():
     """centring is computed once per sample set and cannot be written, and
     it is sum omega, xbar and x - xbar recomputed bit for bit; a set made by
-    dataclasses.replace, as fitting's unit target is, gets its own."""
+    dataclasses.replace, as CurveSamples.unit is, gets its own."""
     smp = sample(BezierChain([[[0, 0], [1, 2], [3, -1], [4, 1]]]), 64)
-    for samples in (smp, _unit_target(smp)):
+    for samples in (smp, smp.unit):
         centring = samples.centring
         tot, xbar, xc = centring
         assert samples.centring is centring
@@ -275,12 +296,61 @@ def test_centring_is_kept_read_only_and_follows_the_samples():
         assert tot == float(w.sum())
         assert xbar == complex(w @ x) / tot
         assert np.array_equal(xc, x - xbar)
-    unit = _unit_target(smp)
+    unit = smp.unit
     assert unit.centring[2] is not smp.centring[2]
     assert unit.centring[1] != smp.centring[1]
     still = dataclasses.replace(smp, speeds=0.0 * smp.speeds)
     assert still.centring[:2] == (0.0, 0j)
     assert np.array_equal(still.centring[2], smp.complex_points)
+
+
+def test_unit_is_kept_read_only_and_follows_the_samples():
+    """unit is computed once per sample set, its arrays cannot be written,
+    and it is the samples moved to start at 0 and scaled to length 1, bit
+    for bit; the samples' own arrays stay writeable."""
+    smp = sample(BezierChain([[[0, 0], [1, 2], [3, -1], [4, 1]]]), 64)
+    unit = smp.unit
+    assert smp.unit is unit
+    for field in dataclasses.fields(unit):
+        a = getattr(unit, field.name)
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        assert getattr(smp, field.name).flags.writeable
+    L = smp.length
+    assert np.array_equal(unit.points, (smp.points - smp.points[0]) / L)
+    assert np.array_equal(unit.s, smp.s / L) and unit.length == 1.0
+    assert np.array_equal(unit.speeds, smp.speeds / L)
+    assert np.array_equal(unit.kappa, smp.kappa * L)
+    assert np.array_equal(unit.t, smp.t)
+    assert np.array_equal(unit.theta, smp.theta)
+    doubled = dataclasses.replace(smp, points=2.0 * smp.points,
+                                  s=2.0 * smp.s, speeds=2.0 * smp.speeds,
+                                  kappa=0.5 * smp.kappa)
+    assert doubled.unit is not unit
+    assert np.array_equal(doubled.unit.points, unit.points)
+
+
+def test_one_unit_copy_per_sample_set(monkeypatch):
+    """initial_guess, residual_r4, fit and segmentation's _guess_result all
+    solve on the same unit-length samples, smp.unit: one
+    dataclasses.replace copy of smp, made on first use."""
+    copies = []
+
+    def counted(obj, **changes):
+        copies.append(obj)
+        return dataclasses.replace(obj, **changes)
+
+    monkeypatch.setattr(curve, "replace", counted)
+    smp = sample(BezierChain([[[0, 0], [1, 2], [3, -1], [4, 1]]]), 64)
+    rep = initial_guess(smp)
+    residual_r4(rep.params, smp)
+    for mode in ("none", "endpoints+tangents"):
+        fit(FitProblem(target=smp, init=rep.params, constraints=mode,
+                       max_iter=20))
+    _guess_result(rep, smp)
+    assert len(copies) == 1 and copies[0] is smp
+    assert _unit_problem(rep.params, smp)[1] is smp.unit
 
 
 def _bernstein_reference(pieces, t):

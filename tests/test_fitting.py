@@ -18,6 +18,7 @@ from elastica_fit.elastica import (
     ElasticaCurve,
     ElasticaParams,
     _angle_partials,
+    _basic_zeta,
     basic_derivatives,
     basic_point,
     segment_eval_many,
@@ -855,9 +856,9 @@ class TestOneEvaluationPerPoint:
         constraint rows read that evaluation.  Two evaluations share
         (k, s) only where the loop restores the same shape twice.  Outside
         _restore, a pinned fit evaluates once more, at the end nodes of the
-        mapped-back result.  _restore returns F with the point: a free fit
-        calls objective on its start alone and takes a trial's F from the
-        alignment, a pinned fit calls objective once per restored point.
+        mapped-back result.  _restore returns F with the point: in every
+        mode fit calls objective once per restored point, on the basic zeta
+        values formed from that point's evaluation.
         A trial restored only to max|c| > 1e-10 is evaluated nowhere."""
         from elastica_fit.recovery import initial_guess
         cur = load_curve(os.path.join(CORPUS_DIR, "s_curve.json"))
@@ -919,7 +920,7 @@ class TestOneEvaluationPerPoint:
         assert res.converged and res.iterations >= 3
         assert len(full) == len(shapes) > 3
         trials = [True] * (len(shapes) - 1)
-        assert objectives == [False] + ([] if mode == "none" else trials)
+        assert objectives == [False] + trials
         assert len(set(full)) == len(set(shapes))
         assert outside == ([] if mode == "none" else [2])
         # Gauss-Newton: one 2-node evaluation per iterate, and first-order
@@ -933,7 +934,7 @@ class TestOneEvaluationPerPoint:
         assert set(angles) <= {(True, False), (False, True)}
 
     def test_free_restore_f_is_objective(self):
-        """The free _restore's F, formed from the alignment's basic zeta
+        """The free _restore's F, objective on the alignment's basic zeta
         values, is objective at the restored point to the last bit: from
         random points against exact and corpus targets, k on both sides of
         1, and with w clamped to 1e-9 by the projection."""
@@ -950,7 +951,8 @@ class TestOneEvaluationPerPoint:
                 q, _, jacobi_E, f = _restore(q, tgt, "none")
                 assert (q[3] == 1e-9) == far
                 p = ElasticaParams.from_array(q)
-                assert f == objective(p, tgt, jacobi_E) == objective(p, tgt)
+                z = _basic_zeta(q, tgt.tau, jacobi_E)
+                assert f == objective(p, tgt, z) == objective(p, tgt)
 
 
 class TestFitOnManifold:

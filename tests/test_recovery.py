@@ -104,12 +104,10 @@ class TestRecoverArcInterval:
         smp = elastica_samples(REFERENCE)
         fit = affine_curvature_fit(smp)
         inflectional, k = classify_and_modulus(fit)
-        s0, ell, n, inc, clamped, R3 = recover_arc_interval(
-            smp, fit, inflectional, k)
+        s0, ell, n, R3 = recover_arc_interval(smp, fit, inflectional, k)
         assert s0 == pytest.approx(0.2, abs=1e-3)
         assert ell == pytest.approx(3.0, abs=1e-3)
         assert R3 == 0.0
-        assert clamped == 0.0
 
     def test_out_of_range_measure(self):
         # push u beyond u_max on roughly 10% of the arclength and check that
@@ -123,12 +121,10 @@ class TestRecoverArcInterval:
         m = len(u) // 10
         u[:m] = u_max + 1.0
         doctored = dataclasses.replace(fit, u=u)
-        _, _, _, _, clamped, R3 = recover_arc_interval(
-            smp, doctored, inflectional, k)
+        _, _, _, R3 = recover_arc_interval(smp, doctored, inflectional, k)
         expected = (u > u_max) @ smp.weights / smp.length
         assert R3 == pytest.approx(expected, abs=1e-12)
         assert 0.05 < R3 < 0.2
-        assert clamped == pytest.approx(m / len(u), abs=1e-12)
 
 
 ROUNDTRIP_CASES = [
@@ -330,11 +326,6 @@ class TestInitialGuess:
         assert rep.R4 > 0
         assert np.all(np.isfinite(rep.params.as_array()))
 
-    def test_r3_clamped_consistency(self):
-        for p in ROUNDTRIP_CASES:
-            rep = initial_guess(elastica_samples(p, 1024))
-            assert (rep.R3 == 0.0) == (rep.clamped_fraction == 0.0)
-
     def test_r3_ignores_rounding_at_range_end(self):
         """An exact elastica guessed to rounding has R3 = 0: one node's u
         lies 6 ulps above u_max, which is rounding, not leaving the
@@ -346,7 +337,6 @@ class TestInitialGuess:
         rep = initial_guess(elastica_samples(p, 1024))
         assert rep.R4 <= 1e-13
         assert rep.R3 == 0.0
-        assert rep.clamped_fraction == 0.0
 
 
 def _monotone_runs_loop(u):

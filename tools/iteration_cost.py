@@ -8,13 +8,18 @@ fit(max_iter=600) 20 times; then one endpoints+tangents fit (loop_wide at
 256 samples).  A fit's time is the minimum of its 20 runs, the one least
 disturbed by other load on the machine, and a line's cost per iteration is
 the sum of those minima over its total iterations, so the per-fit setup is
-spread over the iterations.  Then, at shallow_s's converged free fit at
-256 samples (257 nodes, on the unit problem that fit solves), the kernels
-of an iteration (a fit runs the first-order _zeta_blocks only at the two
-end nodes, in pinned restoration): each time is per call, the minimum
-over the repeats of 1000 calls; _shifted_step takes the model there and
-radius 1, the Newton step.  The process is pinned to one CPU and BLAS to
-one thread, as in perfbench.
+spread over the iterations.  The repeats of one FitProblem share its
+target's cached unit-length copy (CurveSamples.unit), made on the first
+run; code that made that copy on every fit (about 12 us at 257 nodes,
+with its cached arrays) reads that much more per fit.  Then, at
+shallow_s's converged free fit at 256 samples (257 nodes, on the unit
+problem that fit solves), the kernels of an iteration (a fit runs the
+first-order _zeta_blocks only at the two end nodes, in pinned
+restoration): each time is per call, the minimum over the repeats of 1000
+calls; objective takes the basic zeta values there, as every restored
+point's F does; _shifted_step takes the model there and radius 1, the
+Newton step.  The process is pinned to one CPU and BLAS to one thread, as
+in perfbench.
 --quick runs 64 and 256 samples with 3 repeats, as a smoke test.
 """
 
@@ -29,6 +34,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 from elastica_fit.curve import load_curve, sample  # noqa: E402
 from elastica_fit.elastica import (  # noqa: E402
+    _basic_zeta,
     _second_partials_dot,
     _segment_eval_arr,
     _zeta_blocks,
@@ -42,6 +48,7 @@ from elastica_fit.fitting import (  # noqa: E402
     _shifted_step,
     _unit_problem,
     fit,
+    objective,
 )
 from elastica_fit.recovery import initial_guess  # noqa: E402
 
@@ -89,6 +96,7 @@ def kernels(repeats):
     blocks, _ = _zeta_blocks(s, q[0], True, jacobi_E)
     v = unit.weights * (_segment_eval_arr(q, tau, jacobi_E)
                         - unit.complex_points)
+    z = _basic_zeta(q, tau, jacobi_E)
     _, b, A, _ = _reduced_model(q, unit, "none", jacobi_E)
     calls = {
         "_jacobi_E_arr": lambda: _jacobi_E_arr(s, q[0]),
@@ -99,6 +107,7 @@ def kernels(repeats):
         "_second_partials_dot": lambda: _second_partials_dot(
             v, tau, blocks, p.w, p.phi),
         "_align_similarity": lambda: _align_similarity(q, unit, jacobi_E),
+        "objective": lambda: objective(p, unit, z),
         "_shifted_step": lambda: _shifted_step(A, b, 1.0),
         "_reduced_model": lambda: _reduced_model(q, unit, "none", jacobi_E),
     }
