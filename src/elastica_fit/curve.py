@@ -38,8 +38,8 @@ class CurveSamples:
     applies directly.  theta is unwrapped; s is nondecreasing with s[-1] = L.
     The arrays a fit reads at every iteration, the integration weights, the
     normalized arclength tau = s / L, the complex points x + iy and their
-    centring, and the set's unit-length copy unit, are cached properties:
-    computed once per sample set.
+    centring, their end_pose and the set's unit-length copy unit, are
+    cached properties: computed once per sample set.
     """
 
     t: np.ndarray
@@ -98,6 +98,14 @@ class CurveSamples:
         xc = x - xbar
         xc.flags.writeable = False
         return tot, xbar, xc
+
+    @cached_property
+    def end_pose(self) -> tuple:
+        """(points, theta) at the first and last node, (2, 2) and (2,), that
+        a pinned fit holds its segment's ends to.  Kept and read-only."""
+        pose = self.points[[0, -1]], self.theta[[0, -1]]
+        pose[0].flags.writeable = pose[1].flags.writeable = False
+        return pose
 
     @cached_property
     def unit(self) -> "CurveSamples":

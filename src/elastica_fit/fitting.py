@@ -17,14 +17,17 @@ definite and that step fits the radius, else the step on the boundary
 equation from one eigendecomposition of A.  Each trial is restored onto
 the manifold before F is evaluated, so F alone judges it: free fits
 re-solve the similarity block, pinned fits run capped Gauss-Newton steps
-on c.  A rejection sets the radius to a quarter of min(radius, ||y||),
-which the rejected step no longer fits, so every iteration restores and
-evaluates a new trial; a good step (rho > 0.75) doubles it only if the
-radius held that step back (mu > 0).  A fit has converged when A is
-positive definite and its Newton decrement 1/2 b^T A^-1 b, free of the
-chart, is below what F (f, unit length) can resolve: 1e-10 f, the target;
-1e-15 sqrt(2 f), F's rounding; and for a point restored to max|c| with
-multipliers lambda, ||lambda||_1 max|c|.
+on c.  A pinned trial step Z y, which leaves c = O(||y||^2), carries the
+model's second-order correction to O(||y||^3), so its Gauss-Newton
+converges quadratically and stops, rejecting it, at a step that does not
+halve max|c|.  A rejection sets the radius to a quarter of
+min(radius, ||y||), which the rejected step no longer fits, so every
+iteration restores and evaluates a new trial; a good step (rho > 0.75)
+doubles it only if the radius held that step back (mu > 0).  A fit has
+converged when A is positive definite and its Newton decrement
+1/2 b^T A^-1 b, free of the chart, is below what F (f, unit length) can
+resolve: 1e-10 f, the target; 1e-15 sqrt(2 f), F's rounding; and for a
+point restored to max|c| with multipliers lambda, ||lambda||_1 max|c|.
 
 Each point the loop visits carries one elliptic evaluation, sn, cn, dn and
 E at the arclengths s0 + ell*tau of the target's nodes (_jacobi_E_nodes),
@@ -178,6 +181,8 @@ def _wrap_angle(a):
 
 
 _ENDS = np.array([0.0, 1.0])
+#: row 2e + j is coordinate j at end e: the unit vector 1 or i there
+_END_UNITS = np.eye(4).view(complex)
 #: the _SECOND_PARTIALS rows (i, j, power of t, block) in (k, s0, ell)
 _SHAPE_PARTIALS = _SECOND_PARTIALS[:4, _SECOND_PARTIALS[1] < 3]
 
@@ -199,12 +204,12 @@ def _end_pose(pvec, jacobi_E):
 
 def _constraint_values(pvec, target: CurveSamples, mode: str, jacobi_E):
     """The constraints c(p) from _jacobi_E_ends: the _end_pose points minus
-    the target's at t = 0, 1, then the wrapped tangent-angle differences."""
+    the target's end_pose, then the wrapped tangent-angle differences."""
     y, angles = _end_pose(pvec, jacobi_E)
-    c = (y - target.points[[0, -1]]).ravel()
+    points, theta = target.end_pose
+    c = (y - points).ravel()
     if mode == "endpoints+tangents":
-        c = np.concatenate(
-            [c, _wrap_angle(angles - target.theta[[0, -1]])])
+        c = np.concatenate([c, _wrap_angle(angles - theta)])
     return c
 
 
@@ -224,9 +229,8 @@ def _constraint_jacobian(pvec, mode: str, with_hessians=False, ends=None):
     _, dy, blocks, jacobi_E = ends
     jac = np.ascontiguousarray(dy).view(float).T
     if with_hessians:
-        # row 2e + j is coordinate j at end e: the unit vector 1 or i there
-        hess = _second_partials_dot(np.eye(4).view(complex), _ENDS,
-                                    blocks, pvec[3], pvec[4])
+        hess = _second_partials_dot(_END_UNITS, _ENDS, blocks, pvec[3],
+                                    pvec[4])
     if mode == "endpoints+tangents":
         t = _ENDS
         th = _angle_partials(pvec[1] + pvec[2] * t, pvec[0], jacobi_E,
@@ -349,9 +353,10 @@ def _restore(q, target: CurveSamples, mode: str, trial=True):
     values, as they are.  Pinned: Gauss-Newton on c over all seven
     parameters, each step -J^+ c from _row_space capped at length 0.5,
     until max|c| <= 1e-12 or for 20 steps, or to the iterate before a step
-    that does not lower max|c| <= 1e-10 or, for a trial, raises max|c|
-    above its start.  Each iterate evaluates c alone at the end nodes, and
-    builds J from that evaluation only for a step it takes."""
+    that does not lower max|c| <= 1e-10 or, for a trial, does not halve
+    max|c| > 1e-10 (as at the rounding floor near k = 1; the trial is then
+    rejected).  Each iterate evaluates c alone at the end nodes, and builds
+    J from that evaluation only for a step it takes."""
     q = _project(q)
     if mode == "none":
         jacobi_E = _jacobi_E_nodes(q, target)
@@ -364,8 +369,8 @@ def _restore(q, target: CurveSamples, mode: str, trial=True):
         ends = _jacobi_E_ends(q)
         c = _constraint_values(q, target, mode, ends)
         now = float(np.max(np.abs(c)))
-        start = now if step == 0 else start
-        if (now >= cviol and cviol <= 1e-10) or (trial and now > start):
+        if ((now >= cviol and cviol <= 1e-10)
+                or (trial and cviol > 1e-10 and now > 0.5 * cviol)):
             break
         best, cviol = q, now
         if step == 20 or cviol <= 1e-12:
@@ -385,8 +390,8 @@ def _restore(q, target: CurveSamples, mode: str, trial=True):
 
 @np.errstate(over="ignore", invalid="ignore")
 def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
-    """((grad_norm, ||lambda||_1), B^T g, B^T W B, B) at a point q on the
-    fit's manifold, B a basis of the directions along it, from q's
+    """((grad_norm, ||lambda||_1), B^T g, B^T W B, B, soc) at a point q on
+    the fit's manifold, B a basis of the directions along it, from q's
     _jacobi_E_nodes; one that overflows has infinite or NaN entries,
     without a warning.
 
@@ -394,11 +399,12 @@ def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
     block l.  As F is minimal over l at q, B^T g = g_n - lift^T g_l and the
     Schur complement B^T H B = H_nn - H_nl lift are the gradient and Hessian
     of (k, s0, ell) -> F(., l*(.)); grad_norm is ||g||, and there are no
-    multipliers (0).  If H_ll is singular, B = [I; 0]: the model along a
-    fixed l, which restoring the trial re-aligns.  Pinned: B = Z, the null
-    space of J, and W = H + sum_i lambda_i Hess c_i with the least-squares
-    multipliers lambda = -J^+T g, J and Hess c_i from the partials of g and
-    H at the end nodes; grad_norm is ||Z^T g||."""
+    multipliers (0) and no soc (None).  If H_ll is singular, B = [I; 0]:
+    the model along a fixed l, which restoring the trial re-aligns.
+    Pinned: B = Z, the null space of J, and W = H + sum_i lambda_i Hess c_i
+    with the least-squares multipliers lambda = -J^+T g, J and Hess c_i
+    from the partials of g and H at the end nodes; grad_norm is ||Z^T g||,
+    and soc(d) = d - J^+ [1/2 d^T Hess c_i d]_i corrects a step d = Z y."""
     g, H, (y, dy, blocks, _) = gradient_hessian(q, target, jacobi_E, True)
     if mode == "none":
         try:
@@ -407,16 +413,20 @@ def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
             lift = np.zeros((4, 3))
         B = np.concatenate((_EYE3, -lift))
         return ((math.sqrt(g @ g), 0.0), g[:3] - lift.T @ g[3:],
-                H[:3, :3] - H[:3, 3:] @ lift, B)
+                H[:3, :3] - H[:3, 3:] @ lift, B, None)
     # tau[0] = 0 and tau[-1] = 1 exactly, so these rows are the end nodes
-    ends = [0, -1]
+    e = slice(None, None, len(y) - 1)
     J, Hc = _constraint_jacobian(
-        q, mode, True, (y[ends], dy[:, ends], blocks[ends], jacobi_E[:, ends]))
+        q, mode, True, (y[e], dy[:, e], blocks[e], jacobi_E[:, e]))
     U, sv, Y, Z = _row_space(J)
     lam = -U @ ((Y.T @ g) / sv)
     gz = Z.T @ g
+
+    def soc(d):
+        # J d = 0 leaves c = 1/2 [d^T Hess c_i d] + O(|d|^3): take it out
+        return d - Y @ ((U.T @ np.einsum("i,mij,j->m", 0.5 * d, Hc, d)) / sv)
     return ((float(np.linalg.norm(gz)), float(np.sum(np.abs(lam)))), gz,
-            Z.T @ (H + np.einsum("m,mij->ij", lam, Hc)) @ Z, Z)
+            Z.T @ (H + np.einsum("m,mij->ij", lam, Hc)) @ Z, Z, soc)
 
 
 def _unit_map(pvec, target: CurveSamples, inverse=False) -> np.ndarray:
@@ -449,7 +459,7 @@ def fit(problem: FitProblem) -> FitResult:
     mode = problem.constraints
     init, target = _unit_problem(problem.init, problem.target)
     p, cviol, jacobi_E, f = _restore(init.as_array(), target, mode, False)
-    (gnorm, lam), gr, A, B = _reduced_model(p, target, mode, jacobi_E)
+    (gnorm, lam), gr, A, B, soc = _reduced_model(p, target, mode, jacobi_E)
     delta, it = 1.0, 0
     converged = False
     msg = "max_iter reached"
@@ -471,13 +481,15 @@ def fit(problem: FitProblem) -> FitResult:
         it += 1
         pred = -(gr @ y + 0.5 * y @ A @ y)
         try:
-            trial, cv, trial_E, f_trial = _restore(p + B @ y, target, mode)
+            d = B @ y if soc is None else soc(B @ y)
+            trial, cv, trial_E, f_trial = _restore(p + d, target, mode)
         except (DomainError, FloatingPointError, OverflowError):
             f_trial = math.inf
         rho = (f - f_trial) / pred if pred > 0 else 0.0
         if rho > 1e-4:
             p, f, cviol, jacobi_E = trial, f_trial, cv, trial_E
-            (gnorm, lam), gr, A, B = _reduced_model(p, target, mode, jacobi_E)
+            (gnorm, lam), gr, A, B, soc = _reduced_model(p, target, mode,
+                                                         jacobi_E)
             if rho > 0.75 and mu > 0:
                 # only a step that the radius held back asks for more
                 delta = min(delta * 2.0, 1e3)

@@ -18,8 +18,14 @@ first-order _zeta_blocks only at the two end nodes, in pinned
 restoration): each time is per call, the minimum over the repeats of 1000
 calls; objective takes the basic zeta values there, as every restored
 point's F does; _shifted_step takes the model there and radius 1, the
-Newton step.  The process is pinned to one CPU and BLAS to one thread, as
-in perfbench.
+Newton step.  Last, at loop_wide's converged endpoints+tangents fit at 256
+samples, the pinned kernels the same way: one restoration iterate
+(_jacobi_E_ends and _constraint_values at the end nodes), one Gauss-Newton
+step (_segment_partials_arr at the end nodes, _constraint_jacobian and
+_row_space), and the pinned _reduced_model; and that fit's restorations,
+Gauss-Newton steps and end-node evaluations, for its start and for its
+trials.  The process is pinned to one CPU and BLAS to one thread, as in
+perfbench.
 --quick runs 64 and 256 samples with 3 repeats, as a smoke test.
 """
 
@@ -33,18 +39,25 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from elastica_fit.curve import load_curve, sample  # noqa: E402
+from elastica_fit import fitting  # noqa: E402
 from elastica_fit.elastica import (  # noqa: E402
     _basic_zeta,
     _second_partials_dot,
     _segment_eval_arr,
+    _segment_partials_arr,
     _zeta_blocks,
 )
 from elastica_fit.elliptic import _jacobi_E_arr  # noqa: E402
 from elastica_fit.fitting import (  # noqa: E402
+    _ENDS,
     FitProblem,
     _align_similarity,
+    _constraint_jacobian,
+    _constraint_values,
+    _jacobi_E_ends,
     _jacobi_E_nodes,
     _reduced_model,
+    _row_space,
     _shifted_step,
     _unit_problem,
     fit,
@@ -83,6 +96,13 @@ def fits(names, samples, mode, repeats):
     return total, iterations
 
 
+def per_call(calls, repeats):
+    """[(name, time per call in s)] for {name: call}, each the minimum over
+    repeats of 1000 calls."""
+    return [(name, min(timeit.repeat(f, number=1000, repeat=repeats)) / 1000)
+            for name, f in calls.items()]
+
+
 def kernels(repeats):
     """[(kernel, its time per call in s)] at shallow_s's converged free fit
     at 256 samples, each the minimum over repeats of 1000 calls."""
@@ -97,7 +117,7 @@ def kernels(repeats):
     v = unit.weights * (_segment_eval_arr(q, tau, jacobi_E)
                         - unit.complex_points)
     z = _basic_zeta(q, tau, jacobi_E)
-    _, b, A, _ = _reduced_model(q, unit, "none", jacobi_E)
+    _, b, A, _, _ = _reduced_model(q, unit, "none", jacobi_E)
     calls = {
         "_jacobi_E_arr": lambda: _jacobi_E_arr(s, q[0]),
         "_zeta_blocks, first order": lambda: _zeta_blocks(
@@ -111,8 +131,71 @@ def kernels(repeats):
         "_shifted_step": lambda: _shifted_step(A, b, 1.0),
         "_reduced_model": lambda: _reduced_model(q, unit, "none", jacobi_E),
     }
-    return [(name, min(timeit.repeat(f, number=1000, repeat=repeats)) / 1000)
-            for name, f in calls.items()]
+    return per_call(calls, repeats)
+
+
+def restoration_counts(problem):
+    """{"start" or "trials": [restorations, Gauss-Newton steps, end-node
+    evaluations]} of fit(problem), counted inside fitting._restore."""
+    counts = {"start": [0, 0, 0], "trials": [0, 0, 0]}
+    real = {name: getattr(fitting, name)
+            for name in ("_restore", "_row_space", "_jacobi_E_ends")}
+    inside = []
+
+    def restore(q, target, mode, trial=True):
+        inside.append("trials" if trial else "start")
+        counts[inside[-1]][0] += 1
+        try:
+            return real["_restore"](q, target, mode, trial)
+        finally:
+            inside.pop()
+
+    def counter(name, column):
+        def counted(*args):
+            if inside:
+                counts[inside[-1]][column] += 1
+            return real[name](*args)
+        return counted
+
+    patches = {"_restore": restore, "_row_space": counter("_row_space", 1),
+               "_jacobi_E_ends": counter("_jacobi_E_ends", 2)}
+    for name, f in patches.items():
+        setattr(fitting, name, f)
+    try:
+        fit(problem)
+    finally:
+        for name, f in real.items():
+            setattr(fitting, name, f)
+    return counts
+
+
+def pinned(repeats):
+    """([(kernel, its time per call in s)], restoration_counts) at
+    loop_wide's converged endpoints+tangents fit at 256 samples."""
+    mode = "endpoints+tangents"
+    tgt = sample(load_curve(os.path.join(CORPUS_DIR, "loop_wide.json")), 256)
+    problem = FitProblem(target=tgt, init=initial_guess(tgt).params,
+                         constraints=mode)
+    res = fit(problem)
+    if not res.converged:
+        sys.exit(f"loop_wide {mode} at 256 samples: {res.message}")
+    p, unit = _unit_problem(res.params, tgt)
+    q = p.as_array()
+    ends, jacobi_E = _jacobi_E_ends(q), _jacobi_E_nodes(q, unit)
+    partials = _segment_partials_arr(q, _ENDS, False, ends)
+    J = _constraint_jacobian(q, mode, False, partials)
+    calls = {
+        "_jacobi_E_ends": lambda: _jacobi_E_ends(q),
+        "_constraint_values": lambda: _constraint_values(q, unit, mode, ends),
+        "_segment_partials_arr, end nodes": lambda: _segment_partials_arr(
+            q, _ENDS, False, ends),
+        "_constraint_jacobian": lambda: _constraint_jacobian(
+            q, mode, False, partials),
+        "_row_space": lambda: _row_space(J),
+        "_reduced_model, pinned": lambda: _reduced_model(
+            q, unit, mode, jacobi_E),
+    }
+    return per_call(calls, repeats), restoration_counts(problem)
 
 
 def main(argv=None):
@@ -134,6 +217,15 @@ def main(argv=None):
           "x 1000 calls")
     for name, s in kernels(repeats):
         print(f"{name}: {1e6 * s:.1f} us")
+    times, counts = pinned(repeats)
+    print("pinned kernels at 257 nodes, loop_wide endpoints+tangents "
+          f"converged, minimum of {repeats} x 1000 calls")
+    for name, s in times:
+        print(f"{name}: {1e6 * s:.1f} us")
+    for side, (restores, steps, ends) in counts.items():
+        print(f"loop_wide endpoints+tangents fit, {side}: {restores} "
+              f"restorations, {steps} Gauss-Newton steps, {ends} end-node "
+              "evaluations")
 
 
 if __name__ == "__main__":
