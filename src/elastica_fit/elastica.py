@@ -38,16 +38,13 @@ PARAM_NAMES = ("k", "s0", "ell", "w", "phi", "x0", "y0")
 #: smallest modulus for which the second k-derivative is evaluated
 K_MIN = 1e-6
 
-#: upper clamp for the modulus during optimization
-K_MAX = 10.0
 
-
-def _chart_modulus(k, above_one, k_max=K_MAX):
-    """k moved into its side of 1: [K_MIN, 1 - 2 g] below, [1 + 2 g, k_max]
-    above, with g = K_GUARD_BAND the singular band.  A NaN k is returned
-    unchanged."""
+def _chart_modulus(k, above_one):
+    """k moved into its side of 1, the one chart of the guess and of every
+    fit iterate: [K_MIN, 1 - 2 g] below, [1 + 2 g, inf) above, with
+    g = K_GUARD_BAND the singular band.  A NaN k is returned unchanged."""
     if above_one:
-        return max(min(k, k_max), 1.0 + 2 * K_GUARD_BAND)
+        return max(k, 1.0 + 2 * K_GUARD_BAND)
     return max(min(k, 1.0 - 2 * K_GUARD_BAND), K_MIN)
 
 

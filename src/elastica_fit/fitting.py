@@ -19,8 +19,9 @@ the manifold before F is evaluated, so F alone judges it: free fits
 re-solve the similarity block, pinned fits run capped Gauss-Newton steps
 on c.  A pinned trial step Z y, which leaves c = O(||y||^2), carries the
 model's second-order correction to O(||y||^3), so its Gauss-Newton
-converges quadratically and stops, rejecting it, at a step that does not
-halve max|c|.  A rejection sets the radius to a quarter of
+converges quadratically.  Every restoration stops at a step that does not
+halve max|c|, the start's only below 1e-10, and rejects a trial it leaves
+above 1e-10.  A rejection sets the radius to a quarter of
 min(radius, ||y||), which the rejected step no longer fits, so every
 iteration restores and evaluates a new trial; a good step (rho > 0.75)
 doubles it only if the radius held that step back (mu > 0).  A fit has
@@ -353,8 +354,8 @@ def _restore(q, target: CurveSamples, mode: str, trial=True):
     values, as they are.  Pinned: Gauss-Newton on c over all seven
     parameters, each step -J^+ c from _row_space capped at length 0.5,
     until max|c| <= 1e-12 or for 20 steps, or to the iterate before a step
-    that does not lower max|c| <= 1e-10 or, for a trial, does not halve
-    max|c| > 1e-10 (as at the rounding floor near k = 1; the trial is then
+    that does not halve max|c|, in a trial or once max|c| <= 1e-10 (a trial
+    left at max|c| > 1e-10, as at the rounding floor near k = 1, is
     rejected).  Each iterate evaluates c alone at the end nodes, and builds
     J from that evaluation only for a step it takes."""
     q = _project(q)
@@ -369,8 +370,7 @@ def _restore(q, target: CurveSamples, mode: str, trial=True):
         ends = _jacobi_E_ends(q)
         c = _constraint_values(q, target, mode, ends)
         now = float(np.max(np.abs(c)))
-        if ((now >= cviol and cviol <= 1e-10)
-                or (trial and cviol > 1e-10 and now > 0.5 * cviol)):
+        if now > 0.5 * cviol and (trial or cviol <= 1e-10):
             break
         best, cviol = q, now
         if step == 20 or cviol <= 1e-12:

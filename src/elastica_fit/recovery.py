@@ -125,9 +125,7 @@ def classify_and_modulus(fit: AffineCurvatureFit):
     inflectional = min_p >= -1.0
     delta_minus_sq = max(alpha ** 2 - 2 * lam * (beta - 1.0), 0.0)
     k = math.sqrt(delta_minus_sq) / (2 * math.sqrt(lam))
-    # keep the modulus on the classification's side of 1; no K_MAX cap, so
-    # that an exact elastica of larger modulus is still recovered exactly
-    return inflectional, _chart_modulus(k, not inflectional, math.inf)
+    return inflectional, _chart_modulus(k, not inflectional)
 
 
 def _monotone_runs(u):

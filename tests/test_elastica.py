@@ -13,9 +13,9 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from elastica_fit import fitting
 from elastica_fit.curve import sample
 from elastica_fit.elastica import (
-    K_MAX,
     K_MIN,
     ElasticaCurve,
     ElasticaParams,
@@ -281,31 +281,29 @@ class TestPendulumEquation:
 
 
 def test_chart_modulus_restates_both_clamps():
-    """_chart_modulus gives bit for bit what the optimizer's projection and
-    the guess's modulus clamp gave as separate rules; NaN passes through."""
+    """The optimizer's projection and the guess's modulus clamp are one
+    rule, with no upper bound: k moved to [K_MIN, 1 - 2 g] below 1 and to
+    [1 + 2 g, inf) above it, bit for bit, as Python and numpy floats; NaN
+    passes through.  fitting._project applies it on k's own side of 1."""
     g = K_GUARD_BAND
     ks = [math.nan, -math.inf, -1.0, 0.0, 1e-7, K_MIN, 0.5, 1 - 3 * g,
-          1 - 2 * g, 1 - g, 1.0, 1 + g, 1 + 2 * g, 1 + 3 * g, 2.0, K_MAX,
-          11.0, math.inf]
+          1 - 2 * g, 1 - g, 1.0, 1 + g, 1 + 2 * g, 1 + 3 * g, 2.0, 10.0,
+          11.0, 1e6, 1e300, math.inf]
 
     def bits(x):
         return np.float64(x).tobytes()
 
     for k in ks + [np.float64(k) for k in ks]:
-        if k < K_MIN:
-            project = K_MIN
-        elif K_MIN <= k <= 1.0:
-            project = min(k, 1.0 - 2 * g)
-        elif 1.0 < k:
-            project = max(min(k, K_MAX), 1.0 + 2 * g)
-        else:
-            project = k
-        assert bits(_chart_modulus(k, k > 1.0)) == bits(project)
-        for inflectional in (True, False):
-            clamp = max(min(k, 1.0 - 2 * g) if inflectional
-                        else max(k, 1.0 + 2 * g), K_MIN)
-            assert bits(_chart_modulus(k, not inflectional, math.inf)) \
-                == bits(clamp)
+        for above_one in (False, True):
+            if math.isnan(k):
+                want = k
+            elif above_one:
+                want = k if k > 1 + 2 * g else 1 + 2 * g
+            else:
+                want = min(max(k, K_MIN), 1 - 2 * g)
+            assert bits(_chart_modulus(k, above_one)) == bits(want)
+        q = fitting._project(np.array([k, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
+        assert bits(q[0]) == bits(_chart_modulus(k, k > 1.0))
 
 
 #: the arclengths and moduli of the k-block check near k = 1, and the

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import NonlinearConstraint, least_squares, minimize
 
 from elastica_fit import elastica, fitting
-from elastica_fit.curve import BezierChain, load_curve, sample
+from elastica_fit.curve import BezierChain, Polyline, load_curve, sample
 from elastica_fit.elastica import (
     K_MIN,
     ElasticaCurve,
@@ -719,6 +719,58 @@ def guess_and_fit(cur, constraints, n=256, **kw):
     res = fit(FitProblem(target=tgt, init=rep.params,
                          constraints=constraints, **kw))
     return res, tgt
+
+
+#: curves of tools/convergence_census.py at seed 1 (curves 15, 0 and 17)
+#: whose fit from the guess fails, one per failure class of the census
+CENSUS_CRAWL = Polyline([
+    [-0.3231959257858299, -0.13664959629588416],
+    [-0.9879772617816823, -0.6631644364111211],
+    [-2.2524700526013945, -0.14437951553315698],
+    [-3.394988070253887, -0.8902359137214819],
+    [-3.0357434182426823, -0.48766254777694956],
+    [-3.4358581692477532, -2.506928358265751],
+    [-3.0153448819521778, -2.2473648993736917]])
+CENSUS_UNRESTORED = BezierChain([
+    [[0.8216181435011584, 0.33043707618338714],
+     [-1.303157231604361, 0.9053558666731177],
+     [0.4463745723640113, -0.5369532353602852],
+     [0.5811181041963531, 0.36457239618607573]],
+    [[0.5811181041963531, 0.36457239618607573],
+     [0.6754385764789924, 0.9956403382685283],
+     [-0.16290994799305278, -0.48211931267997826],
+     [0.5988462126346276, 0.03972210748165899]]])
+CENSUS_COLLAPSE = BezierChain([
+    [[-1.6057480583244386, 1.8122301162723733],
+     [-0.602658614543728, -1.539659308496411],
+     [0.6188421885671495, -0.3548041301011767],
+     [0.32485848577290377, -0.33960843062503854]]])
+
+
+@pytest.mark.parametrize("cur, mode", [
+    pytest.param(CENSUS_CRAWL, "none", id="free-crawl-near-one",
+                 marks=pytest.mark.xfail(
+                     strict=True, raises=AssertionError, reason=(
+                         "ROADMAP item 17: the window's middle ends 7.7 "
+                         "quarter periods out, and the free fit crawls to "
+                         "'max_iter reached' at k = 1.0000023"))),
+    pytest.param(CENSUS_UNRESTORED, "endpoints", id="start-not-restored",
+                 marks=pytest.mark.xfail(
+                     strict=True, raises=AssertionError, reason=(
+                         "ROADMAP item 3: Gauss-Newton leaves the guess at "
+                         "max|c| 0.285, 'constraints not restored' after 0 "
+                         "iterations"))),
+    pytest.param(CENSUS_COLLAPSE, "endpoints+tangents",
+                 id="pinned-collapse-near-one", marks=pytest.mark.xfail(
+                     strict=True, raises=AssertionError, reason=(
+                         "ROADMAP item 4: 'trust region collapsed' at "
+                         "k = 0.99999931 after 93 iterations"))),
+])
+def test_census_curve_converges(cur, mode):
+    """A census curve fits from its guess (256 samples, max_iter 1000), as
+    the census runs it, to the stop."""
+    res, _ = guess_and_fit(cur, mode, max_iter=1000)
+    assert res.converged, (res.message, res.iterations, res.params.k)
 
 
 #: R4 of the corpus fits (256 samples, max_iter 600) in the modes none,

@@ -196,12 +196,12 @@ def test_scaled_polyline_leaves_converge():
 
 
 def test_scaled_polyline_restorations_stop(monkeypatch):
-    """Gauss-Newton restoration ends at the iterate before a step that,
-    once max|c| <= 1e-10, does not lower it, and a trial's before a step
-    that does not halve max|c| > 1e-10.  Near k = 1 the pw_scaled leaf's
-    constraints cannot reach the 1e-12 target, so 20 steps there would be
-    spent at its rounding floor: at most 4 restorations run all 20 steps,
-    and the run makes at most 7 constraint evaluations per restoration."""
+    """Gauss-Newton restoration ends at the iterate before a step that
+    does not halve max|c|, a trial's at any such step and the start's once
+    max|c| <= 1e-10.  Near k = 1 the pw_scaled leaf's constraints cannot
+    reach the 1e-12 target, so 20 steps there would be spent at its
+    rounding floor: at most 4 restorations run all 20 steps, and the run
+    makes at most 7 constraint evaluations per restoration."""
     evaluations, per_restore = [], []
     real_values, real_restore = fitting._constraint_values, fitting._restore
 
@@ -223,6 +223,43 @@ def test_scaled_polyline_restorations_stop(monkeypatch):
     assert per_restore.count(21) <= 4, per_restore
     assert len(evaluations) <= 7 * len(per_restore), (
         len(evaluations), len(per_restore))
+
+
+def test_restorations_keep_halving_below_1e10(monkeypatch):
+    """Every restoration, the start's and each trial's, ends at the iterate
+    before a Gauss-Newton step that does not halve max|c|, once max|c| <=
+    1e-10: over the tangent fit_piecewise of SCALED_POLYLINE, no kept
+    iterate at or below 1e-10 is followed by a kept iterate above half of
+    it.  (A rule that stopped there only at a step that did not lower
+    max|c| kept 8 such steps over 147 restorations.)"""
+    # per restoration: [the point it returns, [(iterate, max|c|), ...]]
+    runs = []
+    real_values, real_restore = fitting._constraint_values, fitting._restore
+
+    def constraint_values(q, *args):
+        c = real_values(q, *args)
+        if runs and runs[-1][0] is None:
+            runs[-1][1].append((q, float(np.max(np.abs(c)))))
+        return c
+
+    def restore(*args):
+        runs.append([None, []])
+        out = real_restore(*args)
+        runs[-1][0] = out[0]
+        return out
+
+    monkeypatch.setattr(fitting, "_constraint_values", constraint_values)
+    monkeypatch.setattr(fitting, "_restore", restore)
+    fit_piecewise(Polyline(SCALED_POLYLINE), 1e-3, 3, "endpoints+tangents",
+                  256, 200)
+    runs = [(best, iterates) for best, iterates in runs if iterates]
+    assert len(runs) > 100
+    for best, iterates in runs:
+        # the iterates up to the returned one; a later one was not kept
+        last = [q is best for q, _ in iterates].index(True)
+        kept = [v for _, v in iterates[:last + 1]]
+        assert not [(a, b) for a, b in zip(kept, kept[1:])
+                    if a <= 1e-10 and b > 0.5 * a], kept
 
 
 @pytest.mark.parametrize("name, leaves, steps, evaluations", [
