@@ -122,9 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("input", help="curve JSON file (bezier or polyline)")
     ap.add_argument("--mode", choices=MODES, default="fit")
     ap.add_argument("--endpoints", action="store_true",
-                    help="constrain the fitted endpoints to the target's")
+                    help="constrain the fitted endpoints to the target's in "
+                    "fit mode (piecewise mode always does)")
     ap.add_argument("--tangents", action="store_true",
-                    help="also constrain the end tangent directions")
+                    help="also constrain the end tangents; not in guess mode")
     ap.add_argument("--samples", type=int, default=DEFAULT_SAMPLES,
                     metavar="N")
     ap.add_argument("--r4-threshold", type=float, default=1e-3, metavar="X",

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import K_GUARD_BAND, _check_modulus, _jacobi_E, _jacobi_E_arr
+from .elliptic import K_GUARD_BAND, _check_modulus, _jacobi_E
 from .errors import DomainError
 
 #: parameter order used for gradient / Hessian indexing
@@ -130,8 +130,8 @@ def _angle_partials(s, k, jacobi_E, second=True):
 def _zeta_blocks(s, k, second, jacobi_E=None):
     """zeta and its five derivative blocks at an array of arclengths s,
     complex (n, 6), as float (n, 6, 2): value, d/ds, d2/ds2, d/dk, d2/dsdk,
-    d2/dk2, and the (sn, cn, dn, E) they came from: jacobi_E, the (4, n)
-    _jacobi_E_arr(s, k), if the caller has it.  The second-derivative
+    d2/dk2, and the (sn, cn, dn, E) they came from: jacobi_E =
+    _jacobi_E(s, k), if the caller has it.  The second-derivative
     blocks, d/ds times i theta_s, i theta_k (as in _angle_partials) and
     T + iN, are left zero unless second.  N divides by k, so second raises
     DomainError for k < K_MIN: the one check of that domain."""
@@ -139,7 +139,7 @@ def _zeta_blocks(s, k, second, jacobi_E=None):
         raise DomainError(
             f"second k-derivative undefined for k < {K_MIN} (got {k})")
     if jacobi_E is None:
-        jacobi_E = _jacobi_E_arr(s, k)
+        jacobi_E = _jacobi_E(s, k)
     S, C, D, E = jacobi_E
     k2, kp2 = k * k, 1.0 - k * k
     SD, CC, DD, SS, Es, G = S * D, C * C, D * D, S * S, E - s, E - s * kp2
@@ -166,10 +166,10 @@ def _zeta_blocks(s, k, second, jacobi_E=None):
 
 def _basic_zeta(p, t, jacobi_E=None):
     """zeta_k(s0 + ell*t), (n,), for p's (k, s0, ell) at an array of t, from
-    jacobi_E = _jacobi_E_arr(s0 + ell*t, k) if the caller has it."""
+    jacobi_E = _jacobi_E(s0 + ell*t, k) if the caller has it."""
     k, s0, ell = p[:3]
     s = s0 + ell * t
-    _, C, _, E = _jacobi_E_arr(s, k) if jacobi_E is None else jacobi_E
+    _, C, _, E = _jacobi_E(s, k) if jacobi_E is None else jacobi_E
     return (2.0 * E - s) + 2j * k * (1.0 - C)
 
 

@@ -94,11 +94,6 @@ def _jacobi_E(u, k):
     return sn, xp.cos(phi), xp.sqrt(1.0 - ksn * ksn), e
 
 
-def _jacobi_E_arr(u, k):
-    # _jacobi_E over a 1-d array of arguments, as a (4, n) array
-    return np.array(_jacobi_E(np.asarray(u, dtype=float), float(k)))
-
-
 def _incomplete_F(phi, k):
     # ascending Landen on the descending AGM rows, amplitude convention
     rows = _agm_rows(k)

@@ -30,13 +30,13 @@ converged when A is positive definite and its Newton decrement
 resolve: 1e-10 f, the target; 1e-15 sqrt(2 f), F's rounding; and for a
 point restored to max|c| with multipliers lambda, ||lambda||_1 max|c|.
 
-Each point the loop visits carries one elliptic evaluation, sn, cn, dn and
-E at the arclengths s0 + ell*tau of the target's nodes (_jacobi_E_nodes),
+Each point the loop visits carries one elliptic evaluation, _jacobi_E_at
+the target's nodes tau (sn, cn, dn and E at the arclengths s0 + ell*tau),
 made when _restore puts it on the manifold; the alignment, F, gradient and
 Hessian, and in pinned modes the model's constraint rows (tau = 0, 1 of
 the same partials) read from it.  Only the Gauss-Newton iterates inside
-_restore and the mapped-back result evaluate at the two end nodes on their
-own (_jacobi_E_ends), for c alone: the _end_pose that segmentation's join
+_restore and the mapped-back result evaluate on their own, _jacobi_E_at
+the end nodes _ENDS, for c alone: the _end_pose that segmentation's join
 gaps read too, minus the target's (_constraint_values, the one place c is
 computed).  J is built from that evaluation only for a step that is taken.
 Every restored point's F is objective on the basic zeta values that
@@ -75,7 +75,7 @@ from .elastica import (
     _segment_partials_arr,
     _tangent_angle,
 )
-from .elliptic import _jacobi_E_arr
+from .elliptic import _jacobi_E
 from .errors import DomainError
 
 CONSTRAINT_MODES = ("none", "endpoints", "endpoints+tangents")
@@ -127,10 +127,10 @@ class FitResult:
     message: str = ""
 
 
-def _jacobi_E_nodes(pvec, target: CurveSamples) -> np.ndarray:
-    """sn, cn, dn and E, as a (4, n) array, at the arclengths s0 + ell*tau
-    of the target's nodes: the one elliptic evaluation of a point of fit."""
-    return _jacobi_E_arr(pvec[1] + pvec[2] * target.tau, pvec[0])
+def _jacobi_E_at(pvec, tau):
+    """sn, cn, dn and E at the arclengths s0 + ell*tau of the segment pvec,
+    tau a target's nodes or _ENDS: the one elliptic evaluation of fit."""
+    return _jacobi_E(pvec[1] + pvec[2] * tau, float(pvec[0]))
 
 
 def objective(p: ElasticaParams, target: CurveSamples, _zeta=None) -> float:
@@ -157,7 +157,7 @@ def gradient_hessian(p, target: CurveSamples, _jacobi_E=None,
                      _partials=False):
     """Analytic gradient (7,) and symmetric Hessian (7, 7) of the objective
     at p, an ElasticaParams or fit's (7,) parameter array.  fit passes p's
-    _jacobi_E_nodes as _jacobi_E, and asks with _partials for the
+    _jacobi_E_at target.tau as _jacobi_E, and asks with _partials for the
     _segment_partials_arr at the nodes as a third value."""
     pvec = p.as_array() if isinstance(p, ElasticaParams) else p
     t = target.tau
@@ -188,14 +188,9 @@ _END_UNITS = np.eye(4).view(complex)
 _SHAPE_PARTIALS = _SECOND_PARTIALS[:4, _SECOND_PARTIALS[1] < 3]
 
 
-def _jacobi_E_ends(pvec) -> np.ndarray:
-    """sn, cn, dn and E, (4, 2), at the end nodes t = 0, 1."""
-    return _jacobi_E_arr(pvec[1] + pvec[2] * _ENDS, pvec[0])
-
-
 def _end_pose(pvec, jacobi_E):
     """The segment's points (2, 2) and unwrapped tangent angles (2,) at the
-    end nodes t = 0, 1, from its _jacobi_E_ends.  The angle of
+    end nodes t = 0, 1, from its _jacobi_E_at _ENDS.  The angle of
     y_s = dy/ds0 is phi + the _tangent_angle at s0 + ell*t, and
     dy/dt = ell * y_s adds pi when ell < 0."""
     th = _tangent_angle(pvec[0], jacobi_E) + math.pi * (pvec[2] < 0)
@@ -204,8 +199,8 @@ def _end_pose(pvec, jacobi_E):
 
 
 def _constraint_values(pvec, target: CurveSamples, mode: str, jacobi_E):
-    """The constraints c(p) from _jacobi_E_ends: the _end_pose points minus
-    the target's end_pose, then the wrapped tangent-angle differences."""
+    """The constraints c(p), from jacobi_E at _ENDS: the _end_pose points
+    minus the target's end_pose, then the wrapped tangent-angle differences."""
     y, angles = _end_pose(pvec, jacobi_E)
     points, theta = target.end_pose
     c = (y - points).ravel()
@@ -309,13 +304,13 @@ def _shifted_step(A, b, radius):
 
 def _align_similarity(pvec, target: CurveSamples, jacobi_E):
     """Optimal (w, phi, x0, y0) for fixed (k, s0, ell), by weighted
-    similarity Procrustes, from pvec's _jacobi_E_nodes; never increases
-    the objective.  The free fit's restoration and recovery.initial_guess
-    both take their similarity from it: with z the basic zeta values and x
-    the target's points, complex and centred by their weighted means (x's
-    is CurveSamples.centring), w e^(i phi) = m = sum omega conj(z) x /
-    sum omega |z|^2 and x0 + i y0 = xbar - m zbar.  Returns (the aligned
-    pvec, z)."""
+    similarity Procrustes, from pvec's _jacobi_E_at target.tau; never
+    increases the objective.  The free fit's restoration and
+    recovery.initial_guess both take their similarity from it: with z the
+    basic zeta values and x the target's points, complex and centred by
+    their weighted means (x's is CurveSamples.centring), w e^(i phi) = m =
+    sum omega conj(z) x / sum omega |z|^2 and x0 + i y0 = xbar - m zbar.
+    Returns (the aligned pvec, z)."""
     wts = target.weights
     tot, xbar, xc = target.centring
     z = _basic_zeta(pvec, target.tau, jacobi_E)
@@ -345,7 +340,7 @@ def _row_space(J):
 
 def _restore(q, target: CurveSamples, mode: str, trial=True):
     """(q moved onto the fit's manifold, its constraint violation, its
-    _jacobi_E_nodes, F there), or (q, max|c|, None, inf) for a trial
+    _jacobi_E_at target.tau, F there), or (q, max|c|, None, inf) for a trial
     restored only to max|c| > 1e-10; DomainError if q is no segment.
 
     F is objective on the basic zeta values of the restored point's one
@@ -360,14 +355,14 @@ def _restore(q, target: CurveSamples, mode: str, trial=True):
     J from that evaluation only for a step it takes."""
     q = _project(q)
     if mode == "none":
-        jacobi_E = _jacobi_E_nodes(q, target)
+        jacobi_E = _jacobi_E_at(q, target.tau)
         q, z = _align_similarity(q, target, jacobi_E)
         q = _project(q)
         return (q, 0.0, jacobi_E,
                 objective(ElasticaParams.from_array(q), target, z))
     best, cviol = q, math.inf
     for step in range(21):
-        ends = _jacobi_E_ends(q)
+        ends = _jacobi_E_at(q, _ENDS)
         c = _constraint_values(q, target, mode, ends)
         now = float(np.max(np.abs(c)))
         if now > 0.5 * cviol and (trial or cviol <= 1e-10):
@@ -382,7 +377,7 @@ def _restore(q, target: CurveSamples, mode: str, trial=True):
         q = _project(q + (d if size <= 0.5 else d * (0.5 / size)))
     if trial and cviol > 1e-10:
         return best, cviol, None, math.inf
-    jacobi_E = _jacobi_E_nodes(best, target)
+    jacobi_E = _jacobi_E_at(best, target.tau)
     return (best, cviol, jacobi_E,
             objective(ElasticaParams.from_array(best), target,
                       _basic_zeta(best, target.tau, jacobi_E)))
@@ -392,7 +387,7 @@ def _restore(q, target: CurveSamples, mode: str, trial=True):
 def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
     """((grad_norm, ||lambda||_1), B^T g, B^T W B, B, soc) at a point q on
     the fit's manifold, B a basis of the directions along it, from q's
-    _jacobi_E_nodes; one that overflows has infinite or NaN entries,
+    _jacobi_E_at target.tau; one that overflows has infinite or NaN entries,
     without a warning.
 
     Free: W = H and B = [I; -lift], lift = H_ll^-1 H_ln over the similarity
@@ -417,7 +412,7 @@ def _reduced_model(q, target: CurveSamples, mode: str, jacobi_E):
     # tau[0] = 0 and tau[-1] = 1 exactly, so these rows are the end nodes
     e = slice(None, None, len(y) - 1)
     J, Hc = _constraint_jacobian(
-        q, mode, True, (y[e], dy[:, e], blocks[e], jacobi_E[:, e]))
+        q, mode, True, (y[e], dy[:, e], blocks[e], [v[e] for v in jacobi_E]))
     U, sv, Y, Z = _row_space(J)
     lam = -U @ ((Y.T @ g) / sv)
     gz = Z.T @ g
@@ -502,8 +497,8 @@ def fit(problem: FitProblem) -> FitResult:
                 break
     p = _unit_map(p, problem.target, inverse=True)
     if mode != "none":
-        cviol = float(np.max(np.abs(
-            _constraint_values(p, problem.target, mode, _jacobi_E_ends(p)))))
+        cviol = float(np.max(np.abs(_constraint_values(
+            p, problem.target, mode, _jacobi_E_at(p, _ENDS)))))
     return FitResult(params=ElasticaParams.from_array(p),
                      objective=_target_objective(f, problem.target),
                      r4=math.sqrt(max(2.0 * f, 0.0)), grad_norm=gnorm,

@@ -18,7 +18,7 @@ from .curve import CurveSamples
 from .elastica import ElasticaParams, _chart_modulus
 from .elliptic import incomplete_F
 from .errors import DegenerateInputError
-from .fitting import _align_similarity, _jacobi_E_nodes, _unit_map, \
+from .fitting import _align_similarity, _jacobi_E_at, _unit_map, \
     residual_r4
 
 # not called here: perfbench's tracer test checks that the tracer patches
@@ -257,7 +257,7 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
         s0, ell = s0 + ell, -ell
     q = np.array([k, s0, ell, fit.w, fit.phi, 0.0, 0.0])
     # the alignment keeps (k, s0, ell), so its zeta values also give R4
-    q, z = _align_similarity(q, unit, _jacobi_E_nodes(q, unit))
+    q, z = _align_similarity(q, unit, _jacobi_E_at(q, unit.tau))
     params = ElasticaParams.from_array(_unit_map(q, samples, inverse=True))
     return RecoveryReport(
         params=params, inflectional=inflectional, n_segments=n, R1=fit.R1,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .curve import DEFAULT_SAMPLES, sample
 from .errors import DomainError
-from .fitting import FitProblem, FitResult, _end_pose, _jacobi_E_ends, \
+from .fitting import _ENDS, FitProblem, FitResult, _end_pose, _jacobi_E_at, \
     _target_objective, _unit_problem, _wrap_angle, fit, gradient_hessian
 from .recovery import RecoveryReport, initial_guess
 
@@ -122,7 +122,7 @@ def fit_piecewise(curve, r4_threshold: float, max_depth: int,
 
     starts, guesses, segments = map(list, zip(*process(0.0, 1.0, 0)))
 
-    poses = [_end_pose(q, _jacobi_E_ends(q))
+    poses = [_end_pose(q, _jacobi_E_at(q, _ENDS))
              for q in (res.params.as_array() for res in segments)]
     joins = [JoinContinuity(
         position_gap=math.hypot(*(y_l[1] - y_r[0])),

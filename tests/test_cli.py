@@ -132,6 +132,18 @@ def test_report_determinism(s_curve_file, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_piecewise_ignores_endpoints_flag(tmp_path):
+    """Piecewise mode constrains every piece's endpoints anyway, so
+    --endpoints leaves its report byte for byte as it is."""
+    curve = str(ARC_ASYM.parent / "s_curve_deep.json")
+    args = ["--mode", "piecewise", "--samples", "256", "--max-iter", "200"]
+    paths = [tmp_path / "plain.json", tmp_path / "endpoints.json"]
+    codes = [main([curve, *args, *flag, "--out", str(path)])
+             for flag, path in zip(([], ["--endpoints"]), paths)]
+    assert codes[0] == codes[1]
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
 def _bits(values):
     return [float(v).hex() for v in values]
 

@@ -30,7 +30,7 @@ from elastica_fit.elastica import (
 )
 from elastica_fit.elliptic import (
     K_GUARD_BAND,
-    _jacobi_E_arr,
+    _jacobi_E,
     incomplete_E,
     quarter_period,
 )
@@ -379,7 +379,7 @@ def test_k_blocks_near_one_mpmath(block, k):
     if block.startswith("zeta"):
         got = _zeta_blocks(s, k, True)[0][:, column]
     else:
-        got = _angle_partials(s, k, _jacobi_E_arr(s, k))[:, column]
+        got = _angle_partials(s, k, _jacobi_E(s, k))[:, column]
     ref = _near_one_reference(k)[block]
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= NEAR_ONE_RTOL
 

@@ -16,7 +16,6 @@ from scipy.special import ellipeinc, ellipj
 from elastica_fit.elliptic import (
     K_GUARD_BAND,
     _jacobi_E,
-    _jacobi_E_arr,
     am,
     incomplete_E,
     incomplete_F,
@@ -278,8 +277,8 @@ def test_mpmath_cross_check():
                 K = mp.ellipk(1 / km ** 2) / (2 * km)
             assert quarter_period(k) == pytest.approx(float(K), rel=rel, abs=0)
             # the array kernel runs one AGM for all arguments
-            arr = _jacobi_E_arr(np.array(args), k)
-            for u, got in zip(args, arr.T):
+            arr = _jacobi_E(np.array(args), k)
+            for u, got in zip(args, zip(*arr)):
                 sn, cn, dn, e = (float(v) for v in _mp_jacobi_E(u, k))
                 assert jacobi(u, k) == pytest.approx((sn, cn, dn), abs=tol)
                 assert incomplete_E(u, k) == pytest.approx(e, rel=rel, abs=0)

@@ -24,7 +24,7 @@ from elastica_fit.elastica import (
     segment_eval_many,
     segment_partials,
 )
-from elastica_fit.elliptic import _jacobi_E_arr
+from elastica_fit.elliptic import _jacobi_E
 from elastica_fit.errors import DomainError
 from elastica_fit.fitting import (
     FitProblem,
@@ -34,8 +34,7 @@ from elastica_fit.fitting import (
     _constraint_jacobian,
     _constraint_values,
     _end_pose,
-    _jacobi_E_ends,
-    _jacobi_E_nodes,
+    _jacobi_E_at,
     _reduced_model,
     _restore,
     _row_space,
@@ -239,7 +238,7 @@ class TestHessianContraction:
             lam = -U @ ((Y.T @ g) / sv)
             W = H + np.einsum("m,mij->ij", lam, Hc_ref)
             _, _, A, B, _ = _reduced_model(q, tgt, mode,
-                                           _jacobi_E_nodes(q, tgt))
+                                           _jacobi_E_at(q, tgt.tau))
             assert np.array_equal(B, Z)
             assert (np.max(np.abs(A - Z.T @ W @ Z))
                     <= 1e-12 * np.max(np.abs(W)))
@@ -254,7 +253,7 @@ class TestConstraintJacobian:
         pvec = p.as_array()
 
         def c(q):
-            return _constraint_values(q, tgt, mode, _jacobi_E_ends(q))
+            return _constraint_values(q, tgt, mode, _jacobi_E_at(q, _ENDS))
 
         J = _constraint_jacobian(pvec, mode)
         assert J.shape == (len(c(pvec)), 7)
@@ -274,7 +273,7 @@ class TestConstraintJacobian:
             p = dataclasses.replace(BASE, k=k, s0=3.2, ell=-3.0)
             q = p.as_array()
             c = _constraint_values(q, elastica_target(p), mode,
-                                   _jacobi_E_ends(q))
+                                   _jacobi_E_at(q, _ENDS))
             assert np.max(np.abs(c)) <= 1e-12
 
     @pytest.mark.parametrize("mode", ["endpoints", "endpoints+tangents"])
@@ -300,10 +299,10 @@ class TestConstraintJacobian:
 
         def counted(s, k):
             calls.append(len(s))
-            return _jacobi_E_arr(s, k)
+            return _jacobi_E(s, k)
 
         for mod in (fitting, elastica):
-            monkeypatch.setattr(mod, "_jacobi_E_arr", counted, raising=False)
+            monkeypatch.setattr(mod, "_jacobi_E", counted)
         _constraint_jacobian(BASE.as_array(), "endpoints+tangents", True)
         assert calls == [2]
 
@@ -322,7 +321,7 @@ class TestConstraintJacobian:
         monkeypatch.setattr(fitting, "_constraint_jacobian", recorded)
         for p, tgt in _corpus_guesses():
             q = p.as_array()
-            _reduced_model(q, tgt, mode, _jacobi_E_nodes(q, tgt))
+            _reduced_model(q, tgt, mode, _jacobi_E_at(q, tgt.tau))
             (ends, out), = seen
             seen.clear()
             assert ends is not None
@@ -336,7 +335,7 @@ class TestConstraintJacobian:
         """theta_s, theta_ss, theta_k, theta_sk and theta_kk against mpmath
         derivatives of 2 atan2(k sn, dn)."""
         s = np.array([-0.7, 0.0, 0.4, 1.3, 2.9])
-        th = _angle_partials(s, k, _jacobi_E_arr(s, k))
+        th = _angle_partials(s, k, _jacobi_E(s, k))
         assert not th[:, 0].any()
 
         def theta(u, kk):
@@ -661,7 +660,8 @@ class TestFitConstrained:
                 return 0.5 * float(unit.weights @ np.sum(d * d, axis=1))
 
             def c(x):
-                return _constraint_values(x, unit, mode, _jacobi_E_ends(x))
+                return _constraint_values(x, unit, mode,
+                                          _jacobi_E_at(x, _ENDS))
 
             x = q.as_array()
             sol = minimize(F, x, method="trust-constr", jac="3-point",
@@ -690,7 +690,7 @@ class TestEndPose:
         backwards (ell < 0)."""
         p = dataclasses.replace(BASE, k=k, ell=ell)
         q = p.as_array()
-        points, angles = _end_pose(q, _jacobi_E_ends(q))
+        points, angles = _end_pose(q, _jacobi_E_at(q, _ENDS))
         cur = ElasticaCurve(p)
         for t, y, a in zip((0.0, 1.0), points, angles):
             ref = cur.point(t)
@@ -840,16 +840,16 @@ class TestReducedModel:
         for _ in range(5):
             tgt = elastica_target(random_params(rng), 256)
             p = random_params(rng).as_array()
-            p, _ = _align_similarity(p, tgt, _jacobi_E_nodes(p, tgt))
+            p, _ = _align_similarity(p, tgt, _jacobi_E_at(p, tgt.tau))
 
             def F(n):
                 q = p.copy()
                 q[:3] = n
-                q, _ = _align_similarity(q, tgt, _jacobi_E_nodes(q, tgt))
+                q, _ = _align_similarity(q, tgt, _jacobi_E_at(q, tgt.tau))
                 return objective(ElasticaParams.from_array(q), tgt)
 
             _, gr, A, _, _ = _reduced_model(p, tgt, "none",
-                                         _jacobi_E_nodes(p, tgt))
+                                         _jacobi_E_at(p, tgt.tau))
             n0 = p[:3]
             g_fd = np.array([(F(n0 + e) - F(n0 - e)) / (2 * h) for e in E])
             H_fd = np.array([[(F(n0 + a + b) - F(n0 + a - b)
@@ -879,7 +879,7 @@ class TestReducedModel:
 
         def c(x):
             return np.max(np.abs(_constraint_values(x, tgt, mode,
-                                                    _jacobi_E_ends(x))))
+                                                    _jacobi_E_at(x, _ENDS))))
 
         plain, corrected = [], []
         for h in (1e-2, 5e-3, 2.5e-3):
@@ -970,7 +970,7 @@ class TestOneEvaluationPerPoint:
                 ends.append(len(s))
             if not inside:
                 outside.append(len(s))
-            return _jacobi_E_arr(s, k)
+            return _jacobi_E(s, k)
 
         def zeta_blocks(s, k, second, jacobi_E=None):
             if len(s) == 2:
@@ -1004,7 +1004,7 @@ class TestOneEvaluationPerPoint:
             return out
 
         for mod in (fitting, elastica):
-            monkeypatch.setattr(mod, "_jacobi_E_arr", counted)
+            monkeypatch.setattr(mod, "_jacobi_E", counted)
         monkeypatch.setattr(elastica, "_zeta_blocks", zeta_blocks)
         monkeypatch.setattr(fitting, "_row_space", row_space)
         monkeypatch.setattr(fitting, "_angle_partials", angle_partials)
@@ -1117,6 +1117,19 @@ class TestFitOnManifold:
         assert per_restore.count(21) == 0, per_restore
         assert len(evaluations) <= 4 * len(per_restore), (
             len(evaluations), len(per_restore))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 7: trials whose decrease of f is below what F "
+        "resolves are accepted, the radius cycles near 1e-13, and the fit "
+        "reaches 'max_iter reached' after 600 iterations at R4 "
+        "0.0357430694 (89 with the restoration stop before the halving "
+        "rule)"))
+    def test_small_modulus_tangent_fit_ends(self):
+        """SMALL_MODULUS_BEZIER's tangent fit at 1024 samples ends, by any
+        stop, within 100 of its 600 iterations."""
+        res, _ = guess_and_fit(SMALL_MODULUS_BEZIER, "endpoints+tangents",
+                               n=1024, max_iter=600)
+        assert res.iterations <= 100, (res.message, res.iterations, res.r4)
 
     @pytest.mark.parametrize("mode, r4", [
         ("none", 5.818684890075234e-3),

@@ -18,9 +18,9 @@ from elastica_fit.curve import (
 )
 from elastica_fit import elastica, fitting
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
-from elastica_fit.elliptic import _jacobi_E_arr, quarter_period
+from elastica_fit.elliptic import _jacobi_E, quarter_period
 from elastica_fit.fitting import FitProblem, _align_similarity, \
-    _jacobi_E_nodes, fit, residual_r4
+    _jacobi_E_at, fit, residual_r4
 from elastica_fit.recovery import (
     _monotone_runs,
     affine_curvature_fit,
@@ -209,10 +209,10 @@ class TestInitialGuess:
 
         def counted(s, k):
             calls.append(np.size(s))
-            return _jacobi_E_arr(s, k)
+            return _jacobi_E(s, k)
 
         for mod in (fitting, elastica):
-            monkeypatch.setattr(mod, "_jacobi_E_arr", counted)
+            monkeypatch.setattr(mod, "_jacobi_E", counted)
         rep = initial_guess(smp)
         assert rep.degenerate is None
         assert [n for n in calls if n > 2] == [len(smp.t)]
@@ -470,7 +470,7 @@ def test_guess_similarity_is_aligned(monkeypatch):
         aligned += 1
         assert rep.R4 == residual_r4(rep.params, smp)
         q = rep.params.as_array()
-        a, _ = _align_similarity(q, smp, _jacobi_E_nodes(q, smp))
+        a, _ = _align_similarity(q, smp, _jacobi_E_at(q, smp.tau))
         assert np.array_equal(a[:3], q[:3])
         assert abs(a[3] - q[3]) <= 1e-12 * q[3]
         assert abs((a[4] - q[4] + math.pi) % (2 * math.pi) - math.pi) <= 1e-12

@@ -13,19 +13,19 @@ target's cached unit-length copy (CurveSamples.unit), made on the first
 run; code that made that copy on every fit (about 12 us at 257 nodes,
 with its cached arrays) reads that much more per fit.  Then, at
 shallow_s's converged free fit at 256 samples (257 nodes, on the unit
-problem that fit solves), the kernels of an iteration (a fit runs the
-first-order _zeta_blocks only at the two end nodes, in pinned
-restoration): each time is per call, the minimum over the repeats of 1000
-calls; objective takes the basic zeta values there, as every restored
-point's F does; _shifted_step takes the model there and radius 1, the
-Newton step.  Last, at loop_wide's converged endpoints+tangents fit at 256
-samples, the pinned kernels the same way: one restoration iterate
-(_jacobi_E_ends and _constraint_values at the end nodes), one Gauss-Newton
-step (_segment_partials_arr at the end nodes, _constraint_jacobian and
-_row_space), and the pinned _reduced_model; and that fit's restorations,
-Gauss-Newton steps and end-node evaluations, for its start and for its
-trials.  The process is pinned to one CPU and BLAS to one thread, as in
-perfbench.
+problem that fit solves), the kernels of an iteration, _jacobi_E on the
+nodes first (a fit runs the first-order _zeta_blocks only at the two end
+nodes, in pinned restoration): each time is per call, the minimum over
+the repeats of 1000 calls; objective takes the basic zeta values there,
+as every restored point's F does; _shifted_step takes the model there and
+radius 1, the Newton step.  Last, at loop_wide's converged
+endpoints+tangents fit at 256 samples, the pinned kernels the same way:
+one restoration iterate (_jacobi_E_at and _constraint_values at the end
+nodes), one Gauss-Newton step (_segment_partials_arr at the end nodes,
+_constraint_jacobian and _row_space), and the pinned _reduced_model; and
+that fit's restorations, Gauss-Newton steps and end-node evaluations (the
+_jacobi_E_at calls on two nodes), for its start and for its trials.  The
+process is pinned to one CPU and BLAS to one thread, as in perfbench.
 --quick runs 64 and 256 samples with 3 repeats, as a smoke test.
 """
 
@@ -47,15 +47,14 @@ from elastica_fit.elastica import (  # noqa: E402
     _segment_partials_arr,
     _zeta_blocks,
 )
-from elastica_fit.elliptic import _jacobi_E_arr  # noqa: E402
+from elastica_fit.elliptic import _jacobi_E  # noqa: E402
 from elastica_fit.fitting import (  # noqa: E402
     _ENDS,
     FitProblem,
     _align_similarity,
     _constraint_jacobian,
     _constraint_values,
-    _jacobi_E_ends,
-    _jacobi_E_nodes,
+    _jacobi_E_at,
     _reduced_model,
     _row_space,
     _shifted_step,
@@ -112,14 +111,14 @@ def kernels(repeats):
         sys.exit(f"shallow_s at 256 samples: {res.message}")
     p, unit = _unit_problem(res.params, tgt)
     q, tau = p.as_array(), unit.tau
-    s, jacobi_E = q[1] + q[2] * tau, _jacobi_E_nodes(q, unit)
+    s, jacobi_E = q[1] + q[2] * tau, _jacobi_E_at(q, tau)
     blocks, _ = _zeta_blocks(s, q[0], True, jacobi_E)
     v = unit.weights * (_segment_eval_arr(q, tau, jacobi_E)
                         - unit.complex_points)
     z = _basic_zeta(q, tau, jacobi_E)
     _, b, A, _, _ = _reduced_model(q, unit, "none", jacobi_E)
     calls = {
-        "_jacobi_E_arr": lambda: _jacobi_E_arr(s, q[0]),
+        "_jacobi_E": lambda: _jacobi_E(s, float(q[0])),
         "_zeta_blocks, first order": lambda: _zeta_blocks(
             s, q[0], False, jacobi_E),
         "_zeta_blocks, second order": lambda: _zeta_blocks(
@@ -136,10 +135,11 @@ def kernels(repeats):
 
 def restoration_counts(problem):
     """{"start" or "trials": [restorations, Gauss-Newton steps, end-node
-    evaluations]} of fit(problem), counted inside fitting._restore."""
+    evaluations]} of fit(problem), counted inside fitting._restore; an
+    end-node evaluation is a _jacobi_E_at call on two nodes."""
     counts = {"start": [0, 0, 0], "trials": [0, 0, 0]}
     real = {name: getattr(fitting, name)
-            for name in ("_restore", "_row_space", "_jacobi_E_ends")}
+            for name in ("_restore", "_row_space", "_jacobi_E_at")}
     inside = []
 
     def restore(q, target, mode, trial=True):
@@ -150,15 +150,15 @@ def restoration_counts(problem):
         finally:
             inside.pop()
 
-    def counter(name, column):
+    def counter(name, column, nodes=None):
         def counted(*args):
-            if inside:
+            if inside and (nodes is None or len(args[1]) == nodes):
                 counts[inside[-1]][column] += 1
             return real[name](*args)
         return counted
 
     patches = {"_restore": restore, "_row_space": counter("_row_space", 1),
-               "_jacobi_E_ends": counter("_jacobi_E_ends", 2)}
+               "_jacobi_E_at": counter("_jacobi_E_at", 2, nodes=2)}
     for name, f in patches.items():
         setattr(fitting, name, f)
     try:
@@ -181,11 +181,11 @@ def pinned(repeats):
         sys.exit(f"loop_wide {mode} at 256 samples: {res.message}")
     p, unit = _unit_problem(res.params, tgt)
     q = p.as_array()
-    ends, jacobi_E = _jacobi_E_ends(q), _jacobi_E_nodes(q, unit)
+    ends, jacobi_E = _jacobi_E_at(q, _ENDS), _jacobi_E_at(q, unit.tau)
     partials = _segment_partials_arr(q, _ENDS, False, ends)
     J = _constraint_jacobian(q, mode, False, partials)
     calls = {
-        "_jacobi_E_ends": lambda: _jacobi_E_ends(q),
+        "_jacobi_E_at, end nodes": lambda: _jacobi_E_at(q, _ENDS),
         "_constraint_values": lambda: _constraint_values(q, unit, mode, ends),
         "_segment_partials_arr, end nodes": lambda: _segment_partials_arr(
             q, _ENDS, False, ends),
