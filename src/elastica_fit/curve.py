@@ -180,7 +180,9 @@ class BezierChain:
         return d * self.m ** 2
 
     def trimmed(self, t0, t1):
-        """Exact sub-curve on [t0, t1] via de Casteljau subdivision."""
+        """Exact sub-curve on [t0, t1]: the control points of a kept piece
+        on its [lo, hi] are the cubic's blossom values at (lo, lo, lo),
+        (lo, lo, hi), (lo, hi, hi) and (hi, hi, hi)."""
         if not 0.0 <= t0 < t1 <= 1.0:
             raise DomainError(f"invalid trim interval [{t0}, {t1}]")
         i0, u0 = _locate(t0, self.m)
@@ -189,33 +191,20 @@ class BezierChain:
             i1, u1 = i1 - 1, 1.0
         out = []
         for i in range(i0, i1 + 1):
-            b = self.pieces[i]
             lo = u0 if i == i0 else 0.0
             hi = u1 if i == i1 else 1.0
-            out.append(_decasteljau_sub(b, lo, hi))
+            args = (lo, lo, lo), (lo, lo, hi), (lo, hi, hi), (hi, hi, hi)
+            out.append([_blossom(self.pieces[i], us) for us in args])
         return BezierChain(np.array(out))
 
 
-def _split(b, u):
-    """de Casteljau split of a cubic at u: control points of [0, u] and
-    of [u, 1]."""
-    p01 = (1 - u) * b[0] + u * b[1]
-    p12 = (1 - u) * b[1] + u * b[2]
-    p23 = (1 - u) * b[2] + u * b[3]
-    p012 = (1 - u) * p01 + u * p12
-    p123 = (1 - u) * p12 + u * p23
-    p = (1 - u) * p012 + u * p123
-    return np.array([b[0], p01, p012, p]), np.array([p, p123, p23, b[3]])
-
-
-def _decasteljau_sub(b, lo, hi):
-    """Control points of a cubic restricted to [lo, hi] (reparameterized)."""
-    if lo > 0.0:
-        b = _split(b, lo)[1]
-        hi = (hi - lo) / (1 - lo)
-    if hi < 1.0:
-        b = _split(b, hi)[0]
-    return b
+def _blossom(b, us):
+    """Blossom (polar form) of the Bezier curve with control points b at us,
+    one parameter per degree: a de Casteljau step per parameter, and the one
+    point left.  A step at u = 0 or 1 keeps control points bit for bit."""
+    for u in us:
+        b = (1 - u) * b[:-1] + u * b[1:]
+    return b[0]
 
 
 class Polyline:

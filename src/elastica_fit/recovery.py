@@ -101,10 +101,9 @@ def affine_curvature_fit(samples: CurveSamples) -> AffineCurvatureFit:
         u = (lam2 * x - lam1 * y) / lam
         sin_tu = (lam1 * np.cos(samples.theta)
                   + lam2 * np.sin(samples.theta)) / lam
-        beta = (sin_tu - 0.5 * lam * u * u - alpha * u) @ wts / L
-        R2 = math.sqrt(max(
-            (sin_tu - 0.5 * lam * u * u - alpha * u - beta) ** 2 @ wts,
-            0.0) / L)
+        defect2 = sin_tu - 0.5 * lam * u * u - alpha * u
+        beta = defect2 @ wts / L
+        R2 = math.sqrt(max((defect2 - beta) ** 2 @ wts, 0.0) / L)
         w = 1.0 / math.sqrt(lam)
         phi = math.atan2(lam2, lam1)
     else:

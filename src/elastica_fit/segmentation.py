@@ -70,10 +70,10 @@ class PiecewiseFit:
 
 
 def _guess_result(rep: RecoveryReport, target) -> FitResult:
-    """A guess as a converged 0-iteration fit of target: r4 its R4, F from
-    the unit problem's R4^2 / 2, grad_norm as fit reports it (0 for a
-    degenerate guess, whose k is 0), and a degenerate guess's kind as the
-    message."""
+    """A guess as a 0-iteration fit of target: r4 its R4, F from the unit
+    problem's R4^2 / 2, grad_norm as fit reports it (0 for a degenerate
+    guess, whose k is 0), and a degenerate guess's kind as the message.  It
+    is converged unless it is a "circle", whose k = 0 segment is straight."""
     grad_norm = 0.0
     if rep.degenerate is None:
         g, _ = gradient_hessian(*_unit_problem(rep.params, target))
@@ -82,7 +82,7 @@ def _guess_result(rep: RecoveryReport, target) -> FitResult:
                      objective=_target_objective(0.5 * rep.R4 * rep.R4,
                                                  target),
                      r4=rep.R4, grad_norm=grad_norm, iterations=0,
-                     converged=True,
+                     converged=rep.degenerate != "circle",
                      message=(f"degenerate {rep.degenerate}"
                               if rep.degenerate else ""))
 

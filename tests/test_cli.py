@@ -14,9 +14,10 @@ from elastica_fit.elastica import PARAM_NAMES, ElasticaCurve, ElasticaParams
 from elastica_fit.fitting import FitProblem, _unit_problem, fit, \
     gradient_hessian, residual_r4
 from elastica_fit.recovery import initial_guess
-from elastica_fit.svg import render_svg
+from elastica_fit.svg import LAYER_STYLES, render_svg
 
-ARC_ASYM = Path(__file__).resolve().parent.parent / "corpus" / "arc_asym.json"
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+ARC_ASYM = CORPUS / "arc_asym.json"
 
 ELASTICA = ElasticaParams(k=0.8, s0=0.2, ell=3.0, w=1.5, phi=0.7,
                           x0=2.0, y0=-1.0)
@@ -123,6 +124,54 @@ def test_straight_input_is_line(tmp_path, capsys):
     assert rep["residuals"]["R4_init"] <= 1e-6
 
 
+#: a 1-radian arc of radius 3, whose curvature is constant to rounding
+ARC_POLYLINE = [[3 * math.cos(a), 3 * math.sin(a)]
+                for a in np.linspace(0.0, 1.0, 513)]
+
+
+@pytest.mark.parametrize("mode", ["guess", "fit"])
+@pytest.mark.parametrize("kind, points, code", [
+    pytest.param("line", [[0, 0], [1, 0.6], [3, 1.8]], 0, id="line"),
+    pytest.param("circle", ARC_POLYLINE, 4, id="circle"),
+])
+def test_degenerate_guess_record(kind, points, code, mode, tmp_path):
+    """A degenerate guess is the record in guess and fit mode: converged
+    for a "line", but not for a "circle", whose k = 0 segment is straight;
+    that exits 4, with the report written."""
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps({"polyline": points}))
+    out = tmp_path / "rep.json"
+    assert main([str(path), "--mode", mode, "--samples", "256",
+                 "--out", str(out)]) == code
+    rep = json.loads(out.read_text())
+    assert rep["degenerate"] == kind
+    assert (rep["iterations"], rep["converged"]) == (0, kind == "line")
+
+
+@pytest.mark.parametrize("args", [
+    ["--samples", "8"],
+    ["--max-iter", "0"],
+    ["--mode", "piecewise", "--r4-threshold", "0"],
+], ids=["samples-8", "max-iter-0", "r4-threshold-0"])
+def test_invalid_option_value_exit_code(args, s_curve_file, tmp_path, capsys):
+    """An option value that parses but that the pipeline rejects exits 2
+    with one error line, and writes no report."""
+    out = tmp_path / "rep.json"
+    assert main([s_curve_file, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_unconverged_fit_exit_code(tmp_path):
+    """A fit cut at max_iter exits 4 and still writes its report."""
+    out = tmp_path / "rep.json"
+    assert main([str(CORPUS / "shallow_s.json"), "--max-iter", "1",
+                 "--samples", "256", "--out", str(out)]) == 4
+    rep = json.loads(out.read_text())
+    assert (rep["converged"], rep["iterations"]) == (False, 1)
+
+
 def test_report_determinism(s_curve_file, tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -135,7 +184,7 @@ def test_report_determinism(s_curve_file, tmp_path):
 def test_piecewise_ignores_endpoints_flag(tmp_path):
     """Piecewise mode constrains every piece's endpoints anyway, so
     --endpoints leaves its report byte for byte as it is."""
-    curve = str(ARC_ASYM.parent / "s_curve_deep.json")
+    curve = str(CORPUS / "s_curve_deep.json")
     args = ["--mode", "piecewise", "--samples", "256", "--max-iter", "200"]
     paths = [tmp_path / "plain.json", tmp_path / "endpoints.json"]
     codes = [main([curve, *args, *flag, "--out", str(path)])
@@ -336,6 +385,17 @@ def test_svg_output_minimal_subset(s_curve_file, tmp_path):
         assert el.attrib["fill"] == "none"
         assert "stroke" in el.attrib
         assert el.attrib["d"].startswith("M ")
+
+
+def test_svg_fit_mode_layers(s_curve_file, tmp_path):
+    """Fit mode's overlay is the target, the guess and the fit, in order."""
+    svg = tmp_path / "plot.svg"
+    assert main([s_curve_file, "--samples", "256", "--svg", str(svg),
+                 "--out", str(tmp_path / "r.json")]) == 0
+    paths = list(ET.fromstring(svg.read_text()))
+    assert [el.tag for el in paths] == ["{http://www.w3.org/2000/svg}path"] * 3
+    assert [el.attrib["stroke"] for el in paths] == [
+        LAYER_STYLES[layer][0] for layer in ("target", "guess", "fit")]
 
 
 def test_svg_viewbox_margin():

@@ -203,13 +203,39 @@ def test_polyline_repeat_tolerance_is_relative(scale):
     assert np.array_equal(poly.points, scale * pts[[0, 2, 3, 4]])
 
 
-def test_trim_bezier_exact():
-    cur = BezierChain([[[0, 0], [1, 2], [3, -1], [4, 1]],
-                       [[4, 1], [5, 3], [6, 0], [7, 1]]])
-    sub = cur.trimmed(0.2, 0.8)
-    for u in np.linspace(0, 1, 23):
-        t = 0.2 + 0.6 * u
-        assert sub.point(u) == pytest.approx(cur.point(t), abs=1e-12)
+def _trim_cases():
+    """(id, chain, [(t0, t1), ...]) for test_trim_bezier_exact."""
+    cubic = [[[0, 0], [1, 2], [3, -1], [4, 1]]]
+    yield "inside", cubic, [(0.2, 0.8)]
+    yield "from-0", cubic, [(0.0, 0.6)]
+    yield "to-1", cubic, [(0.3, 1.0)]
+    # the two kept pieces on [0.2, 0.5] and [0.5, 0.8] are equally long in
+    # t, so their equal shares of [0, 1] keep the chain's parameter
+    yield "across-joint", cubic + [[[4, 1], [5, 3], [6, 0], [7, 1]]], \
+        [(0.2, 0.8)]
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.uniform(-3, 3)
+        trims = [tuple(np.sort(rng.uniform(size=2))) for _ in range(25)]
+        yield f"random-{seed}", scale * rng.normal(size=(1, 4, 2)), trims
+
+
+@pytest.mark.parametrize("pieces, trims", [
+    pytest.param(pieces, trims, id=name)
+    for name, pieces, trims in _trim_cases()])
+def test_trim_bezier_exact(pieces, trims):
+    """A trim that keeps one piece is the curve on [t0, t1] with its
+    parameter mapped linearly: points, and derivatives times t1 - t0, to
+    1e-14 of the largest control-point coordinate."""
+    cur = BezierChain(pieces)
+    tol = 1e-14 * np.max(np.abs(cur.pieces))
+    u = np.linspace(0.0, 1.0, 23)
+    for t0, t1 in trims:
+        sub = cur.trimmed(t0, t1)
+        t = t0 + (t1 - t0) * u
+        assert np.max(np.abs(sub.point(u) - cur.point(t))) <= tol
+        assert np.max(np.abs(sub.derivative(u)
+                             - (t1 - t0) * cur.derivative(t))) <= tol
 
 
 @pytest.mark.parametrize("t0", [0.0, 1.0 / 3.0])

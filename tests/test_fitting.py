@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from scipy.optimize import NonlinearConstraint, least_squares, minimize
 
 from elastica_fit import elastica, fitting
-from elastica_fit.curve import BezierChain, Polyline, load_curve, sample
+from elastica_fit.curve import BezierChain, CurveSamples, Polyline, \
+    load_curve, sample
 from elastica_fit.elastica import (
     K_MIN,
     ElasticaCurve,
@@ -828,6 +829,24 @@ def test_guess_fits_the_samples_as_given(name, mode):
     res, _ = guess_and_fit(cur, mode, max_iter=600)
     assert res.converged
     assert res.constraint_violation <= 1e-10
+
+
+@pytest.mark.parametrize("points, speed", [
+    pytest.param(np.column_stack([np.arange(17.0), np.arange(17.0) ** 2]),
+                 0.0, id="zero-speeds"),
+    pytest.param(np.zeros((17, 2)), 1.0, id="points-at-origin"),
+])
+def test_align_similarity_keeps_pvec_without_a_similarity(points, speed):
+    """Samples of zero total weight (zero speeds), or whose points are all
+    at the origin (the optimal similarity is 0), have no alignment to
+    give: _align_similarity returns the very pvec it was given."""
+    t = np.linspace(0.0, 1.0, 17)
+    smp = CurveSamples(t=t, points=points, speeds=np.full(17, speed),
+                       s=t.copy(), theta=np.zeros(17), kappa=np.zeros(17))
+    p = BASE.as_array()
+    q, z = _align_similarity(p, smp, _jacobi_E_at(p, smp.tau))
+    assert q is p
+    assert np.all(np.isfinite(z))
 
 
 class TestReducedModel:

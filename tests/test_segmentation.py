@@ -339,6 +339,23 @@ def test_degenerate_leaf_is_its_guess():
         assert r4 == guess.R4
 
 
+def test_degenerate_circle_leaf_is_not_converged():
+    """A circular arc gets a "circle" guess, whose k = 0 segment is the
+    straight one of the degenerate path: kept as the leaf's result in 0
+    iterations with the guess's R4, but not reported as converged."""
+    ang = np.linspace(0.0, 1.0, 513)
+    cur = Polyline(np.column_stack([3 * np.cos(ang), 3 * np.sin(ang)]))
+    pw = fit_piecewise(cur, r4_threshold=math.inf, max_depth=0,
+                       constraints="none", n_samples=256)
+    (guess,), (res,) = pw.guesses, pw.segments
+    assert guess.degenerate == "circle"
+    assert res.message == "degenerate circle"
+    assert (res.iterations, res.converged) == (0, False)
+    assert res.grad_norm == 0.0
+    assert res.params == guess.params
+    assert res.r4 == guess.R4 > 0.2
+
+
 def test_closed_target():
     """A closed cubic (both ends at the origin) splits into four pieces."""
     cur = BezierChain([[[0, 0], [2, 2], [-2, 2], [0, 0]]])
