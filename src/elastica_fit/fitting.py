@@ -15,10 +15,11 @@ step y = -(A + mu I)^-1 b is the Newton step (mu = 0) when A is positive
 definite and that step fits the radius, else the step on the boundary
 ||y|| = radius, its shift mu found by Newton's method on the secular
 equation from one eigendecomposition of A.  Each trial is restored onto
-the manifold before F is evaluated, so F alone judges it: free fits
-re-solve the similarity block, pinned fits run capped Gauss-Newton steps
-on c.  A pinned trial step Z y, which leaves c = O(||y||^2), carries the
-model's second-order correction to O(||y||^3), so its Gauss-Newton
+the manifold before F is evaluated, so F alone judges it: free fits take
+s0 to |s0 + ell/2| <= 2K by periods 4K and re-solve the similarity block,
+which absorbs the period's shift; pinned fits run capped Gauss-Newton
+steps on c.  A pinned trial step Z y, which leaves c = O(||y||^2), carries
+the model's second-order correction to O(||y||^3), so its Gauss-Newton
 converges quadratically.  Every restoration stops at a step that does not
 halve max|c|, the start's only below 1e-10, and rejects a trial it leaves
 above 1e-10.  A rejection sets the radius to a quarter of
@@ -75,7 +76,7 @@ from .elastica import (
     _segment_partials_arr,
     _tangent_angle,
 )
-from .elliptic import _jacobi_E
+from .elliptic import _jacobi_E, _quarter_period
 from .errors import DomainError
 
 CONSTRAINT_MODES = ("none", "endpoints", "endpoints+tangents")
@@ -344,17 +345,21 @@ def _restore(q, target: CurveSamples, mode: str, trial=True):
     restored only to max|c| > 1e-10; DomainError if q is no segment.
 
     F is objective on the basic zeta values of the restored point's one
-    evaluation.  Free: the similarity block re-solved in closed form, which
-    leaves (k, s0, ell), and so the evaluation and the alignment's zeta
-    values, as they are.  Pinned: Gauss-Newton on c over all seven
-    parameters, each step -J^+ c from _row_space capped at length 0.5,
-    until max|c| <= 1e-12 or for 20 steps, or to the iterate before a step
-    that does not halve max|c|, in a trial or once max|c| <= 1e-10 (a trial
-    left at max|c| > 1e-10, as at the rounding floor near k = 1, is
-    rejected).  Each iterate evaluates c alone at the end nodes, and builds
-    J from that evaluation only for a step it takes."""
+    evaluation.  Free: a finite window moved by whole periods P = 4K to
+    |s0 + ell/2| <= P/2, then the similarity block re-solved in closed form,
+    which absorbs zeta's shift and leaves (k, s0, ell), the evaluation and
+    its zeta values as they are.  Pinned: Gauss-Newton on c over all seven
+    parameters, each step -J^+ c from _row_space capped at length 0.5, until
+    max|c| <= 1e-12 or for 20 steps, or to the iterate before a step that
+    does not halve max|c|, in a trial or once max|c| <= 1e-10 (a trial left
+    at max|c| > 1e-10, as at the rounding floor near k = 1, is rejected).
+    Each iterate evaluates c alone at the end nodes, J from it only if it
+    steps."""
     q = _project(q)
     if mode == "none":
+        P = 4.0 * _quarter_period(q[0])
+        j = (q[1] + 0.5 * q[2]) / P
+        q[1] -= P * round(j) if math.isfinite(j) else 0.0
         jacobi_E = _jacobi_E_at(q, target.tau)
         q, z = _align_similarity(q, target, jacobi_E)
         q = _project(q)
