@@ -294,10 +294,7 @@ def sample(curve, n: int = DEFAULT_SAMPLES) -> CurveSamples:
         chords = np.diff(x, axis=0)
         seglen = np.linalg.norm(chords, axis=1)
         s = np.concatenate([[0.0], np.cumsum(seglen)])
-        d = np.empty_like(pts)
-        d[1:-1] = (x[2:] - x[:-2]) * 0.5 * n
-        d[0] = chords[0] * n
-        d[-1] = chords[-1] * n
+        d = np.gradient(x, axis=0) * n
         speeds = np.linalg.norm(d, axis=1)
         # circumcircle through (a, b, c): 2 (ab x bc) / (|ab| |bc| |ac|),
         # and 0 where two of the nodes coincide

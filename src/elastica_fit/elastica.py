@@ -29,23 +29,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import K_GUARD_BAND, _check_modulus, _jacobi_E
+from .elliptic import _check_modulus, _jacobi_E
 from .errors import DomainError
 
 #: parameter order used for gradient / Hessian indexing
 PARAM_NAMES = ("k", "s0", "ell", "w", "phi", "x0", "y0")
 
-#: smallest modulus for which the second k-derivative is evaluated
+#: smallest modulus of fitting's chart, where the second k-derivative holds
 K_MIN = 1e-6
-
-
-def _chart_modulus(k, above_one):
-    """k moved into its side of 1, the one chart of the guess and of every
-    fit iterate: [K_MIN, 1 - 2 g] below, [1 + 2 g, inf) above, with
-    g = K_GUARD_BAND the singular band.  A NaN k is returned unchanged."""
-    if above_one:
-        return max(k, 1.0 + 2 * K_GUARD_BAND)
-    return max(min(k, 1.0 - 2 * K_GUARD_BAND), K_MIN)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ The objective matches curve points by normalized arclength:
     F(p) = 1/2 * int_0^1 || y_p(s(t)/L) - x(t) ||^2 ||x'(t)|| dt.
 
 One trust-region loop fits all three constraint modes, and every iterate
-lies on the fit's manifold.  Free fits keep the similarity block
+lies on the fit's manifold, in one chart (_project), where a k < 0 is the
+same segment mirrored at -k.  Free fits keep the similarity block
 (w, phi, x0, y0) at its closed-form optimum for the shape (k, s0, ell), so
 the model is the reduced Hessian of variable projection, a Schur
 complement.  Pinned fits keep c(p) = 0, and the model is the exact
@@ -67,16 +68,16 @@ import numpy as np
 from .curve import CurveSamples
 from .elastica import (
     _SECOND_PARTIALS,
+    K_MIN,
     ElasticaParams,
     _angle_partials,
     _basic_zeta,
-    _chart_modulus,
     _second_partials_dot,
     _segment_eval_arr,
     _segment_partials_arr,
     _tangent_angle,
 )
-from .elliptic import _jacobi_E, _quarter_period
+from .elliptic import K_GUARD_BAND, _jacobi_E, _quarter_period
 from .errors import DomainError
 
 CONSTRAINT_MODES = ("none", "endpoints", "endpoints+tangents")
@@ -249,9 +250,22 @@ def _constraint_jacobian(pvec, mode: str, with_hessians=False, ends=None):
 # ---------------------------------------------------------------------------
 # optimizer
 
+def _chart_modulus(k):
+    """k moved into its own side of 1, the one chart of the guess and of
+    every fit iterate: [K_MIN, 1 - 2 g] for k <= 1, [1 + 2 g, inf) for
+    k > 1, with g = K_GUARD_BAND the singular band.  NaN passes through."""
+    if k > 1.0:
+        return max(k, 1.0 + 2 * K_GUARD_BAND)
+    return max(min(k, 1.0 - 2 * K_GUARD_BAND), K_MIN)
+
+
 def _project(pvec):
     q = pvec.copy()
-    q[0] = _chart_modulus(q[0], q[0] > 1.0)
+    if -math.inf < q[0] < 0.0:
+        # zeta_-k(s) = -zeta_k(-s): the same segment, mirrored
+        q[:3] *= -1.0
+        q[4] += math.pi
+    q[0] = _chart_modulus(q[0])
     q[3] = max(q[3], 1e-9)
     return q
 

@@ -2,8 +2,8 @@
 arbitrary sampled plane curve.
 
 Pipeline: least-squares affine-curvature fit (lambda1, lambda2, alpha), the
-parabola offset beta, classification into inflectional / non-inflectional,
-modulus k, amplitude case analysis recovering (s0, ell), then the similarity
+parabola offset beta, the modulus k in fitting's chart (inflectional below
+1), amplitude case analysis recovering (s0, ell), then the similarity
 (w, phi, x0, y0) for that shape by the fit's closed-form alignment
 (fitting._align_similarity), and the residuals R1..R4.
 """
@@ -15,11 +15,11 @@ from typing import Optional
 import numpy as np
 
 from .curve import CurveSamples
-from .elastica import ElasticaParams, _chart_modulus
+from .elastica import ElasticaParams
 from .elliptic import incomplete_F
 from .errors import DegenerateInputError
-from .fitting import _align_similarity, _jacobi_E_at, _unit_map, \
-    residual_r4
+from .fitting import _align_similarity, _chart_modulus, _jacobi_E_at, \
+    _unit_map, residual_r4
 
 # not called here: perfbench's tracer test checks that the tracer patches
 # segment_eval_many in this module's namespace too
@@ -118,13 +118,10 @@ def affine_curvature_fit(samples: CurveSamples) -> AffineCurvatureFit:
 
 
 def classify_and_modulus(fit: AffineCurvatureFit):
-    """(inflectional, k) from the parabola minimum and the delta- formula."""
+    """Charted k of the delta- formula; inflectional is k < 1: min P >= -1."""
     lam, alpha, beta = fit.lam, fit.alpha, fit.beta
-    min_p = beta - alpha ** 2 / (2 * lam)
-    inflectional = min_p >= -1.0
     delta_minus_sq = max(alpha ** 2 - 2 * lam * (beta - 1.0), 0.0)
-    k = math.sqrt(delta_minus_sq) / (2 * math.sqrt(lam))
-    return inflectional, _chart_modulus(k, not inflectional)
+    return _chart_modulus(math.sqrt(delta_minus_sq) / (2 * math.sqrt(lam)))
 
 
 def _monotone_runs(u):
@@ -145,22 +142,35 @@ def _monotone_runs(u):
 
 
 def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
-                         inflectional: bool, k: float):
+                         k: float):
     """(s0, ell, n_segments, R3) by the amplitude case analysis on the
-    monotone runs of u.  The start direction is the first counted run's,
-    and one half-period rule places both ends."""
+    monotone runs of u, inflectional for k < 1.  The start direction is
+    the first counted run's, and one half-period rule places both ends."""
     lam, alpha, beta = fit.lam, fit.alpha, fit.beta
     w = fit.w
     u = fit.u
     L = samples.length
 
+    # u's range, and the amplitude of a drop du below u_max on a half-period
+    # P; non-inflectional curves run on the reciprocal modulus
     delta_minus = math.sqrt(max(alpha ** 2 - 2 * lam * (beta - 1.0), 0.0))
     u_max = (-alpha + delta_minus) / lam
-    if inflectional:
+    if k < 1.0:
         u_min = (-alpha - delta_minus) / lam
+        P, k_am, scale = math.pi, k, 1.0
+
+        def amplitude(du):
+            return math.acos(min(max(1.0 - du / (2 * k * w), -1.0), 1.0))
     else:
         delta_plus = math.sqrt(max(alpha ** 2 - 2 * lam * (beta + 1.0), 0.0))
         u_min = (-alpha + delta_plus) / lam
+        P, k_am, scale = math.pi / 2, 1.0 / k, k
+        cn_floor = math.sqrt(max(1.0 - 1.0 / k ** 2, 0.0))
+
+        def amplitude(du):
+            du = min(max(du, 0.0), 2 * k * w * (1.0 - cn_floor))
+            return math.asin(
+                min(math.sqrt(max(du / w * (k - du / (4 * w)), 0.0)), 1.0))
 
     # oscillation counting with the minimal-height rule; the first and last
     # runs contain the curve endpoints and are genuinely partial, so the
@@ -177,22 +187,6 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
     tol = 64 * np.finfo(float).eps * max(abs(u_min), abs(u_max))
     outside = (u < u_min - tol) | (u > u_max + tol)
     R3 = float(outside @ samples.weights) / L
-
-    # amplitude of a drop du below u_max, on a half-period P of the
-    # amplitude; non-inflectional curves run on the reciprocal modulus
-    if inflectional:
-        P, k_am, scale = math.pi, k, 1.0
-
-        def amplitude(du):
-            return math.acos(min(max(1.0 - du / (2 * k * w), -1.0), 1.0))
-    else:
-        P, k_am, scale = math.pi / 2, 1.0 / k, k
-        cn_floor = math.sqrt(max(1.0 - 1.0 / k ** 2, 0.0))
-
-        def amplitude(du):
-            du = min(max(du, 0.0), 2 * k * w * (1.0 - cn_floor))
-            return math.asin(
-                min(math.sqrt(max(du / w * (k - du / (4 * w)), 0.0)), 1.0))
 
     def arclength(j, a):
         """Arclength of amplitude a on half-period j, where u falls from
@@ -245,13 +239,13 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
     fit = affine_curvature_fit(unit)
     if fit.w is None:
         return _degenerate_report(samples, fit)
-    inflectional, k = classify_and_modulus(fit)
+    k = classify_and_modulus(fit)
     shape = unit
-    if not inflectional and unit.kappa @ unit.weights < 0:
+    if k > 1.0 and unit.kappa @ unit.weights < 0:
         shape = unit.reversed()
         fit = affine_curvature_fit(shape)
-        inflectional, k = classify_and_modulus(fit)
-    s0, ell, n, R3 = recover_arc_interval(shape, fit, inflectional, k)
+        k = classify_and_modulus(fit)
+    s0, ell, n, R3 = recover_arc_interval(shape, fit, k)
     if shape is not unit:
         s0, ell = s0 + ell, -ell
     q = np.array([k, s0, ell, fit.w, fit.phi, 0.0, 0.0])
@@ -259,5 +253,5 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
     q, z = _align_similarity(q, unit, _jacobi_E_at(q, unit.tau))
     params = ElasticaParams.from_array(_unit_map(q, samples, inverse=True))
     return RecoveryReport(
-        params=params, inflectional=inflectional, n_segments=n, R1=fit.R1,
+        params=params, inflectional=k < 1.0, n_segments=n, R1=fit.R1,
         R2=fit.R2, R3=R3, R4=residual_r4(params, samples, z))

@@ -20,7 +20,7 @@ from elastica_fit.elastica import (
     ElasticaCurve,
     ElasticaParams,
     _angle_partials,
-    _chart_modulus,
+    _segment_eval_arr,
     _zeta_blocks,
     basic_derivatives,
     basic_point,
@@ -35,6 +35,7 @@ from elastica_fit.elliptic import (
     quarter_period,
 )
 from elastica_fit.errors import DomainError
+from elastica_fit.fitting import _chart_modulus
 from test_elliptic import _mp_jacobi_E
 
 
@@ -282,9 +283,10 @@ class TestPendulumEquation:
 
 def test_chart_modulus_restates_both_clamps():
     """The optimizer's projection and the guess's modulus clamp are one
-    rule, with no upper bound: k moved to [K_MIN, 1 - 2 g] below 1 and to
-    [1 + 2 g, inf) above it, bit for bit, as Python and numpy floats; NaN
-    passes through.  fitting._project applies it on k's own side of 1."""
+    rule, with no upper bound, and k alone names its side of 1: k > 1
+    moved to [1 + 2 g, inf), any other k to [K_MIN, 1 - 2 g], bit for bit,
+    as Python and numpy floats; NaN passes through.  fitting._project
+    applies it to every k that is not finite and negative."""
     g = K_GUARD_BAND
     ks = [math.nan, -math.inf, -1.0, 0.0, 1e-7, K_MIN, 0.5, 1 - 3 * g,
           1 - 2 * g, 1 - g, 1.0, 1 + g, 1 + 2 * g, 1 + 3 * g, 2.0, 10.0,
@@ -294,16 +296,39 @@ def test_chart_modulus_restates_both_clamps():
         return np.float64(x).tobytes()
 
     for k in ks + [np.float64(k) for k in ks]:
-        for above_one in (False, True):
-            if math.isnan(k):
-                want = k
-            elif above_one:
-                want = k if k > 1 + 2 * g else 1 + 2 * g
-            else:
-                want = min(max(k, K_MIN), 1 - 2 * g)
-            assert bits(_chart_modulus(k, above_one)) == bits(want)
-        q = fitting._project(np.array([k, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
-        assert bits(q[0]) == bits(_chart_modulus(k, k > 1.0))
+        if math.isnan(k):
+            want = k
+        elif k > 1.0:
+            want = k if k > 1 + 2 * g else 1 + 2 * g
+        else:
+            want = min(max(k, K_MIN), 1 - 2 * g)
+        assert bits(_chart_modulus(k)) == bits(want)
+        if not -math.inf < k < 0.0:
+            q = fitting._project(np.array([k, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0]))
+            assert bits(q[0]) == bits(want)
+
+
+@pytest.mark.parametrize("k", [-0.999, -0.8, -0.3, -1e-3, -K_MIN])
+def test_project_mirrors_a_negative_modulus(k):
+    """fitting._project maps a finite k < 0 to (-k, -s0, -ell, w, phi + pi,
+    x0, y0), the same segment as zeta_-k(s) = -zeta_k(-s): every point and
+    both end tangents agree to 1e-14.  -inf is clamped to K_MIN and NaN
+    passes through, with the other parameters as given."""
+    p = np.array([k, 0.7, -2.3, 1.3, 0.4, 0.2, -0.1])
+    q = fitting._project(p)
+    want = np.array([-k, -0.7, 2.3, 1.3, 0.4 + math.pi, 0.2, -0.1])
+    assert q.tobytes() == want.tobytes()
+    t = np.linspace(0.0, 1.0, 65)
+    gap = np.abs(_segment_eval_arr(q, t) - _segment_eval_arr(p, t))
+    assert np.max(gap) <= 1e-14
+    ends = fitting._ENDS
+    turn = (fitting._end_pose(q, fitting._jacobi_E_at(q, ends))[1]
+            - fitting._end_pose(p, fitting._jacobi_E_at(p, ends))[1])
+    assert np.max(np.abs(fitting._wrap_angle(turn))) <= 1e-14
+    for bad, k_to in ((-math.inf, K_MIN), (math.nan, math.nan)):
+        q = fitting._project(np.array([bad, *p[1:]]))
+        assert np.float64(q[0]).tobytes() == np.float64(k_to).tobytes()
+        assert q[1:].tobytes() == p[1:].tobytes()
 
 
 #: the arclengths and moduli of the k-block check near k = 1, and the

@@ -88,9 +88,21 @@ class TestClassifyAndModulus:
         p = ElasticaParams(k=k_true, s0=0.2, ell=2.0, w=1.0, phi=0.4,
                            x0=0.0, y0=0.0)
         fit = affine_curvature_fit(elastica_samples(p))
-        inflectional, k = classify_and_modulus(fit)
-        assert inflectional == (k_true < 1.0)
+        k = classify_and_modulus(fit)
+        assert (k < 1.0) == (k_true < 1.0)
         assert k == pytest.approx(k_true, abs=1e-4)
+
+    @pytest.mark.parametrize("k_true", [0.3, 0.8, 0.99, 1.01, 1.3, 1.8])
+    def test_side_of_one_is_the_parabola_test(self, k_true):
+        """The paper's shape test, min P = beta - alpha^2 / (2 lambda) >= -1
+        for an inflectional curve, and the charted k < 1 agree on affine
+        fits of exact elastica on both sides of 1."""
+        p = ElasticaParams(k=k_true, s0=0.2, ell=2.0, w=1.0, phi=0.4,
+                           x0=0.0, y0=0.0)
+        fit = affine_curvature_fit(elastica_samples(p))
+        min_p = fit.beta - fit.alpha ** 2 / (2 * fit.lam)
+        assert (classify_and_modulus(fit) < 1.0) == (min_p >= -1.0)
+        assert (min_p >= -1.0) == (k_true < 1.0)
 
     def test_modulus_identity(self):
         # alpha^2 - 2 lambda (beta - 1) = 4 k^2 / w^2
@@ -103,8 +115,8 @@ class TestRecoverArcInterval:
     def test_reference_roundtrip(self):
         smp = elastica_samples(REFERENCE)
         fit = affine_curvature_fit(smp)
-        inflectional, k = classify_and_modulus(fit)
-        s0, ell, n, R3 = recover_arc_interval(smp, fit, inflectional, k)
+        k = classify_and_modulus(fit)
+        s0, ell, n, R3 = recover_arc_interval(smp, fit, k)
         assert s0 == pytest.approx(0.2, abs=1e-3)
         assert ell == pytest.approx(3.0, abs=1e-3)
         assert R3 == 0.0
@@ -114,14 +126,14 @@ class TestRecoverArcInterval:
         # R3 reports that fraction (verified by direct measurement)
         smp = elastica_samples(REFERENCE)
         fit = affine_curvature_fit(smp)
-        inflectional, k = classify_and_modulus(fit)
+        k = classify_and_modulus(fit)
         delta = math.sqrt(fit.alpha ** 2 - 2 * fit.lam * (fit.beta - 1.0))
         u_max = (-fit.alpha + delta) / fit.lam
         u = fit.u.copy()
         m = len(u) // 10
         u[:m] = u_max + 1.0
         doctored = dataclasses.replace(fit, u=u)
-        _, _, _, R3 = recover_arc_interval(smp, doctored, inflectional, k)
+        _, _, _, R3 = recover_arc_interval(smp, doctored, k)
         expected = (u > u_max) @ smp.weights / smp.length
         assert R3 == pytest.approx(expected, abs=1e-12)
         assert 0.05 < R3 < 0.2
