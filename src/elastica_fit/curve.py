@@ -35,11 +35,12 @@ class CurveSamples:
     """Uniform-in-t discretization of a curve with derived quantities.
 
     The node count is odd (even number of intervals) so composite Simpson
-    applies directly.  theta is unwrapped; s is nondecreasing with s[-1] = L.
-    The arrays a fit reads at every iteration, the integration weights, the
-    normalized arclength tau = s / L, the complex points x + iy and their
-    centring, their end_pose and the set's unit-length copy unit, are
-    cached properties: computed once per sample set.
+    applies directly, and weights[::-1] weigh the curve traversed backwards.
+    theta is unwrapped; s is nondecreasing with s[-1] = L.  The arrays a fit
+    reads at every iteration, the integration weights, the normalized
+    arclength tau = s / L, the complex points x + iy and their centring,
+    their end_pose and the set's unit-length copy unit, are cached
+    properties: computed once per sample set.
     """
 
     t: np.ndarray
@@ -119,18 +120,6 @@ class CurveSamples:
         for f in fields(unit):
             getattr(unit, f.name).flags.writeable = False
         return unit
-
-    def reversed(self) -> "CurveSamples":
-        """Samples of the same curve traversed in the opposite direction."""
-        L = self.length
-        return CurveSamples(
-            t=self.t.copy(),
-            points=self.points[::-1].copy(),
-            speeds=self.speeds[::-1].copy(),
-            s=L - self.s[::-1],
-            theta=np.unwrap(self.theta[::-1] + math.pi),
-            kappa=-self.kappa[::-1],
-        )
 
 
 def _locate(t, m):

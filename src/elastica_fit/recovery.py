@@ -51,7 +51,7 @@ class AffineCurvatureFit:
 @dataclass(frozen=True)
 class RecoveryReport:
     """The outcome of initial_guess.  params describe the samples as given;
-    n_segments the traversal whose curvature the shape was recovered on.
+    n_segments the monotone runs of u that recover_arc_interval counts.
     reversed_input is always False and kept only for callers that still
     read it: a curve traversed backwards is described by ell < 0 instead."""
 
@@ -145,11 +145,19 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
                          k: float):
     """(s0, ell, n_segments, R3) by the amplitude case analysis on the
     monotone runs of u, inflectional for k < 1.  The start direction is
-    the first counted run's, and one half-period rule places both ends."""
+    the first counted run's, and one half-period rule places both ends.
+
+    A non-inflectional curve of negative mean curvature is read backwards,
+    alpha -> -alpha and u -> -u[::-1] as its reversed samples' fit has
+    them, and mapped back by (s0, ell) -> (s0 + ell, -ell), so ell < 0."""
     lam, alpha, beta = fit.lam, fit.alpha, fit.beta
     w = fit.w
     u = fit.u
     L = samples.length
+    wts = samples.weights
+    backwards = k > 1.0 and samples.kappa @ wts < 0
+    if backwards:
+        alpha, u, wts = -alpha, -u[::-1], wts[::-1]
 
     # u's range, and the amplitude of a drop du below u_max on a half-period
     # P; non-inflectional curves run on the reciprocal modulus
@@ -186,7 +194,7 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
     # out-of-range measure: u within rounding of a range end is inside
     tol = 64 * np.finfo(float).eps * max(abs(u_min), abs(u_max))
     outside = (u < u_min - tol) | (u > u_max + tol)
-    R3 = float(outside @ samples.weights) / L
+    R3 = float(outside @ wts) / L
 
     def arclength(j, a):
         """Arclength of amplitude a on half-period j, where u falls from
@@ -200,6 +208,8 @@ def recover_arc_interval(samples: CurveSamples, fit: AffineCurvatureFit,
     if ell <= 0:
         # clamping collapsed the interval; fall back to the arclength extent
         ell = L / w
+    if backwards:
+        s0, ell = s0 + ell, -ell
     return s0, ell, n, R3
 
 
@@ -226,10 +236,8 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
     of fitting._align_similarity.  So w and phi may differ from those of
     the affine curvature fit, which recover_arc_interval reads.
 
-    The parameters describe the samples as given.  A non-inflectional
-    curve of negative curvature has its shape recovered on the samples
-    traversed the other way, and mapped back by (s0, ell) ->
-    (s0 + ell, -ell): ell < 0 runs the segment toward decreasing arclength.
+    The parameters describe the samples as given: recover_arc_interval
+    reads a non-inflectional curve of negative curvature backwards.
 
     It runs on the unit-length copy of the samples that fit solves on,
     CurveSamples.unit, mapped back by fitting._unit_map, so the guess is
@@ -240,14 +248,7 @@ def initial_guess(samples: CurveSamples) -> RecoveryReport:
     if fit.w is None:
         return _degenerate_report(samples, fit)
     k = classify_and_modulus(fit)
-    shape = unit
-    if k > 1.0 and unit.kappa @ unit.weights < 0:
-        shape = unit.reversed()
-        fit = affine_curvature_fit(shape)
-        k = classify_and_modulus(fit)
-    s0, ell, n, R3 = recover_arc_interval(shape, fit, k)
-    if shape is not unit:
-        s0, ell = s0 + ell, -ell
+    s0, ell, n, R3 = recover_arc_interval(unit, fit, k)
     q = np.array([k, s0, ell, fit.w, fit.phi, 0.0, 0.0])
     # the alignment keeps (k, s0, ell), so its zeta values also give R4
     q, z = _align_similarity(q, unit, _jacobi_E_at(q, unit.tau))

@@ -281,26 +281,15 @@ def test_load_curve_roundtrip(tmp_path):
         load_curve({"nope": []})
 
 
-def test_reversed_samples():
-    cur = BezierChain([[[0, 0], [1, 2], [3, -1], [4, 1]]])
-    smp = sample(cur, 256)
-    rev = smp.reversed()
-    assert rev.points[0] == pytest.approx(smp.points[-1], abs=1e-14)
-    assert rev.length == pytest.approx(smp.length, abs=1e-12)
-    assert rev.kappa[5] == pytest.approx(-smp.kappa[-6], abs=1e-14)
-    assert np.max(np.abs(np.diff(rev.theta))) < math.pi
-
-
 def test_weights_are_kept_read_only_and_follow_the_samples():
     """weights is computed once per sample set and cannot be written; a
-    reversed or replaced set gets weights of its own that agree with it."""
+    replaced set gets weights of its own that agree with it."""
     smp = sample(BezierChain([[[0, 0], [1, 2], [3, -1], [4, 1]]]), 64)
     w = smp.weights
     assert smp.weights is w
     assert not w.flags.writeable
     with pytest.raises(ValueError):
         w[0] = 1.0
-    assert np.array_equal(smp.reversed().weights, w[::-1])
     doubled = dataclasses.replace(smp, speeds=2.0 * smp.speeds)
     assert doubled.weights is not w
     assert np.array_equal(doubled.weights, 2.0 * w)

@@ -332,8 +332,9 @@ def test_project_mirrors_a_negative_modulus(k):
 
 
 #: the arclengths and moduli of the k-block check near k = 1, and the
-#: relative error the blocks meet away from it
-NEAR_ONE_S = (0.3, 1.0, 2.5)
+#: relative error the blocks meet away from it; s = 6 and 9 lie past
+#: ks = K(1/k) at k = 1 + 1e-4, where dn < 0 for k > 1
+NEAR_ONE_S = (0.3, 1.0, 2.5, 4.0, 6.0, 9.0)
 NEAR_ONE_K = (1 - 1e-4, 1 + 1e-4, 1 - 1e-6, 1 + 1e-6, 1 - 1e-8, 1 + 1e-8)
 NEAR_ONE_RTOL = 1e-9
 
@@ -344,12 +345,12 @@ NEAR_ONE_MISSES = {
     ("zeta_k", 1 + 1e-6): 1.6e-9, ("zeta_k", 1 - 1e-8): 2.1e-7,
     ("zeta_k", 1 + 1e-8): 1.9e-7,
     ("zeta_sk", 1 - 1e-8): 1.3e-8, ("zeta_sk", 1 + 1e-8): 2.0e-8,
-    ("zeta_kk", 1 - 1e-4): 3.0e-8, ("zeta_kk", 1 + 1e-4): 2.5e-7,
-    ("zeta_kk", 1 - 1e-6): 5.1e-4, ("zeta_kk", 1 + 1e-6): 3.3e-3,
+    ("zeta_kk", 1 - 1e-4): 1.3e-7, ("zeta_kk", 1 + 1e-4): 8.8e-8,
+    ("zeta_kk", 1 - 1e-6): 5.1e-4, ("zeta_kk", 1 + 1e-6): 1.7e-3,
     ("zeta_kk", 1 - 1e-8): 20.0, ("zeta_kk", 1 + 1e-8): 39.0,
     ("theta_k", 1 - 1e-8): 1.3e-8, ("theta_k", 1 + 1e-8): 2.0e-8,
-    ("theta_sk", 1 - 1e-8): 9.3e-9, ("theta_sk", 1 + 1e-8): 8.4e-9,
-    ("theta_kk", 1 - 1e-4): 3.6e-6, ("theta_kk", 1 + 1e-4): 6.4e-6,
+    ("theta_sk", 1 - 1e-8): 9.3e-9, ("theta_sk", 1 + 1e-8): 9.8e-9,
+    ("theta_kk", 1 - 1e-4): 3.6e-6, ("theta_kk", 1 + 1e-4): 4.1e-7,
     ("theta_kk", 1 - 1e-6): 4.1e-2, ("theta_kk", 1 + 1e-6): 2.9e-2,
     ("theta_kk", 1 - 1e-8): 480.0, ("theta_kk", 1 + 1e-8): 1.2e3,
 }
@@ -364,8 +365,10 @@ def _mp_zeta(u, k):
 
 
 def _mp_theta(u, k):
-    sn = mp.re(mp.ellipfun("sn", u, m=k * k))
-    return 2 * mp.atan2(k * sn, mp.sqrt(1 - k * k * sn * sn))
+    """theta(u) = 2 atan2(k sn, dn) in mpmath; for k > 1, dn = cn(ku, 1/k)
+    turns negative past ku = K(1/k), so it is taken from _mp_jacobi_E."""
+    sn, _, dn, _ = _mp_jacobi_E(u, k)
+    return 2 * mp.atan2(k * sn, dn)
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,7 +16,7 @@ from elastica_fit.curve import (
     load_curve,
     sample,
 )
-from elastica_fit import elastica, fitting
+from elastica_fit import elastica, fitting, recovery
 from elastica_fit.elastica import ElasticaCurve, ElasticaParams
 from elastica_fit.elliptic import _jacobi_E, quarter_period
 from elastica_fit.fitting import FitProblem, _align_similarity, \
@@ -30,6 +30,7 @@ from elastica_fit.recovery import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+ARC_ASYM = ROOT / "corpus" / "arc_asym.json"
 
 REFERENCE = ElasticaParams(k=0.8, s0=0.2, ell=3.0, w=1.5, phi=0.7,
                            x0=2.0, y0=-1.0)
@@ -200,10 +201,10 @@ class TestInitialGuess:
         assert q1.y0 == pytest.approx(want[1], abs=1e-6)
 
     def test_negatively_curved_reversal(self):
-        # a non-inflectional arc traversed so its curvature is negative is
-        # the same segment run backwards: s0 + ell = 2.2, ell = -1.8
-        p = ElasticaParams(1.3, 0.4, 1.8, 1.0, 0.2, 0.0, 0.0)
-        rev = elastica_samples(p).reversed()
+        # a non-inflectional arc traversed so its curvature is negative:
+        # the segment s in [0.4, 2.2] run backwards, s0 = 2.2, ell = -1.8
+        p = ElasticaParams(1.3, 2.2, -1.8, 1.0, 0.2, 0.0, 0.0)
+        rev = elastica_samples(p)
         rep = initial_guess(rev)
         assert not rep.inflectional
         assert rep.params.k == pytest.approx(1.3, abs=1e-4)
@@ -211,6 +212,33 @@ class TestInitialGuess:
         assert rep.params.s0 == pytest.approx(2.2, abs=1e-3)
         assert rep.R4 <= 1e-4
         assert residual_r4(rep.params, rev) <= 1e-4
+
+    def test_backwards_guess_is_one_pass(self, monkeypatch):
+        """arc_asym's guess runs its segment backwards (ell < 0) from the
+        one affine curvature fit of the samples as given."""
+        calls = []
+
+        def counted(smp):
+            calls.append(smp)
+            return affine_curvature_fit(smp)
+
+        monkeypatch.setattr(recovery, "affine_curvature_fit", counted)
+        rep = initial_guess(sample(load_curve(str(ARC_ASYM)), 256))
+        assert rep.params.ell < 0
+        assert len(calls) == 1
+
+    def test_reversed_chain_is_the_same_segment(self):
+        """arc_asym and its reversed chain, at 256 samples, are guessed as
+        the one segment run both ways: (s0, ell) -> (s0 + ell, -ell)."""
+        cur = load_curve(str(ARC_ASYM))
+        bwd = initial_guess(sample(cur, 256))
+        fwd = initial_guess(sample(BezierChain(cur.pieces[::-1, ::-1]), 256))
+        q, q0 = bwd.params, fwd.params
+        assert q.ell < 0 < q0.ell
+        assert q.k == pytest.approx(q0.k, abs=1e-10)
+        assert (q.s0 + q.ell, -q.ell) == pytest.approx((q0.s0, q0.ell),
+                                                        abs=1e-9)
+        assert bwd.R4 == pytest.approx(fwd.R4, rel=1e-8)
 
     def test_one_node_evaluation(self, monkeypatch):
         """A non-degenerate guess evaluates sn, cn, dn and E on the nodes
